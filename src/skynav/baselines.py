@@ -39,6 +39,11 @@ _GUARDS: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
 # ants give up after this multiple of the straight-line cell distance
 ACO_STEP_CAP_FACTOR = 4.0
 
+# largest grid voxelize accepts.  The move table and the 26 shifted free masks
+# built with it take about 100 bytes per cell, so this caps them near 0.8 GB:
+# a 500 m cube at 5 m (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it does not.
+MAX_GRID_CELLS = 8_000_000
+
 
 def _shifted(arr: np.ndarray, off: tuple[int, int, int]) -> np.ndarray:
     """arr sampled at cell + off, False where that lands outside the grid."""
@@ -142,6 +147,11 @@ def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
     extent = city.bounds_max - city.bounds_min
     dims = tuple(int(n) for n in np.ceil(extent / resolution - 1e-9))
     dims = tuple(max(n, 1) for n in dims)
+    ncells = dims[0] * dims[1] * dims[2]
+    if ncells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {resolution:g} m grid needs {ncells:,} cells, over the budget of "
+            f"{MAX_GRID_CELLS:,}; use a coarser resolution")
     occ = np.zeros(dims, dtype=bool)
     for b in city.buildings:
         lo = (np.asarray(b.min_corner) - city.bounds_min) / resolution

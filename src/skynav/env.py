@@ -113,39 +113,69 @@ class CityMap:
     def segment_collides(self, a, b) -> bool:
         """True iff segment a-b touches any building or leaves the bounds.
 
-        Uses the slab method per building, with the intersection parameter
-        clipped to [0, 1].  Both endpoints outside-bounds and boundary grazing
-        count as collisions (closed-set convention).
+        The one-segment case of segments_collide.  Its bounds and
+        above-the-roof answers come from scalar compares first: a tree
+        planner's segments often end there, and for one segment numpy's
+        per-call overhead costs more than the arithmetic.
         """
         a = as_point(a)
         b = as_point(b)
-        # bounds are convex: a segment leaves them iff an endpoint is outside
         if not self._inside(a) or not self._inside(b):
             return True
-        if not self.buildings:
-            return False
-        # a segment never dips below the lower of its endpoints, so anything
-        # flown strictly above the tallest roof is free of buildings
         if a[2] > self._top_z and b[2] > self._top_z:
             return False
-        d = b - a
-        parallel = d == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / d
-            t1 = (self._mins - a) * inv
-            t2 = (self._maxs - a) * inv
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
+        return bool(self._touch_buildings(a[None], b[None])[0])
+
+    def segments_collide(self, starts, ends) -> np.ndarray:
+        """One flag per segment starts[k]-ends[k]: True iff it touches a building or leaves the bounds.
+
+        Takes two (S, 3) arrays of finite coordinates.  Uses the slab method
+        per building, with the intersection parameter clipped to [0, 1].
+        Leaving the bounds and boundary grazing count as collisions
+        (closed-set convention).
+        """
+        a = np.asarray(starts, dtype=float)
+        b = np.asarray(ends, dtype=float)
+        if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape:
+            raise ValueError(f"expected two (S, 3) arrays, got shapes {a.shape} and {b.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("segment endpoints have non-finite coordinates")
+        # bounds are convex: a segment leaves them iff an endpoint is outside
+        lo_b, hi_b = self.bounds_min, self.bounds_max
+        outside = ~((lo_b <= a) & (a <= hi_b) & (lo_b <= b) & (b <= hi_b)).all(axis=1)
+        return outside | self._touch_buildings(a, b)
+
+    def _touch_buildings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per segment a[k]-b[k] of an (S, 3) pair: True iff it touches a building."""
+        hit = np.zeros(len(a), dtype=bool)
+        # broad phase: a segment can only touch a building whose closed box
+        # overlaps the segment's own bounding box.  This also clears every
+        # segment flown strictly above the tallest roof, since a segment never
+        # dips below the lower of its endpoints.
+        seg_lo = np.minimum(a, b)[:, None, :]
+        seg_hi = np.maximum(a, b)[:, None, :]
+        near = ((self._mins <= seg_hi) & (seg_lo <= self._maxs)).all(axis=2)
+        seg, bld = np.nonzero(near)
+        if seg.size == 0:
+            return hit
+        a = a[seg]
+        d = b[seg] - a
+        mins = self._mins[bld]
+        maxs = self._maxs[bld]
         # axis-parallel segments never cross that axis' slab planes: either the
-        # whole line is inside the slab or it misses the box outright
-        if parallel.any():
-            inside_slab = (self._mins <= a) & (a <= self._maxs)
-            par = np.broadcast_to(parallel, lo.shape)
-            lo = np.where(par, np.where(inside_slab, -np.inf, np.inf), lo)
-            hi = np.where(par, np.where(inside_slab, np.inf, -np.inf), hi)
+        # whole line is inside the slab or it misses the box outright.  The
+        # broad phase kept only pairs whose boxes overlap on every axis, which
+        # on a parallel axis means the line lies inside the slab.
+        parallel = d == 0.0
+        inv = 1.0 / np.where(parallel, 1.0, d)
+        t1 = (mins - a) * inv
+        t2 = (maxs - a) * inv
+        lo = np.where(parallel, -np.inf, np.minimum(t1, t2))
+        hi = np.where(parallel, np.inf, np.maximum(t1, t2))
         tmin = np.maximum(lo.max(axis=1), 0.0)
         tmax = np.minimum(hi.min(axis=1), 1.0)
-        return bool(np.any(tmin <= tmax))
+        hit[seg[tmin <= tmax]] = True
+        return hit
 
     def clearance(self, p) -> float:
         """Euclidean distance from p to the nearest building surface.

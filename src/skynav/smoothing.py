@@ -57,13 +57,42 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
 
     The sample count is samples_per_span per knot span plus the final
     endpoint, so the polyline always starts and ends on the curve endpoints.
+    Each sample weighs only the degree+1 control points of its knot span.
+    The weights come from the Cox-de Boor recursion of ``basis``, run for all
+    samples at once with the same operations in the same order, so every
+    sample equals ``evaluate`` at its parameter bit for bit.
     """
     control_points = np.asarray(control_points, dtype=float)
     n = len(control_points)
     knots = clamped_knots(n, degree)
     spans = n - degree
     us = np.linspace(0.0, 1.0, samples_per_span * spans + 1)
-    return np.array([evaluate(control_points, degree, knots, u) for u in us])
+    u = us[:, None]
+    span = np.searchsorted(knots, us, side="right") - 1
+    span = np.clip(span, degree, n - 1)
+    # N_{i,0} for i = span-degree .. span+degree: every degree-0 function that
+    # the degree-p functions of the span's control window recurse into
+    idx = span[:, None] + np.arange(-degree, degree + 1)
+    k0, k1 = knots[idx], knots[idx + 1]
+    last = knots[-1]
+    weights = ((k0 <= u) & (u < k1)
+               | (u == last) & (k0 < k1) & (k1 == last)).astype(float)
+    for q in range(1, degree + 1):
+        i = idx[:, : weights.shape[1] - 1]
+        left_den = knots[i + q] - knots[i]
+        right_den = knots[i + q + 1] - knots[i + 1]
+        left_on = left_den > 0.0
+        right_on = right_den > 0.0
+        # terms with a zero denominator are skipped, as in basis
+        left = (u - knots[i]) / np.where(left_on, left_den, 1.0) * weights[:, :-1]
+        right = (knots[i + q + 1] - u) / np.where(right_on, right_den, 1.0) * weights[:, 1:]
+        weights = 0.0 + np.where(left_on, left, 0.0)
+        weights = weights + np.where(right_on, right, 0.0)
+    points = np.zeros((len(us), 3))
+    for j in range(degree + 1):
+        w = weights[:, j, None]
+        points = points + np.where(w != 0.0, w * control_points[idx[:, j]], 0.0)
+    return points
 
 
 def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
@@ -81,7 +110,6 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
         raise ValueError("samples_per_span must be at least 1")
     degree = min(3, len(path) - 1)
     smoothed = sample_curve(path, degree, samples_per_span)
-    for a, b in zip(smoothed[:-1], smoothed[1:]):
-        if city.segment_collides(a, b):
-            return path.copy()
+    if city.segments_collide(smoothed[:-1], smoothed[1:]).any():
+        return path.copy()
     return smoothed

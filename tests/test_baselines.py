@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skynav import (AcoParams, Building, CityMap, PlanRequest, VoxelGrid,
                     plan_aco, plan_astar, voxelize)
-from skynav.baselines import ACO_STEP_CAP_FACTOR, NEIGHBOR_OFFSETS, _chain_cost, _walk_ant
+from skynav.baselines import (ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS, _chain_cost,
+                              _walk_ant)
 from skynav.metrics import dedupe, path_length
 
 
@@ -52,6 +54,20 @@ def test_voxelize_empty_map_is_all_free():
     grid = voxelize(city, 5.0)
     assert grid.dims == (10, 10, 10)
     assert not grid.occupancy.any()
+
+
+def test_voxelize_rejects_grids_over_the_cell_budget_before_allocating():
+    city = CityMap((), (0, 0, 0), (500, 500, 500))
+    assert (500 // 5) ** 3 <= MAX_GRID_CELLS < (500 // 1) ** 3
+    tracemalloc.start()
+    try:
+        for resolution in (1.0, 1e-3):
+            with pytest.raises(ValueError, match="budget"):
+                voxelize(city, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000   # the 1 m grid alone would be 125 MB of occupancy
 
 
 def test_voxelize_marks_every_touched_cell():

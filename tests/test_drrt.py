@@ -1,11 +1,15 @@
 """Enhanced planner tests: step control, detours, bias, reduction to the classic tree."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from test_env import _segment_hits_box_oracle
 
-from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams,
-                    classify_step_outcome, detour_extend, plan_drrt, plan_rrt, update_step)
+from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, SearchTree,
+                    build_city, classify_step_outcome, default_scenario, detour_extend,
+                    plan_drrt, plan_rrt, update_step)
 from skynav.drrt import COLLIDED, FAR, NEUTRAL
 
 
@@ -172,6 +176,53 @@ def test_budget_exhaustion_reports_failure():
     req = PlanRequest((5, 5, 5), (40, 40, 40), max_failed_attempts=200)
     res = plan_drrt(city, req, DrrtParams(step_size=5.0, step_max=5.0, step_min=1.0), seed=0)
     assert not res.success and res.path.shape == (0, 3)
+
+
+def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
+    """Every edge the far-node certificate let through passes the dense-sampling oracle."""
+    checked = set()
+    edges = []
+    segments_collide = CityMap.segments_collide
+    add = SearchTree.add
+
+    def recording_segments_collide(self, starts, ends):
+        for a, b in zip(np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)):
+            checked.add((a.tobytes(), b.tobytes()))
+        return segments_collide(self, starts, ends)
+
+    def recording_add(self, position, parent):
+        edges.append((self.positions[parent].copy(), np.asarray(position, dtype=float).copy()))
+        return add(self, position, parent)
+
+    monkeypatch.setattr(CityMap, "segments_collide", recording_segments_collide)
+    monkeypatch.setattr(SearchTree, "add", recording_add)
+    # requests that end with a route on the canonical city and two more; the
+    # seeds include runs of 1000+ extensions that weave between the towers.
+    # The last case lets the step exceed clearance_far.
+    cases = (
+        (11, (10, 10, 1), (470, 420, 50), (500, 501, 502), DrrtParams()),
+        (12, (490, 490, 5), (10, 10, 30), (500, 501, 502), DrrtParams()),
+        (13, (10, 10, 1), (470, 420, 50), (500, 502), DrrtParams()),
+        (11, (10, 10, 1), (470, 420, 50), (500, 501, 502), DrrtParams(clearance_far=8.0)),
+    )
+    for map_seed, start, goal, seeds, params in cases:
+        scenario = dataclasses.replace(default_scenario(), map_seed=map_seed,
+                                       start=start, goal=goal)
+        city = build_city(scenario)
+        req = PlanRequest(start, goal, max_failed_attempts=5000)
+        boxes = [(np.array(b.min_corner), np.array(b.max_corner)) for b in city.buildings]
+        certified = 0
+        for seed in seeds:
+            checked.clear()
+            edges.clear()
+            plan_drrt(city, req, params, seed)
+            for a, b in edges:
+                if (a.tobytes(), b.tobytes()) in checked:
+                    continue
+                certified += 1
+                assert city.in_bounds(b)
+                assert not any(_segment_hits_box_oracle(a, b, lo, hi) for lo, hi in boxes)
+        assert certified > 0, f"the certificate never applied on map {map_seed}"
 
 
 def test_disabling_every_enhancement_reproduces_the_classic_planner():

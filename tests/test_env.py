@@ -121,6 +121,10 @@ def test_segment_axis_parallel_cases():
     city = CityMap([_box((2, 2, 2), (4, 4, 4))], (0, 0, 0), (10, 10, 10))
     # parallel to x, inside the y/z slabs, crossing in x
     assert city.segment_collides((0, 3, 3), (9, 3, 3))
+    # parallel to x, less than one unit inside the y and z slabs: the slab
+    # distances on the parallel axes must not clip the crossing parameter
+    assert city.segment_collides((0, 3.9, 3.9), (9, 3.9, 3.9))
+    assert city.segment_collides((0, 2.1, 2.1), (9, 2.1, 2.1))
     # parallel to x but outside the y slab entirely
     assert not city.segment_collides((0, 6, 3), (9, 6, 3))
     # degenerate zero-length segment inside / outside
@@ -163,6 +167,72 @@ def test_segment_collides_agrees_with_dense_sampling_oracle():
     assert checked > 300
 
 
+def _random_boxes(rng, count):
+    boxes = []
+    for _ in range(count):
+        lo = rng.uniform(5, 60, 3)
+        hi = lo + rng.uniform(4, 20, 3)
+        boxes.append((lo, hi))
+    return boxes
+
+
+def _mixed_segments(rng, n, top):
+    """Random segments mixed with the cases a batch must also get right.
+
+    Endpoints range a little past the 100 m bounds, so some segments leave
+    the map; a quarter each are axis-parallel (like every detour move),
+    zero-length, or flown above the top roof height.
+    """
+    a = rng.uniform(-3, 103, (n, 3))
+    b = rng.uniform(-3, 103, (n, 3))
+    kind = np.arange(n) % 4
+    par = kind == 1
+    axis = rng.integers(0, 3, n)
+    b[par] = a[par]
+    b[par, axis[par]] += rng.uniform(-30, 30, par.sum())
+    b[kind == 2] = a[kind == 2]
+    above = kind == 3
+    a[above, 2] = rng.uniform(top + 1e-9, 100, above.sum())
+    b[above, 2] = rng.uniform(top + 1e-9, 100, above.sum())
+    return a, b
+
+
+@pytest.mark.parametrize("box_count", (0, 1, 5, 40))
+def test_segments_collide_agrees_with_the_single_segment_query_and_dense_sampling(box_count):
+    rng = np.random.default_rng(box_count)
+    boxes = _random_boxes(rng, box_count)
+    city = CityMap([_box(lo, hi) for lo, hi in boxes], (0, 0, 0), (100, 100, 100))
+    top = max((hi[2] for _, hi in boxes), default=0.0)
+    a, b = _mixed_segments(rng, 400, top)
+    flags = city.segments_collide(a, b)
+    assert flags.shape == (400,) and flags.dtype == bool
+    assert flags.tolist() == [city.segment_collides(p, q) for p, q in zip(a, b)]
+    checked = 0
+    for p, q, flag in zip(a, b, flags):
+        if not (city.in_bounds(p) and city.in_bounds(q)):
+            assert flag
+            continue
+        oracle_hits = [_segment_hits_box_oracle(p, q, lo, hi) for lo, hi in boxes]
+        if any(_segment_hits_box_oracle(p, q, lo - 0.05, hi + 0.05) != hit
+               for (lo, hi), hit in zip(boxes, oracle_hits)):
+            continue   # near-grazing: the sampling oracle is unreliable
+        checked += 1
+        assert flag == any(oracle_hits)
+    assert checked > 200
+    assert not flags[(np.arange(400) % 4 == 3) & ((a >= 0) & (a <= 100) & (b >= 0)
+                                                    & (b <= 100)).all(axis=1)].any()
+
+
+def test_segments_collide_handles_empty_batches_and_rejects_bad_input():
+    city = _unit_box_map()
+    assert city.segments_collide(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
+    good = np.array([[5.0, 5.0, 5.0]])
+    for a, b in ((good, np.array([[5.0, np.nan, 5.0]])), (np.array([[np.inf, 5, 5]]), good),
+                 (good, np.zeros((2, 3))), (good[0], good[0]), (np.zeros((1, 2)), np.zeros((1, 2)))):
+        with pytest.raises(ValueError):
+            city.segments_collide(a, b)
+
+
 def test_segment_symmetry():
     city = _unit_box_map()
     rng = np.random.default_rng(11)
@@ -177,6 +247,12 @@ def test_segment_above_all_roofs_is_free():
     assert not city.segment_collides((0, 0, 31), (100, 100, 30.5))
     # descending into the footprint still registers
     assert city.segment_collides((0, 0, 31), (30, 30, 29))
+    # starting on the roof, or climbing out through it, touches the building
+    assert city.segment_collides((20, 20, 30), (20, 20, 35))
+    assert city.segment_collides((15, 15, 29.5), (35, 35, 31))
+    assert city.segments_collide([(20, 20, 30), (15, 15, 29.5), (0, 0, 31)],
+                                 [(20, 20, 35), (35, 35, 31), (100, 100, 30.5)]).tolist() == [
+        True, True, False]
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,20 @@ def test_evaluate_matches_de_boor_oracle():
         assert np.allclose(ours, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("degree", (1, 2, 3))
+@pytest.mark.parametrize("n_extra", (0, 1, 4, 37))
+@pytest.mark.parametrize("samples_per_span", (1, 3, 8))
+def test_sample_curve_equals_the_evaluate_loop_bit_for_bit(degree, n_extra, samples_per_span):
+    n = degree + 1 + n_extra
+    control = np.random.default_rng(n * 10 + degree).uniform(-500, 500, (n, 3))
+    knots = clamped_knots(n, degree)
+    us = np.linspace(0.0, 1.0, samples_per_span * (n - degree) + 1)
+    reference = np.array([evaluate(control, degree, knots, u) for u in us])
+    curve = sample_curve(control, degree, samples_per_span)
+    assert curve.shape == reference.shape
+    assert curve.tobytes() == reference.tobytes()
+
+
 def test_endpoint_interpolation_is_exact():
     rng = np.random.default_rng(2)
     control = rng.uniform(-10, 10, (7, 3))
@@ -165,3 +179,5 @@ def test_smooth_path_validation():
         smooth_path(np.zeros((4, 2)), city)
     with pytest.raises(ValueError):
         smooth_path(np.zeros((4, 3)), city, samples_per_span=0)
+    with pytest.raises(ValueError):   # a NaN waypoint reaches the collision check
+        smooth_path(np.array([[1, 1, 1], [2, np.nan, 2], [3, 3, 3], [4, 4, 4.0]]), city)
