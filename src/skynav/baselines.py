@@ -230,13 +230,12 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
             came[nb] = cur
             heapq.heappush(heap, (ng + float(h[nb]), -ng, nb))
     if not found:
-        return PlanResult(False, EMPTY_PATH.copy(), explored, explored, perf_counter() - t0)
+        return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)
     chain = [g]
     while chain[-1] != s:
         chain.append(int(came[chain[-1]]))
     chain.reverse()
-    return PlanResult(True, _cells_to_path(grid, chain, req), explored, explored,
-                      perf_counter() - t0)
+    return PlanResult(True, _cells_to_path(grid, chain, req), explored, perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -345,9 +344,7 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
             tau[chain] += params.q / cost
         if best_cost < np.inf:
             np.minimum(tau, params.q / (params.rho * best_cost), out=tau)
-    attempts = params.ants * params.iterations
     if best_chain is None:
-        return PlanResult(False, EMPTY_PATH.copy(), visited_total, attempts,
-                          perf_counter() - t0)
+        return PlanResult(False, EMPTY_PATH.copy(), visited_total, perf_counter() - t0)
     return PlanResult(True, _cells_to_path(grid, best_chain, req), visited_total,
-                      attempts, perf_counter() - t0)
+                      perf_counter() - t0)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -19,11 +18,20 @@ from .baselines import AcoParams, VoxelGrid, plan_aco, plan_astar, voxelize
 from .core import PlanRequest
 from .drrt import DrrtParams, plan_drrt
 from .env import CityMap, GenParams, generate_city, load_map
-from .metrics import PathMetrics, TrialRecord, summarize
+from .metrics import TrialRecord, summarize
 from .rrt import RrtParams, plan_rrt
 from .smoothing import smooth_path
 
-ALGORITHMS = ("rrt", "drrt", "astar", "aco")
+# algorithm name -> (city, grid, request, scenario, seed) -> PlanResult
+PLANNERS = {
+    "rrt": lambda city, grid, req, scenario, seed: plan_rrt(city, req, scenario.rrt, seed),
+    "drrt": lambda city, grid, req, scenario, seed: plan_drrt(city, req, scenario.drrt, seed),
+    "astar": lambda city, grid, req, scenario, seed: plan_astar(grid, req),
+    "aco": lambda city, grid, req, scenario, seed: plan_aco(grid, req, scenario.aco, seed),
+}
+ALGORITHMS = tuple(PLANNERS)
+# the planners that search the scenario's voxel grid instead of the city
+GRID_ALGORITHMS = frozenset({"astar", "aco"})
 
 
 @dataclass
@@ -60,8 +68,15 @@ class Scenario:
         data["algorithms"] = list(self.algorithms)
         return data
 
+    def request(self) -> PlanRequest:
+        return PlanRequest(self.start, self.goal, self.goal_threshold,
+                           self.max_failed_attempts)
+
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         data = dict(data)
         if "map_params" in data:
             mp = dict(data["map_params"])
@@ -109,29 +124,26 @@ def build_city(scenario: Scenario) -> CityMap:
     return generate_city(scenario.map_seed, params)
 
 
+def build_grid(city: CityMap, scenario: Scenario) -> VoxelGrid | None:
+    """The scenario's voxel grid with its move table built, or None if no grid planner runs."""
+    if GRID_ALGORITHMS.isdisjoint(scenario.algorithms):
+        return None
+    grid = voxelize(city, scenario.grid_resolution)
+    grid.legal_moves  # build the move table before any timed planning
+    return grid
+
+
 def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
               scenario: Scenario, seed: int) -> TrialRecord:
-    """One planner invocation plus metric extraction."""
-    req = PlanRequest(scenario.start, scenario.goal, scenario.goal_threshold,
-                      scenario.max_failed_attempts)
-    if algorithm == "rrt":
-        result = plan_rrt(city, req, scenario.rrt, seed)
-        smoothed = None
-    elif algorithm == "drrt":
-        result = plan_drrt(city, req, scenario.drrt, seed)
-        smoothed = None
-        if result.success:
-            t0 = perf_counter()
-            smoothed = smooth_path(result.path, city, scenario.samples_per_span)
-            result.elapsed += perf_counter() - t0
-    elif algorithm == "astar":
-        result = plan_astar(grid, req)
-        smoothed = None
-    elif algorithm == "aco":
-        result = plan_aco(grid, req, scenario.aco, seed)
-        smoothed = None
-    else:
+    """One planner invocation plus metric extraction; drrt's time includes smoothing."""
+    if algorithm not in PLANNERS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
+    result = PLANNERS[algorithm](city, grid, scenario.request(), scenario, seed)
+    smoothed = None
+    if algorithm == "drrt" and result.success:
+        t0 = perf_counter()
+        smoothed = smooth_path(result.path, city, scenario.samples_per_span)
+        result.elapsed += perf_counter() - t0
     metrics = summarize(result.path, smoothed) if result.success else None
     return TrialRecord(algorithm, seed, result.success, result.elapsed,
                        result.explored_nodes, metrics)
@@ -260,32 +272,13 @@ class BenchReport:
                     out.writerow(vals)
 
 
-def run_benchmark(scenario: Scenario, city: CityMap | None = None,
-                  workers: int = 1) -> BenchReport:
-    """Run every scenario algorithm over the paired trial seeds.
-
-    workers > 1 runs trials in a thread pool; results are identical to the
-    sequential order because every trial owns its RNG and writes its own slot.
-    """
+def run_benchmark(scenario: Scenario, city: CityMap | None = None) -> BenchReport:
+    """Run every scenario algorithm over the paired trial seeds, one trial at a time."""
     if city is None:
         city = build_city(scenario)
-    grid = None
-    if any(a in scenario.algorithms for a in ("astar", "aco")):
-        grid = voxelize(city, scenario.grid_resolution)
-        grid.legal_moves  # build the move table before any timed planning
-    jobs = [(algo, i) for algo in scenario.algorithms for i in range(scenario.trials)]
-
-    def run(job: tuple[str, int]) -> TrialRecord:
-        algo, i = job
-        return run_trial(algo, city, grid, scenario, scenario.base_seed + i)
-
-    if workers <= 1:
-        outcomes = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    records: dict[str, list[TrialRecord]] = {algo: [] for algo in scenario.algorithms}
-    for (algo, _i), rec in zip(jobs, outcomes):
-        records[algo].append(rec)
+    grid = build_grid(city, scenario)
+    records = {algo: [run_trial(algo, city, grid, scenario, scenario.base_seed + i)
+                      for i in range(scenario.trials)]
+               for algo in scenario.algorithms}
     rows = {algo: aggregate(records[algo]) for algo in scenario.algorithms}
     return BenchReport(scenario, rows, records)

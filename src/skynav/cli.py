@@ -4,15 +4,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .baselines import AcoParams, plan_aco, plan_astar, voxelize
-from .bench import Scenario, default_scenario, run_benchmark
-from .core import PlanRequest
-from .drrt import DrrtParams, plan_drrt
-from .env import GenParams, generate_city, load_map, save_map
+from .bench import (ALGORITHMS, PLANNERS, Scenario, build_city, build_grid, default_scenario,
+                    run_benchmark)
+from .env import GenParams, generate_city, save_map
 from .metrics import summarize
-from .rrt import RrtParams, plan_rrt
 from .smoothing import smooth_path
 
 
@@ -43,25 +41,19 @@ def _cmd_genmap(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    if args.map is not None:
-        city = load_map(args.map)
-    else:
-        keep = (tuple(args.start), tuple(args.goal))
-        city = generate_city(args.map_seed, GenParams(count=args.count, keep_clear=keep))
-    req = PlanRequest(args.start, args.goal, args.goal_threshold, args.max_failed)
+    scenario = Scenario(start=args.start, goal=args.goal, goal_threshold=args.goal_threshold,
+                        max_failed_attempts=args.max_failed, algorithms=(args.algo,),
+                        map_file=args.map, map_seed=args.map_seed,
+                        map_params=GenParams(count=args.count), grid_resolution=args.resolution)
+    if args.algo in ("rrt", "drrt"):  # --step sets the tree planner's initial step
+        params = replace(getattr(scenario, args.algo), step_size=args.step)
+        scenario = replace(scenario, **{args.algo: params})
+    city = build_city(scenario)
+    result = PLANNERS[args.algo](city, build_grid(city, scenario), scenario.request(),
+                                 scenario, args.seed)
     smoothed = None
-    if args.algo == "rrt":
-        result = plan_rrt(city, req, RrtParams(step_size=args.step), args.seed)
-    elif args.algo == "drrt":
-        result = plan_drrt(city, req, DrrtParams(step_size=args.step), args.seed)
-        if result.success and not args.no_smoothing:
-            smoothed = smooth_path(result.path, city)
-    else:
-        grid = voxelize(city, args.resolution)
-        if args.algo == "astar":
-            result = plan_astar(grid, req)
-        else:
-            result = plan_aco(grid, req, AcoParams(), args.seed)
+    if args.algo == "drrt" and result.success and not args.no_smoothing:
+        smoothed = smooth_path(result.path, city, scenario.samples_per_span)
     payload = {
         "algorithm": args.algo,
         "seed": args.seed,
@@ -91,7 +83,7 @@ def _cmd_bench(args) -> int:
         scenario = Scenario.from_dict(json.loads(Path(args.scenario).read_text()))
     else:
         scenario = default_scenario()
-    report = run_benchmark(scenario, workers=args.workers)
+    report = run_benchmark(scenario)
     prefix = Path(args.out)
     report.write_json(prefix.with_suffix(".json"))
     report.write_csv(prefix.with_suffix(".csv"))
@@ -144,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genmap)
 
     p = sub.add_parser("plan", help="plan a single flight")
-    p.add_argument("--algo", choices=("rrt", "drrt", "astar", "aco"), default="drrt")
+    p.add_argument("--algo", choices=ALGORITHMS, default="drrt")
     p.add_argument("--map", help="map JSON produced by genmap")
     p.add_argument("--map-seed", type=int, default=0,
                    help="generate a map with this seed when --map is absent")
@@ -163,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the comparative benchmark")
     p.add_argument("--scenario", help="scenario JSON; omit for the built-in urban benchmark")
     p.add_argument("--out", default="report", help="output prefix for .json/.csv files")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("metrics", help="summarize a stored path JSON")
@@ -174,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"skynav: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

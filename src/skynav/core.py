@@ -43,7 +43,6 @@ class PlanResult:
     success: bool
     path: np.ndarray
     explored_nodes: int
-    attempts: int
     elapsed: float
 
 

@@ -29,8 +29,7 @@ class DrrtParams:
     The step length starts at step_size and is rescaled by factor e: grown
     while the tree is farther than clearance_far from every building, shrunk
     after collisions, and reset to step_size otherwise.  use_detour switches
-    the sideways-escape strategy off, which reduces the planner to classic
-    RRT when p_target is 0 and the step bounds are pinned.
+    the sideways-escape strategy off.
     """
 
     step_size: float = 10.0
@@ -108,7 +107,7 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
 
 def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams(),
               seed: int = 0) -> PlanResult:
-    """Enhanced tree search; termination and bookkeeping match plan_rrt.
+    """Enhanced tree search from start until the tree reaches the goal region.
 
     Per iteration: draw a goal-biased sample, steer from the nearest node by
     the current step, and on a blocked extension attempt one sideways detour.
@@ -116,18 +115,26 @@ def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams()
     draw.  Every blocked straight extension counts against the failed-attempt
     budget, detour rescue or not.  Deterministic for a fixed (map, request,
     params, seed).
+    """
+    return _grow_tree(city, req, params, seed)
 
-    A straight extension from a node labelled ``far`` skips its collision
-    check when the step is below clearance_far and the new point is in
-    bounds: the node is more than clearance_far from every building, so no
-    point within one step of it touches one (the collision certificate of
-    Bialkowski, Karaman & Frazzoli, 2011).  The answer is the same with or
-    without the check.
+
+def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -> PlanResult:
+    """plan_drrt's loop; plan_rrt runs it with p_target 0, no detour and a pinned step.
+
+    A pinned step (step_min == step_max) never changes, so the step
+    controller and its clearance query are skipped.  A straight extension
+    from a node labelled ``far`` skips its collision check when the step is
+    below clearance_far and the new point is in bounds: the node is more
+    than clearance_far from every building, so no point within one step of
+    it touches one (the collision certificate of Bialkowski, Karaman &
+    Frazzoli, 2011).  The answer is the same with or without the check.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
     rng = np.random.default_rng(seed)
     step = params.step_size
+    adapt_step = params.step_min < params.step_max
     goal = req.goal
     tree = SearchTree(req.start)
     # per node: classify_step_outcome labelled it FAR (the root is never labelled)
@@ -138,7 +145,7 @@ def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams()
         explored = 1
         path = try_finish(city, tree, 0, goal, req.goal_threshold, step)
         if path is not None:
-            return PlanResult(True, path, explored, explored, perf_counter() - t0)
+            return PlanResult(True, path, explored, perf_counter() - t0)
 
     failed = 0
     while failed < req.max_failed_attempts:
@@ -166,9 +173,11 @@ def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams()
         if idx is not None:
             path = try_finish(city, tree, idx, goal, req.goal_threshold, step)
             if path is not None:
-                return PlanResult(True, path, explored, explored, perf_counter() - t0)
-        outcome = classify_step_outcome(city, x_new, blocked, params)
+                return PlanResult(True, path, explored, perf_counter() - t0)
+        outcome = None
+        if adapt_step:
+            outcome = classify_step_outcome(city, x_new, blocked, params)
+            step = update_step(step, outcome, params)
         if idx is not None:
             far.append(outcome == FAR)
-        step = update_step(step, outcome, params)
-    return PlanResult(False, EMPTY_PATH.copy(), explored, explored, perf_counter() - t0)
+    return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)

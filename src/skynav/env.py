@@ -62,6 +62,8 @@ class GenParams:
 class CityMap:
     """Immutable collection of buildings inside a bounding box.
 
+    A building that extends beyond the box is refused with ValueError.
+
     All collision queries are pure functions of the stored geometry, so a map
     can be shared freely between planners and threads.
     """
@@ -79,6 +81,10 @@ class CityMap:
         n = len(self.buildings)
         self._mins = np.array([b.min_corner for b in self.buildings], dtype=float).reshape(n, 3)
         self._maxs = np.array([b.max_corner for b in self.buildings], dtype=float).reshape(n, 3)
+        outside = ((self._mins < self.bounds_min) | (self._maxs > self.bounds_max)).any(axis=1)
+        if outside.any():
+            b = self.buildings[int(np.argmax(outside))]
+            raise ValueError(f"{b} extends beyond the map bounds")
         # plain-float copies of the bounds and the tallest roof; the planners
         # hammer these queries, and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
@@ -206,9 +212,12 @@ class CityMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CityMap":
-        bounds = data["bounds"]
-        buildings = [Building(tuple(b["min"]), tuple(b["max"])) for b in data["buildings"]]
-        return cls(buildings, bounds["min"], bounds["max"], seed=data.get("seed"))
+        try:
+            lo, hi = data["bounds"]["min"], data["bounds"]["max"]
+            buildings = [Building(tuple(b["min"]), tuple(b["max"])) for b in data["buildings"]]
+        except KeyError as exc:
+            raise ValueError(f"map data is missing the {exc.args[0]!r} key") from None
+        return cls(buildings, lo, hi, seed=data.get("seed"))
 
 
 def save_map(city: CityMap, path) -> None:

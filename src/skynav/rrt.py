@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, sample_with_bias, steer
+from .core import PlanRequest, PlanResult, SearchTree
 from .env import CityMap
 
 
@@ -53,38 +52,12 @@ def plan_rrt(city: CityMap, req: PlanRequest, params: RrtParams = RrtParams(),
              seed: int = 0) -> PlanResult:
     """Grow a uniformly sampled tree from start until it reaches the goal region.
 
-    Deterministic for a fixed (map, request, params, seed).  An extension that
-    adds no node counts against the request's failed-attempt budget;
+    Runs plan_drrt's tree loop with no goal bias, no detour and a fixed step.
+    Deterministic for a fixed (map, request, params, seed).  An extension
+    that adds no node counts against the request's failed-attempt budget;
     explored_nodes reports all extension attempts.
     """
-    t0 = perf_counter()
-    check_endpoints(city, req)
-    rng = np.random.default_rng(seed)
-    step = params.step_size
-    goal = req.goal
-    tree = SearchTree(req.start)
-    explored = 0
-
-    # the root may already sit in the goal region or reach it in one step
-    if math.dist(req.start, goal) <= max(step, req.goal_threshold):
-        explored = 1
-        path = try_finish(city, tree, 0, goal, req.goal_threshold, step)
-        if path is not None:
-            return PlanResult(True, path, explored, explored, perf_counter() - t0)
-
-    failed = 0
-    while failed < req.max_failed_attempts:
-        sample = sample_with_bias(goal, 0.0, city.bounds_min, city.bounds_max, rng)
-        near = tree.nearest(sample)
-        near_pos = tree.positions[near]
-        new = steer(near_pos, sample, step)
-        explored += 1
-        degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
-        if degenerate or city.segment_collides(near_pos, new):
-            failed += 1
-            continue
-        idx = tree.add(new, near)
-        path = try_finish(city, tree, idx, goal, req.goal_threshold, step)
-        if path is not None:
-            return PlanResult(True, path, explored, explored, perf_counter() - t0)
-    return PlanResult(False, EMPTY_PATH.copy(), explored, explored, perf_counter() - t0)
+    from .drrt import DrrtParams, _grow_tree  # drrt imports this module
+    s = params.step_size
+    return _grow_tree(city, req, DrrtParams(step_size=s, p_target=0.0, step_min=s,
+                                            step_max=s, use_detour=False), seed)

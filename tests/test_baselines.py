@@ -235,7 +235,7 @@ def test_aco_walks_a_single_corridor_exactly():
     assert res.success
     centers = grid.origin[1] + (np.arange(8) + 0.5) * 5.0
     assert np.allclose(dedupe(res.path)[:, 1], centers)
-    assert res.attempts == 1
+    assert res.explored_nodes == 8   # the one ant's chain covers the corridor
 
 
 def test_aco_single_iteration_equals_best_first_walk():
@@ -265,7 +265,7 @@ def test_aco_single_iteration_equals_best_first_walk():
             if cost < best_cost:
                 best, best_cost = chain, cost
     assert result.explored_nodes == entered_total
-    assert result.attempts == params.ants
+    assert result.explored_nodes >= params.ants * params.iterations
     centers = grid.origin + (grid.coords[best] + 0.5) * grid.resolution
     assert np.array_equal(result.path, np.vstack([req.start, centers, req.goal]))
 
@@ -298,7 +298,7 @@ def test_aco_is_deterministic_per_seed():
 
 def test_aco_attempt_accounting():
     grid = VoxelGrid(np.zeros((4, 4, 1), dtype=bool), 2.0)
-    res = plan_aco(grid, _center_request(grid, (0, 0, 0), (3, 3, 0)),
-                   AcoParams(ants=5, iterations=3), seed=1)
-    assert res.attempts == 15
-    assert res.explored_nodes >= res.attempts   # every ant enters at least one cell
+    params = AcoParams(ants=5, iterations=3)
+    res = plan_aco(grid, _center_request(grid, (0, 0, 0), (3, 3, 0)), params, seed=1)
+    # every ant enters at least one cell
+    assert res.explored_nodes >= params.ants * params.iterations

@@ -100,6 +100,8 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
         Scenario(algorithms=("drrt", "bfs"))
     with pytest.raises(ValueError):
         Scenario(trials=0)
+    with pytest.raises(ValueError, match="trails"):
+        Scenario.from_dict({"trails": 3})
 
 
 def test_build_city_always_keeps_the_endpoints_clear():
@@ -144,12 +146,11 @@ def test_smoothing_metrics_attach_to_the_enhanced_planner_only():
         assert report.rows[algo].l_smoothed is None
 
 
-def test_rerun_and_thread_pool_reports_are_identical():
+def test_rerun_reports_are_identical():
     scn = _small_scenario()
     a = run_benchmark(scn).to_json(include_timing=False)
     b = run_benchmark(scn).to_json(include_timing=False)
-    c = run_benchmark(scn, workers=3).to_json(include_timing=False)
-    assert a == b == c
+    assert a == b
 
 
 def test_report_matches_the_frozen_golden_file():

@@ -93,3 +93,21 @@ def test_bench_writes_all_three_reports(tmp_path, capsys):
 def test_bad_coordinate_syntax_is_rejected():
     with pytest.raises(SystemExit):
         main(["plan", "--start", "1,2"])
+
+
+def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
+    # a 1 m grid over the 500 m cube is over the voxel cell budget
+    rc = main(["plan", "--algo", "astar", "--resolution", "1", "--count", "5",
+               "--start", "10,10,1", "--goal", "470,420,50"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("skynav: error:") and "budget" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+    scn_file = tmp_path / "scenario.json"
+    scn_file.write_text(json.dumps({"trials": 1, "trails": 3}))
+    rc = main(["bench", "--scenario", str(scn_file), "--out", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("skynav: error:") and "trails" in err
+    assert "Traceback" not in err and err.count("\n") == 1

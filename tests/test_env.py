@@ -40,6 +40,8 @@ def test_building_validates_corner_order():
         _box((0, 0, 0), (0, 1, 1))
     with pytest.raises(ValueError):
         _box((5, 5, 5), (4, 6, 6))
+    with pytest.raises(ValueError, match="beyond the map bounds"):
+        CityMap([_box((8, 8, 0), (12, 9, 1))], (0, 0, 0), (10, 10, 10))
 
 
 # ----------------------------------------------------------------------
@@ -339,3 +341,10 @@ def test_map_dict_round_trip_preserves_queries():
         q = rng.uniform(0, 500, 3)
         assert city.point_free(p) == clone.point_free(p)
         assert city.segment_collides(p, q) == clone.segment_collides(p, q)
+    good = city.to_dict()
+    for key, broken in (("bounds", {"buildings": []}),
+                        ("buildings", {"bounds": good["bounds"]}),
+                        ("min", {**good, "bounds": {"max": [1, 1, 1]}}),
+                        ("max", {**good, "buildings": [{"min": [0, 0, 0]}]})):
+        with pytest.raises(ValueError, match=repr(key)):
+            CityMap.from_dict(broken)

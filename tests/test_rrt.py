@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from skynav import Building, CityMap, PlanRequest, RrtParams, plan_rrt
+import skynav.drrt
+from skynav import Building, CityMap, DrrtParams, PlanRequest, RrtParams, plan_drrt, plan_rrt
 from skynav.rrt import check_endpoints, try_finish
 from skynav.core import SearchTree
 
@@ -30,7 +31,7 @@ def _goal_vault(goal=(40.0, 40.0, 40.0)):
 def test_goal_within_threshold_succeeds_in_one_extension():
     res = plan_rrt(_empty(), PlanRequest((0, 0, 0), (0, 0, 8)))
     assert res.success
-    assert res.explored_nodes == 1 and res.attempts == 1
+    assert res.explored_nodes == 1
     assert np.array_equal(res.path, [[0, 0, 0], [0, 0, 8]])
 
 
@@ -67,7 +68,7 @@ def test_same_seed_reproduces_the_path_exactly():
     b = plan_rrt(city, req, RrtParams(), seed=3)
     assert a.success and b.success
     assert a.path.tobytes() == b.path.tobytes()
-    assert a.explored_nodes == b.explored_nodes and a.attempts == b.attempts
+    assert a.explored_nodes == b.explored_nodes
     c = plan_rrt(city, req, RrtParams(), seed=4)
     assert not np.array_equal(a.path, c.path)
 
@@ -112,9 +113,40 @@ def test_try_finish_respects_blocking_walls():
     assert np.array_equal(path, [[0, 0, 0]])
 
 
-def test_explored_counts_every_extension_attempt():
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_explored_counts_every_extension_attempt(monkeypatch):
+    # every extension attempt asks the tree for its nearest node once
+    nearest = _count_calls(monkeypatch, SearchTree, "nearest")
     city = CityMap([Building((20, 20, 0), (30, 30, 40))], (0, 0, 0), (60, 60, 60))
     req = PlanRequest((5, 5, 5), (55, 55, 30))
     res = plan_rrt(city, req, RrtParams(), seed=3)
-    assert res.attempts == res.explored_nodes
+    assert res.explored_nodes == len(nearest)
     assert res.explored_nodes >= len(res.path) - 2
+
+
+def test_fixed_step_runs_no_clearance_query_and_no_detour(monkeypatch):
+    # the classic planner's step never changes, so the step controller's
+    # clearance query would be pure cost on every extension
+    clearance = _count_calls(monkeypatch, CityMap, "clearance")
+    detours = _count_calls(monkeypatch, skynav.drrt, "detour_extend")
+    city = CityMap([Building((20, 20, 0), (30, 30, 40)), Building((40, 10, 0), (50, 22, 35))],
+                   (0, 0, 0), (80, 80, 80))
+    req = PlanRequest((5, 5, 5), (70, 70, 30))
+    for seed in range(4):
+        assert plan_rrt(city, req, RrtParams(), seed).success
+    assert len(clearance) == 0 and len(detours) == 0
+    # the same counters see the enhanced planner's queries on this map
+    plan_drrt(city, req, DrrtParams(), seed=0)
+    assert len(clearance) > 0 and len(detours) > 0
