@@ -8,8 +8,12 @@ continuous map even when buildings poke into neighbouring cells.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import accumulate, product
+from math import inf, sqrt
 from time import perf_counter
 
 import numpy as np
@@ -36,31 +40,37 @@ _GUARDS: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
     for off in NEIGHBOR_OFFSETS
 )
 
+
+def _decode_table(first: int) -> tuple[tuple[int, ...], ...]:
+    """Entry m lists, ascending, first + b for every set bit b of the 13-bit m."""
+    table: list[tuple[int, ...]] = [()]
+    for m in range(1, 1 << 13):
+        low = m & -m
+        table.append((first + low.bit_length() - 1,) + table[m ^ low])
+    return tuple(table)
+
+
+@cache
+def _move_decoder() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Tables (LO, HI) giving a move mask m's legal move indices, ascending, as
+    LO[m & 0x1FFF] + HI[m >> 13].
+
+    Built on first use: the 16k tuples take 1.6 MB, which a process that never
+    plans on a grid should not pay at import.
+    """
+    return _decode_table(0), _decode_table(13)
+
+
 # ants give up after this multiple of the straight-line cell distance
 ACO_STEP_CAP_FACTOR = 4.0
 
-# largest grid voxelize accepts.  The move table and the 26 shifted free masks
-# built with it take about 100 bytes per cell, so this caps them near 0.8 GB:
-# a 500 m cube at 5 m (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it does not.
+# largest grid voxelize accepts.  A grid keeps 5 bytes per cell (occupancy and
+# the uint32 move mask) and needs about 10 more while it builds the masks; an
+# ant colony search adds up to 32 (pheromone, heuristic, move weight and, when
+# alpha != 1, pheromone^alpha).  Under 40 bytes per cell caps a run near
+# 0.3 GB: a 500 m cube at 5 m (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it
+# does not.
 MAX_GRID_CELLS = 8_000_000
-
-
-def _shifted(arr: np.ndarray, off: tuple[int, int, int]) -> np.ndarray:
-    """arr sampled at cell + off, False where that lands outside the grid."""
-    out = np.zeros_like(arr)
-    dst, src = [], []
-    for d, n in zip(off, arr.shape):
-        if d == 0:
-            dst.append(slice(None))
-            src.append(slice(None))
-        elif d > 0:
-            dst.append(slice(0, n - d))
-            src.append(slice(d, n))
-        else:
-            dst.append(slice(-d, n))
-            src.append(slice(0, n + d))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
 
 
 class VoxelGrid:
@@ -68,6 +78,8 @@ class VoxelGrid:
 
     occupancy[i, j, k] covers the closed cell
     origin + [i, i+1] x [j, j+1] x [k, k+1] * resolution.
+    legal_moves[flat cell index] is a uint32 move mask: bit k is set when the
+    move NEIGHBOR_OFFSETS[k] is collision-safe from that cell.
     """
 
     def __init__(self, occupancy: np.ndarray, resolution: float, origin=(0.0, 0.0, 0.0)):
@@ -81,8 +93,6 @@ class VoxelGrid:
         self.origin = np.asarray(origin, dtype=float)
         self.dims = occupancy.shape
         self.ncells = int(occupancy.size)
-        self._legal_flat: np.ndarray | None = None
-        self._coords: np.ndarray | None = None
         # flat index deltas and metric lengths for the 26 moves
         nx, ny, nz = self.dims
         self.flat_offsets = np.array(
@@ -91,6 +101,23 @@ class VoxelGrid:
         self.move_costs = np.array(
             [np.sqrt(dx * dx + dy * dy + dz * dz) for dx, dy, dz in NEIGHBOR_OFFSETS]
         ) * self.resolution
+        # the free mask sampled at cell + off is a view into a copy padded with
+        # occupied cells, so moves off the grid edge are never legal
+        padded = np.pad(~occupancy, 1)
+
+        def shifted(off):
+            dx, dy, dz = off
+            return padded[1 + dx: 1 + dx + nx, 1 + dy: 1 + dy + ny, 1 + dz: 1 + dz + nz]
+
+        free = shifted((0, 0, 0))
+        masks = np.zeros(self.dims, dtype=np.uint32)
+        ok = np.empty(self.dims, dtype=bool)
+        for k, off in enumerate(NEIGHBOR_OFFSETS):
+            np.logical_and(free, shifted(off), out=ok)
+            for guard in _GUARDS[k]:
+                ok &= shifted(guard)
+            masks |= ok.astype(np.uint32) << np.uint32(k)
+        self.legal_moves = masks.reshape(self.ncells)
 
     # ------------------------------------------------------------------
     # cell addressing
@@ -116,28 +143,9 @@ class VoxelGrid:
         x, y, z = cell
         return (x * self.dims[1] + y) * self.dims[2] + z
 
-    @property
-    def coords(self) -> np.ndarray:
-        """Integer (x, y, z) per flat cell index, shape (ncells, 3)."""
-        if self._coords is None:
-            grids = np.indices(self.dims).reshape(3, -1).T
-            self._coords = np.ascontiguousarray(grids, dtype=np.int32)
-        return self._coords
-
-    @property
-    def legal_moves(self) -> np.ndarray:
-        """Boolean (ncells, 26) table of collision-safe moves per cell."""
-        if self._legal_flat is None:
-            free = ~self.occupancy
-            single = {off: _shifted(free, off) for off in NEIGHBOR_OFFSETS}
-            legal = np.empty(self.dims + (26,), dtype=bool)
-            for k, off in enumerate(NEIGHBOR_OFFSETS):
-                ok = free & single[off]
-                for guard in _GUARDS[k]:
-                    ok &= single[guard]
-                legal[..., k] = ok
-            self._legal_flat = legal.reshape(self.ncells, 26)
-        return self._legal_flat
+    def cells(self, flat) -> np.ndarray:
+        """Integer (x, y, z) rows of a sequence of flat cell indices."""
+        return np.column_stack(np.unravel_index(np.asarray(flat, dtype=np.int64), self.dims))
 
 
 def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
@@ -181,7 +189,7 @@ def _grid_endpoints(grid: VoxelGrid, req: PlanRequest) -> tuple[int, int]:
 
 def _cells_to_path(grid: VoxelGrid, chain: list[int], req: PlanRequest) -> np.ndarray:
     """Cell-center waypoints bracketed by the exact continuous endpoints."""
-    centers = grid.origin + (grid.coords[chain] + 0.5) * grid.resolution
+    centers = grid.origin + (grid.cells(chain) + 0.5) * grid.resolution
     return np.vstack([req.start, centers, req.goal])
 
 
@@ -194,46 +202,48 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
     """
     t0 = perf_counter()
     s, g = _grid_endpoints(grid, req)
-    legal = grid.legal_moves
-    offs = grid.flat_offsets
-    costs = grid.move_costs
-    # straight-line remaining distance per cell, in meters
-    delta = grid.coords.astype(float) - grid.coords[g]
-    h = np.sqrt((delta * delta).sum(axis=1)) * grid.resolution
+    lo, hi = _move_decoder()
+    masks = memoryview(grid.legal_moves)
+    offs = grid.flat_offsets.tolist()
+    costs = grid.move_costs.tolist()
+    res = grid.resolution
+    _, ny, nz = grid.dims
+    nyz = ny * nz
+    gx, gy, gz = grid.cells([g])[0].tolist()
 
-    g_score = np.full(grid.ncells, np.inf)
-    g_score[s] = 0.0
-    came = np.full(grid.ncells, -1, dtype=np.int64)
-    closed = np.zeros(grid.ncells, dtype=bool)
-    heap: list[tuple[float, float, int]] = [(float(h[s]), 0.0, s)]
+    g_score = {s: 0.0}
+    came: dict[int, int] = {}
+    closed: set[int] = set()
+    heap: list[tuple[float, float, int]] = [(0.0, 0.0, s)]  # popped first whatever its f
     explored = 0
     found = False
     while heap:
         _, _, cur = heapq.heappop(heap)
-        if closed[cur]:
+        if cur in closed:
             continue
-        closed[cur] = True
+        closed.add(cur)
         explored += 1
         if cur == g:
             found = True
             break
-        moves = np.nonzero(legal[cur])[0]
-        if moves.size == 0:
-            continue
-        neighbors = cur + offs[moves]
-        tentative = g_score[cur] + costs[moves]
-        better = tentative < g_score[neighbors]
-        for nb, ng in zip(neighbors[better].tolist(), tentative[better].tolist()):
-            if closed[nb]:
-                continue
-            g_score[nb] = ng
-            came[nb] = cur
-            heapq.heappush(heap, (ng + float(h[nb]), -ng, nb))
+        m = masks[cur]
+        g_cur = g_score[cur]
+        for k in lo[m & 0x1FFF] + hi[m >> 13]:
+            nb = cur + offs[k]
+            ng = g_cur + costs[k]
+            if ng < g_score.get(nb, inf) and nb not in closed:
+                g_score[nb] = ng
+                came[nb] = cur
+                # straight-line remaining distance in meters
+                x, yz = divmod(nb, nyz)
+                y, z = divmod(yz, nz)
+                dx, dy, dz = x - gx, y - gy, z - gz
+                heapq.heappush(heap, (ng + sqrt(dx * dx + dy * dy + dz * dz) * res, -ng, nb))
     if not found:
         return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)
     chain = [g]
     while chain[-1] != s:
-        chain.append(int(came[chain[-1]]))
+        chain.append(came[chain[-1]])
     chain.reverse()
     return PlanResult(True, _cells_to_path(grid, chain, req), explored, perf_counter() - t0)
 
@@ -267,31 +277,40 @@ class AcoParams:
             raise ValueError("q0 must lie in [0, 1)")
 
 
-def _walk_ant(grid: VoxelGrid, s: int, g: int, tau: np.ndarray, eta_b: np.ndarray,
-              params: AcoParams, cap: int, rng) -> tuple[list[int] | None, int]:
-    """One self-avoiding walk from s; returns (cell chain or None, cells entered)."""
-    legal = grid.legal_moves
-    offs = grid.flat_offsets
+def _uniforms(rng: np.random.Generator, block: int = 1024):
+    """rng.random() draws in the order single calls would give them, fetched in blocks."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _walk_ant(grid: VoxelGrid, s: int, g: int, weight: np.ndarray, q0: float, cap: int,
+              draw: Callable[[], float]) -> tuple[list[int] | None, int]:
+    """One self-avoiding walk from s; returns (cell chain or None, cells entered).
+
+    weight[c] scores entering cell c; draw() returns the next uniform in [0, 1).
+    """
+    lo, hi = _move_decoder()
+    masks = memoryview(grid.legal_moves)
+    score = memoryview(weight)
+    offs = grid.flat_offsets.tolist()
     visited = {s}
     chain = [s]
     cur = s
     for _ in range(cap):
-        moves = np.nonzero(legal[cur])[0]
-        candidates = [c for c in (cur + offs[moves]).tolist() if c not in visited]
+        m = masks[cur]
+        candidates = [nb for k in lo[m & 0x1FFF] + hi[m >> 13]
+                      if (nb := cur + offs[k]) not in visited]
         if not candidates:
             return None, len(chain)
         if g in candidates:
             chain.append(g)
             return chain, len(chain)
-        arr = np.array(candidates)
-        w = tau[arr] if params.alpha == 1.0 else tau[arr] ** params.alpha
-        w = w * eta_b[arr]
-        if rng.random() < params.q0:
-            pick = int(np.argmax(w))
+        w = [score[c] for c in candidates]
+        if draw() < q0:
+            pick = w.index(max(w))
         else:
-            cum = np.cumsum(w)
-            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            pick = min(pick, len(candidates) - 1)
+            cum = list(accumulate(w))
+            pick = min(bisect_right(cum, draw() * cum[-1]), len(candidates) - 1)
         cur = candidates[pick]
         visited.add(cur)
         chain.append(cur)
@@ -299,8 +318,7 @@ def _walk_ant(grid: VoxelGrid, s: int, g: int, tau: np.ndarray, eta_b: np.ndarra
 
 
 def _chain_cost(grid: VoxelGrid, chain: list[int]) -> float:
-    cells = grid.coords[chain].astype(float)
-    steps = np.diff(cells, axis=0)
+    steps = np.diff(grid.cells(chain).astype(float), axis=0)
     return float(np.sqrt((steps * steps).sum(axis=1)).sum() * grid.resolution)
 
 
@@ -315,24 +333,30 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     """
     t0 = perf_counter()
     s, g = _grid_endpoints(grid, req)
-    rng = np.random.default_rng(seed)
-    grid.legal_moves  # build the move table outside the per-ant loop
+    draw = _uniforms(np.random.default_rng(seed)).__next__
 
-    delta = grid.coords.astype(float) - grid.coords[g]
-    dist = np.sqrt((delta * delta).sum(axis=1)) * grid.resolution
+    # (1 / straight-line distance to the goal)^beta per cell, from per-axis squares
+    sq = [(np.arange(n) - c) ** 2.0 for n, c in zip(grid.dims, grid.cells([g])[0].tolist())]
+    dist = sq[0][:, None, None] + sq[1][None, :, None]
+    dist = (dist + sq[2][None, None, :]).reshape(grid.ncells)
+    np.sqrt(dist, out=dist)
+    dist *= grid.resolution
+    cap = max(8, int(ACO_STEP_CAP_FACTOR * float(dist[s]) / grid.resolution))
     with np.errstate(divide="ignore"):
-        eta_b = (1.0 / dist) ** params.beta
+        eta_b = np.divide(1.0, dist, out=dist)
+    eta_b **= params.beta
     eta_b[g] = 0.0  # never scored: reaching the goal short-circuits the walk
 
-    cap = max(8, int(ACO_STEP_CAP_FACTOR * float(dist[s]) / grid.resolution))
     tau = np.ones(grid.ncells)
+    weight = np.empty(grid.ncells)
     best_chain: list[int] | None = None
     best_cost = np.inf
     visited_total = 0
     for _ in range(params.iterations):
+        np.multiply(tau if params.alpha == 1.0 else tau ** params.alpha, eta_b, out=weight)
         deposits: list[tuple[list[int], float]] = []
         for _ant in range(params.ants):
-            chain, entered = _walk_ant(grid, s, g, tau, eta_b, params, cap, rng)
+            chain, entered = _walk_ant(grid, s, g, weight, params.q0, cap, draw)
             visited_total += entered
             if chain is not None:
                 cost = _chain_cost(grid, chain)

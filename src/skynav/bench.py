@@ -74,10 +74,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        _reject_unknown_keys("scenario", data, cls)
         data = dict(data)
+        for key, cls_ in _SECTIONS.items():
+            if isinstance(data.get(key), dict):
+                _reject_unknown_keys(key, data[key], cls_)
         if "map_params" in data:
             mp = dict(data["map_params"])
             for key in ("footprint_range", "height_range", "bounds_min", "bounds_max"):
@@ -86,15 +87,25 @@ class Scenario:
             if "keep_clear" in mp:
                 mp["keep_clear"] = tuple(tuple(p) for p in mp["keep_clear"])
             data["map_params"] = GenParams(**mp)
-        for key, cls_ in (("rrt", RrtParams), ("drrt", DrrtParams), ("aco", AcoParams)):
+        for key in ("rrt", "drrt", "aco"):
             if key in data and isinstance(data[key], dict):
-                data[key] = cls_(**data[key])
+                data[key] = _SECTIONS[key](**data[key])
         for key in ("start", "goal"):
             if key in data:
                 data[key] = tuple(data[key])
         if "algorithms" in data:
             data["algorithms"] = tuple(data["algorithms"])
         return cls(**data)
+
+
+# nested scenario objects and the dataclass each one is read into
+_SECTIONS = {"map_params": GenParams, "rrt": RrtParams, "drrt": DrrtParams, "aco": AcoParams}
+
+
+def _reject_unknown_keys(section: str, data: dict, cls_) -> None:
+    unknown = set(data) - {f.name for f in fields(cls_)}
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
 
 def default_scenario() -> Scenario:
@@ -128,9 +139,7 @@ def build_grid(city: CityMap, scenario: Scenario) -> VoxelGrid | None:
     """The scenario's voxel grid with its move table built, or None if no grid planner runs."""
     if GRID_ALGORITHMS.isdisjoint(scenario.algorithms):
         return None
-    grid = voxelize(city, scenario.grid_resolution)
-    grid.legal_moves  # build the move table before any timed planning
-    return grid
+    return voxelize(city, scenario.grid_resolution)
 
 
 def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,

@@ -211,7 +211,7 @@ def _dijkstra_cost(grid, s, g):
         if cur == g:
             return d
         for k in range(26):
-            if not legal[cur, k]:
+            if not (legal[cur] >> k) & 1:
                 continue
             nb = cur + offs[k]
             nd = d + costs[k]

@@ -1,17 +1,21 @@
 """Voxel grid, A* and ant colony tests, including a Dijkstra cost oracle."""
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skynav import (AcoParams, Building, CityMap, PlanRequest, VoxelGrid,
-                    plan_aco, plan_astar, voxelize)
-from skynav.baselines import (ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS, _chain_cost,
-                              _walk_ant)
+from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid,
+                    generate_city, plan_aco, plan_astar, voxelize)
+from skynav.baselines import (_GUARDS, ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS,
+                              _chain_cost, _walk_ant)
+from skynav.bench import build_city, default_scenario
 from skynav.metrics import dedupe, path_length
 
 
@@ -35,7 +39,7 @@ def _dijkstra_cost(grid, s, g):
         if cur == g:
             return d
         for k in range(26):
-            if not legal[cur, k]:
+            if not (legal[cur] >> k) & 1:
                 continue
             nb = cur + offs[k]
             nd = d + costs[k]
@@ -126,11 +130,38 @@ def test_legal_moves_respect_occupancy_and_corner_cuts():
     k_y = NEIGHBOR_OFFSETS.index((0, 1, 0))
     cell = grid.flat((0, 0, 0))
     # both guard cells of the diagonal are walls: the move would cut a corner
-    assert not legal[cell, k_diag]
-    assert not legal[cell, k_y]          # target itself occupied
+    assert not (legal[cell] >> k_diag) & 1
+    assert not (legal[cell] >> k_y) & 1          # target itself occupied
     # moves pointing off the grid edge are illegal
     k_out = NEIGHBOR_OFFSETS.index((-1, 0, 0))
-    assert not legal[cell, k_out]
+    assert not (legal[cell] >> k_out) & 1
+
+
+def _legal_moves_by_loop(occ: np.ndarray) -> np.ndarray:
+    """(ncells, 26) move table from a per-cell loop over occupancy and the grid edges."""
+    def free(cell) -> bool:
+        inside = all(0 <= c < n for c, n in zip(cell, occ.shape))
+        return inside and not occ[cell]
+
+    table = np.zeros((occ.size, 26), dtype=bool)
+    for flat, cell in enumerate(np.ndindex(occ.shape)):
+        for k, off in enumerate(NEIGHBOR_OFFSETS):
+            brushed = (off, (0, 0, 0)) + _GUARDS[k]
+            table[flat, k] = all(free(tuple(c + d for c, d in zip(cell, o))) for o in brushed)
+    return table
+
+
+@pytest.mark.parametrize("dims", [(1, 5, 4), (2, 3, 6), (4, 2, 1), (5, 5, 5), (1, 1, 3), (3, 4, 2)])
+def test_move_masks_match_a_per_cell_loop(dims):
+    rng = np.random.default_rng(sum(dims))
+    for density in (0.0, 0.3, 0.6):
+        occ = rng.random(dims) < density
+        grid = VoxelGrid(occ, 1.0)
+        assert grid.legal_moves.shape == (grid.ncells,)
+        assert grid.legal_moves.dtype == np.uint32
+        bits = (grid.legal_moves[:, None] >> np.arange(26, dtype=np.uint32)) & 1
+        assert np.array_equal(bits.astype(bool), _legal_moves_by_loop(occ))
+        assert not (grid.legal_moves >> 26).any()
 
 
 def test_every_legal_move_is_collision_free_in_the_continuous_map():
@@ -146,7 +177,7 @@ def test_every_legal_move_is_collision_free_in_the_continuous_map():
         flat = grid.flat(tuple(cell))
         a = grid.center_of(tuple(cell))
         for k, off in enumerate(NEIGHBOR_OFFSETS):
-            if not legal[flat, k]:
+            if not (legal[flat] >> k) & 1:
                 continue
             b = grid.center_of(tuple(cell + np.array(off)))
             assert not city.segment_collides(a, b)
@@ -249,16 +280,17 @@ def test_aco_single_iteration_equals_best_first_walk():
     # replay the same walks by hand from a fresh generator
     s, g = grid.flat((0, 0, 0)), grid.flat((5, 5, 1))
     rng = np.random.default_rng(3)
-    delta = grid.coords.astype(float) - grid.coords[g]
+    coords = np.argwhere(np.ones(grid.dims, dtype=bool))   # (x, y, z) per flat index
+    delta = coords.astype(float) - coords[g]
     dist = np.sqrt((delta * delta).sum(axis=1)) * grid.resolution
     with np.errstate(divide="ignore"):
         eta_b = (1.0 / dist) ** params.beta
     eta_b[g] = 0.0
     cap = max(8, int(ACO_STEP_CAP_FACTOR * float(dist[s]) / grid.resolution))
-    tau = np.ones(grid.ncells)
+    weight = np.ones(grid.ncells) * eta_b   # first iteration: pheromone 1 everywhere
     best, best_cost, entered_total = None, math.inf, 0
     for _ in range(params.ants):
-        chain, entered = _walk_ant(grid, s, g, tau, eta_b, params, cap, rng)
+        chain, entered = _walk_ant(grid, s, g, weight, params.q0, cap, rng.random)
         entered_total += entered
         if chain is not None:
             cost = _chain_cost(grid, chain)
@@ -266,7 +298,7 @@ def test_aco_single_iteration_equals_best_first_walk():
                 best, best_cost = chain, cost
     assert result.explored_nodes == entered_total
     assert result.explored_nodes >= params.ants * params.iterations
-    centers = grid.origin + (grid.coords[best] + 0.5) * grid.resolution
+    centers = grid.origin + (coords[best] + 0.5) * grid.resolution
     assert np.array_equal(result.path, np.vstack([req.start, centers, req.goal]))
 
 
@@ -302,3 +334,65 @@ def test_aco_attempt_accounting():
     res = plan_aco(grid, _center_request(grid, (0, 0, 0), (3, 3, 0)), params, seed=1)
     # every ant enters at least one cell
     assert res.explored_nodes >= params.ants * params.iterations
+
+
+def test_grid_planners_stay_within_their_per_call_memory_budget():
+    # the canonical 5 m grid has 1M cells, so one float64 per cell is 8 MB: A*
+    # keeps no per-cell array, the ant colony three (four when alpha != 1)
+    scn = default_scenario()
+    grid = voxelize(build_city(scn), scn.grid_resolution)
+    req = scn.request()
+    assert grid.ncells == 100 ** 3
+
+    def peak_of(plan) -> int:
+        tracemalloc.start()
+        try:
+            assert plan().success
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(lambda: plan_astar(grid, req)) < 16_000_000
+    for alpha in (1.0, 1.5):   # alpha != 1 adds one pheromone^alpha grid per iteration
+        params = AcoParams(ants=4, iterations=2, alpha=alpha)
+        assert peak_of(lambda: plan_aco(grid, req, params, seed=500)) < 40_000_000
+
+
+# ----------------------------------------------------------------------
+# frozen outputs
+# ----------------------------------------------------------------------
+
+FROZEN = Path(__file__).parent / "data" / "grid_frozen.json"
+FROZEN_ACO = {
+    "alpha1.5": AcoParams(ants=10, iterations=8, alpha=1.5),
+    "q0_0.0": AcoParams(ants=10, iterations=8, q0=0.0),
+    "q0_0.6": AcoParams(ants=10, iterations=8, q0=0.6),
+}
+
+
+def _frozen_outputs() -> dict:
+    """Path digest and explored count of A* and three ant colony settings on two maps."""
+    start, goal = (5.0, 5.0, 5.0), (112.0, 108.0, 40.0)
+    out = {}
+    for map_seed in (2, 5):
+        city = generate_city(map_seed, GenParams(
+            count=8, footprint_range=(10, 30), height_range=(18, 80),
+            bounds_max=(120.0, 120.0, 120.0), keep_clear=(start, goal)))
+        grid = voxelize(city, 4.0)
+        req = PlanRequest(start, goal, goal_threshold=5.0)
+        runs = {"astar": plan_astar(grid, req)}
+        for name, params in FROZEN_ACO.items():
+            for seed in (3, 4):
+                runs[f"aco_{name}_seed{seed}"] = plan_aco(grid, req, params, seed)
+        for name, res in runs.items():
+            out[f"map{map_seed}/{name}"] = {
+                "success": res.success,
+                "explored_nodes": res.explored_nodes,
+                "path_sha256": hashlib.sha256(res.path.tobytes()).hexdigest(),
+            }
+    return out
+
+
+def test_grid_planners_reproduce_the_frozen_outputs():
+    # recorded from the earlier dense (ncells, 26) boolean move table implementation
+    assert _frozen_outputs() == json.loads(FROZEN.read_text())

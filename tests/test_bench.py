@@ -102,6 +102,13 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
         Scenario(trials=0)
     with pytest.raises(ValueError, match="trails"):
         Scenario.from_dict({"trails": 3})
+    with pytest.raises(ValueError, match=r"aco keys: \['ant_count'\]"):
+        Scenario.from_dict({"trials": 1, "aco": {"ant_count": 3}})
+    with pytest.raises(ValueError, match=r"map_params keys: \['towers'\]"):
+        Scenario.from_dict({"map_params": {"count": 3, "towers": 3}})
+    for section in ("rrt", "drrt"):
+        with pytest.raises(ValueError, match=f"{section} keys"):
+            Scenario.from_dict({section: {"step_size": 4.0, "stepsize": 4.0}})
 
 
 def test_build_city_always_keeps_the_endpoints_clear():

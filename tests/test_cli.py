@@ -111,3 +111,12 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("skynav: error:") and "trails" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+    # a missing map or scenario file
+    for argv in (["plan", "--map", str(tmp_path / "nope.json")],
+                 ["bench", "--scenario", str(tmp_path / "nope.json")]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("skynav: error:") and "nope.json" in err
+        assert "Traceback" not in err and err.count("\n") == 1
