@@ -18,7 +18,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import EMPTY_PATH, PlanRequest, PlanResult
+from .core import EMPTY_PATH, PlanRequest, PlanResult, uniforms
 from .env import CityMap
 
 # all 26 neighbour offsets, lexicographic for deterministic tie handling
@@ -277,12 +277,6 @@ class AcoParams:
             raise ValueError("q0 must lie in [0, 1)")
 
 
-def _uniforms(rng: np.random.Generator, block: int = 1024):
-    """rng.random() draws in the order single calls would give them, fetched in blocks."""
-    while True:
-        yield from rng.random(block).tolist()
-
-
 def _walk_ant(grid: VoxelGrid, s: int, g: int, weight: np.ndarray, q0: float, cap: int,
               draw: Callable[[], float]) -> tuple[list[int] | None, int]:
     """One self-avoiding walk from s; returns (cell chain or None, cells entered).
@@ -333,7 +327,7 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     """
     t0 = perf_counter()
     s, g = _grid_endpoints(grid, req)
-    draw = _uniforms(np.random.default_rng(seed)).__next__
+    draw = uniforms(np.random.default_rng(seed)).__next__
 
     # (1 / straight-line distance to the goal)^beta per cell, from per-axis squares
     sq = [(np.arange(n) - c) ** 2.0 for n, c in zip(grid.dims, grid.cells([g])[0].tolist())]

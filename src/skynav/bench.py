@@ -77,7 +77,7 @@ class Scenario:
         _reject_unknown_keys("scenario", data, cls)
         data = dict(data)
         for key, cls_ in _SECTIONS.items():
-            if isinstance(data.get(key), dict):
+            if key in data:
                 _reject_unknown_keys(key, data[key], cls_)
         if "map_params" in data:
             mp = dict(data["map_params"])
@@ -88,7 +88,7 @@ class Scenario:
                 mp["keep_clear"] = tuple(tuple(p) for p in mp["keep_clear"])
             data["map_params"] = GenParams(**mp)
         for key in ("rrt", "drrt", "aco"):
-            if key in data and isinstance(data[key], dict):
+            if key in data:
                 data[key] = _SECTIONS[key](**data[key])
         for key in ("start", "goal"):
             if key in data:
@@ -103,6 +103,8 @@ _SECTIONS = {"map_params": GenParams, "rrt": RrtParams, "drrt": DrrtParams, "aco
 
 
 def _reject_unknown_keys(section: str, data: dict, cls_) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be an object, got {type(data).__name__}")
     unknown = set(data) - {f.name for f in fields(cls_)}
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")

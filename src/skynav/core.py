@@ -1,6 +1,7 @@
 """Shared planner infrastructure: search tree, steering, request/result contracts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,20 +50,37 @@ class PlanResult:
 EMPTY_PATH = np.empty((0, 3), dtype=float)
 
 
+def uniforms(rng: np.random.Generator, block: int = 1024):
+    """rng.random() draws in the order single calls would give them, fetched in blocks."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """An array twice as long whose first half is a (the rest is left unset)."""
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 class SearchTree:
-    """Growable tree of 3D nodes with parent links and exact nearest lookup."""
+    """Growable tree of 3D nodes with parent links and exact nearest lookup.
+
+    The public methods validate their arguments; the tree planners' loop calls
+    the private twins (_add, _nearest) with float64 arrays it built itself.
+    """
 
     def __init__(self, root, capacity: int = 1024):
-        root = as_point(root)
         capacity = max(capacity, 1)
         self._pos = np.empty((capacity, 3), dtype=float)
-        self._pos[0] = root
-        # cached |x|^2 per node plus scratch, so nearest() is one BLAS matvec
+        # per node -2x and |x|^2 plus scratch, so nearest() is one BLAS matvec
+        # and one add; scaling by -2 is exact, so the scores equal |x|^2 - 2 x.p
+        self._m2 = np.empty((capacity, 3), dtype=float)
         self._sqn = np.empty(capacity, dtype=float)
-        self._sqn[0] = root @ root
         self._scratch = np.empty(capacity, dtype=float)
-        self._parents = [-1]
-        self._n = 1
+        self._parents: list[int] = []
+        self._n = 0
+        self._add(as_point(root), -1)
 
     def __len__(self) -> int:
         return self._n
@@ -76,27 +94,25 @@ class SearchTree:
         """Parent index of a node; -1 for the root."""
         return self._parents[index]
 
-    def position(self, index: int) -> np.ndarray:
-        if not 0 <= index < self._n:
-            raise IndexError(f"node index {index} out of range")
-        return self._pos[index].copy()
-
     def add(self, position, parent: int) -> int:
         """Append a node and return its index."""
         if not 0 <= parent < self._n:
             raise ValueError(f"parent index {parent} not in tree")
-        if self._n == len(self._pos):
-            grown = np.empty((2 * len(self._pos), 3), dtype=float)
-            grown[: self._n] = self._pos
-            self._pos = grown
-            self._sqn = np.concatenate([self._sqn, np.empty(self._n)])
-            self._scratch = np.empty(2 * self._n, dtype=float)
-        p = as_point(position)
-        self._pos[self._n] = p
-        self._sqn[self._n] = p @ p
+        return self._add(as_point(position), parent)
+
+    def _add(self, p: np.ndarray, parent: int) -> int:
+        n = self._n
+        if n == len(self._pos):
+            self._pos = _doubled(self._pos)
+            self._m2 = _doubled(self._m2)
+            self._sqn = _doubled(self._sqn)
+            self._scratch = np.empty(2 * n, dtype=float)
+        self._pos[n] = p
+        self._m2[n] = -2.0 * p
+        self._sqn[n] = p.dot(p)
         self._parents.append(parent)
-        self._n += 1
-        return self._n - 1
+        self._n = n + 1
+        return n
 
     def nearest(self, p) -> int:
         """Index of the node closest to p; ties resolve to the lowest index.
@@ -104,13 +120,14 @@ class SearchTree:
         Ranks by |x|^2 - 2 x.p (same ordering as distance, constant |p|^2
         dropped), which needs no per-node differencing.
         """
-        p = as_point(p)
+        return self._nearest(as_point(p))
+
+    def _nearest(self, p: np.ndarray) -> int:
         n = self._n
         score = self._scratch[:n]
-        np.dot(self._pos[:n], p, out=score)
-        score *= -2.0
+        np.dot(self._m2[:n], p, out=score)
         score += self._sqn[:n]
-        return int(np.argmin(score))
+        return int(score.argmin())
 
     def extract_path(self, leaf: int) -> np.ndarray:
         """Positions along the unique root-to-leaf chain, shape (K, 3)."""
@@ -133,21 +150,28 @@ def steer(from_point, to_point, step: float) -> np.ndarray:
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    a = as_point(from_point)
-    b = as_point(to_point)
+    return _steer(as_point(from_point), as_point(to_point), step)
+
+
+def _steer(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     v = b - a
-    dist = float(np.sqrt(v @ v))
+    # a numpy dot, not a Python sum of squares: the two can round differently
+    dist = math.sqrt(v.dot(v))
     if dist <= step:
         return b.copy()
     return a + (step / dist) * v
 
 
-def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, rng) -> np.ndarray:
+def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, draw) -> np.ndarray:
     """Return the goal with probability p_target, else a uniform point in bounds.
 
-    Consumes one uniform draw for the bias decision and, on the uniform branch,
-    three more for the coordinates, so planners sharing a seed stay aligned.
+    draw() returns the next uniform in [0, 1), as uniforms(rng).__next__ does.
+    Consumes one draw for the bias decision and, on the uniform branch, three
+    more for the coordinates, so planners sharing a seed stay aligned.  The
+    point is bounds_min + (bounds_max - bounds_min) * u, the same value
+    rng.uniform(bounds_min, bounds_max) gives for the same three uniforms.
     """
-    if rng.random() < p_target:
-        return as_point(goal).copy()
-    return rng.uniform(bounds_min, bounds_max)
+    if draw() < p_target:
+        return np.array(goal, dtype=float)
+    lo = np.asarray(bounds_min, dtype=float)
+    return lo + (np.asarray(bounds_max, dtype=float) - lo) * np.array((draw(), draw(), draw()))

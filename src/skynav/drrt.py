@@ -12,7 +12,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, sample_with_bias, steer
+from .core import (EMPTY_PATH, PlanRequest, PlanResult, SearchTree, _steer, sample_with_bias,
+                   uniforms)
 from .env import CityMap
 from .rrt import check_endpoints, try_finish
 
@@ -100,7 +101,8 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
         return best
     dz = step if goal[2] > x_near[2] else -step
     cand = x_near + (0.0, 0.0, dz)
-    if not city.segment_collides(x_near, cand):
+    # segments_collide has checked x_near
+    if not city._segment_collides(x_near, cand):
         return cand
     return None
 
@@ -129,10 +131,16 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     than clearance_far from every building, so no point within one step of
     it touches one (the collision certificate of Bialkowski, Karaman &
     Frazzoli, 2011).  The answer is the same with or without the check.
+
+    PlanRequest and check_endpoints validate the endpoints once; the loop
+    then calls the trusted twins (SearchTree._nearest and _add, _steer,
+    CityMap._segment_collides) on float64 arrays it built itself, and draws
+    its uniforms in blocks.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
-    rng = np.random.default_rng(seed)
+    draw = uniforms(np.random.default_rng(seed)).__next__
+    lo, hi = city.bounds_min, city.bounds_max
     step = params.step_size
     adapt_step = params.step_min < params.step_max
     goal = req.goal
@@ -149,22 +157,22 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
 
     failed = 0
     while failed < req.max_failed_attempts:
-        sample = sample_with_bias(goal, params.p_target, city.bounds_min, city.bounds_max, rng)
-        near = tree.nearest(sample)
+        sample = sample_with_bias(goal, params.p_target, lo, hi, draw)
+        near = tree._nearest(sample)
         near_pos = tree.positions[near]
-        new = steer(near_pos, sample, step)
+        new = _steer(near_pos, sample, step)
         explored += 1
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
-        certified = far[near] and step < params.clearance_far and city.in_bounds(new)
-        blocked = degenerate or (not certified and city.segment_collides(near_pos, new))
+        certified = far[near] and step < params.clearance_far and city._inside(new)
+        blocked = degenerate or (not certified and city._segment_collides(near_pos, new))
         idx = None
         x_new = new
         if not blocked:
-            idx = tree.add(new, near)
+            idx = tree._add(new, near)
         elif params.use_detour:
             detour = detour_extend(city, near_pos, goal, step)
             if detour is not None:
-                idx = tree.add(detour, near)
+                idx = tree._add(detour, near)
                 x_new = detour
         if blocked:
             # a blocked straight extension spends budget even when a detour

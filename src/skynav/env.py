@@ -124,8 +124,10 @@ class CityMap:
         planner's segments often end there, and for one segment numpy's
         per-call overhead costs more than the arithmetic.
         """
-        a = as_point(a)
-        b = as_point(b)
+        return self._segment_collides(as_point(a), as_point(b))
+
+    def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """segment_collides for two float64 points the caller has validated."""
         if not self._inside(a) or not self._inside(b):
             return True
         if a[2] > self._top_z and b[2] > self._top_z:

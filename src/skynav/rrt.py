@@ -33,17 +33,18 @@ def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: floa
 
     A node inside the goal region ends the search; the goal point itself is
     appended when the connecting segment is free.  A node within one step of
-    the goal connects directly when that segment is free.
+    the goal connects directly when that segment is free.  goal is a finite
+    float64 array of shape (3,), as PlanRequest holds it.
     """
     pos = tree.positions[node]
-    d = math.dist(pos, goal)
+    d = math.dist(pos.tolist(), goal.tolist())
     if d <= threshold:
         path = tree.extract_path(node)
-        if d > 0 and not city.segment_collides(pos, goal):
+        if d > 0 and not city._segment_collides(pos, goal):
             path = np.vstack([path, goal])
         return path
-    if d <= step and not city.segment_collides(pos, goal):
-        leaf = tree.add(goal, node)
+    if d <= step and not city._segment_collides(pos, goal):
+        leaf = tree._add(goal, node)
         return tree.extract_path(leaf)
     return None
 

@@ -109,6 +109,13 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
     for section in ("rrt", "drrt"):
         with pytest.raises(ValueError, match=f"{section} keys"):
             Scenario.from_dict({section: {"step_size": 4.0, "stepsize": 4.0}})
+    # a section that is not an object is named, not passed through
+    with pytest.raises(ValueError, match="aco must be an object"):
+        Scenario.from_dict({"aco": 3})
+    with pytest.raises(ValueError, match="map_params must be an object"):
+        Scenario.from_dict({"map_params": 3})
+    with pytest.raises(ValueError, match="scenario must be an object"):
+        Scenario.from_dict([1, 2])
 
 
 def test_build_city_always_keeps_the_endpoints_clear():

@@ -105,12 +105,15 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
     scn_file = tmp_path / "scenario.json"
-    scn_file.write_text(json.dumps({"trials": 1, "trails": 3}))
-    rc = main(["bench", "--scenario", str(scn_file), "--out", str(tmp_path / "report")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("skynav: error:") and "trails" in err
-    assert "Traceback" not in err and err.count("\n") == 1
+    for scenario, named in (({"trials": 1, "trails": 3}, "trails"),
+                            ({"trials": 1, "aco": 3}, "aco"),
+                            ({"trials": 1, "map_params": 3}, "map_params")):
+        scn_file.write_text(json.dumps(scenario))
+        rc = main(["bench", "--scenario", str(scn_file), "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("skynav: error:") and named in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     # a missing map or scenario file
     for argv in (["plan", "--map", str(tmp_path / "nope.json")],

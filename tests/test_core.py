@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from skynav import PlanRequest, SearchTree, sample_with_bias, steer
+from skynav import CityMap, PlanRequest, SearchTree, sample_with_bias, steer
+from skynav.core import uniforms
 
 
 # ----------------------------------------------------------------------
@@ -31,7 +32,7 @@ def test_tree_root_and_parent_links():
     tree = SearchTree((1, 2, 3))
     assert len(tree) == 1
     assert tree.parent(0) == -1
-    assert np.array_equal(tree.position(0), [1, 2, 3])
+    assert np.array_equal(tree.positions[0], [1, 2, 3])
     i = tree.add((4, 5, 6), 0)
     j = tree.add((7, 8, 9), i)
     assert (i, j) == (1, 2)
@@ -39,7 +40,22 @@ def test_tree_root_and_parent_links():
     with pytest.raises(ValueError):
         tree.add((0, 0, 0), 99)
     with pytest.raises(IndexError):
-        tree.position(99)
+        tree.extract_path(99)
+
+
+def test_public_queries_validate_before_their_trusted_twins():
+    tree = SearchTree((0, 0, 0))
+    city = CityMap((), (0, 0, 0), (10, 10, 10))
+    for bad in ((1, 2), (1.0, np.nan, 0.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            tree.add(bad, 0)
+        with pytest.raises(ValueError):
+            tree.nearest(bad)
+        with pytest.raises(ValueError):
+            steer((0, 0, 0), bad, 1.0)
+        with pytest.raises(ValueError):
+            city.segment_collides((1, 1, 1), bad)
+    assert len(tree) == 1
 
 
 def test_tree_single_node_nearest():
@@ -64,7 +80,7 @@ def test_tree_nearest_prefers_lowest_index_on_duplicates():
 def test_tree_nearest_matches_linear_scan_oracle():
     rng = np.random.default_rng(17)
     tree = SearchTree(rng.uniform(0, 500, 3), capacity=1)   # force several regrowths
-    pts = [tree.position(0)]
+    pts = [tree.positions[0].copy()]
     for _ in range(499):
         p = rng.uniform(0, 500, 3)
         tree.add(p, rng.integers(0, len(tree)))
@@ -77,6 +93,29 @@ def test_tree_nearest_matches_linear_scan_oracle():
                            + (pts[i][2] - q[2]) ** 2, i),
         )
         assert tree.nearest(q) == best
+
+
+def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
+    # the tree scores with stored -2x; the same scores unscaled are
+    # dot(x, p) * -2 + |x|^2, and scaling by -2 is exact, so every score
+    # (not only the winner) must agree to the bit, with duplicates present
+    rng = np.random.default_rng(29)
+    for n in (1, 5, 7, 1000, 8001):
+        pts = rng.uniform(-100, 550, (n, 3))
+        dup = rng.integers(0, n, n // 4)
+        pts[dup] = pts[rng.integers(0, n, dup.size)]
+        tree = SearchTree(pts[0], capacity=2)
+        for i in range(1, n):
+            tree.add(pts[i], int(rng.integers(0, i)))
+        sqn = np.array([p @ p for p in pts])
+        queries = np.vstack([rng.uniform(-100, 550, (40, 3)), pts[rng.integers(0, n, 10)]])
+        for q in queries:
+            want = pts @ q
+            want *= -2.0
+            want += sqn
+            got = tree.nearest(q)
+            assert got == int(np.argmin(want))
+            assert tree._scratch[:n].tobytes() == want.tobytes()   # the scores nearest ranked
 
 
 def test_tree_positions_survive_capacity_growth():
@@ -112,7 +151,7 @@ def test_tree_extract_path_matches_parent_walk_oracle():
     while i != -1:
         chain.append(i)
         i = parents[i]
-    expected = np.array([tree.position(k) for k in reversed(chain)])
+    expected = np.array([tree.positions[k].copy() for k in reversed(chain)])
     assert np.array_equal(tree.extract_path(leaf), expected)
 
 
@@ -162,23 +201,23 @@ def test_steer_never_moves_farther_than_step():
 # ----------------------------------------------------------------------
 
 def test_sample_bias_degenerate_probabilities():
-    rng = np.random.default_rng(1)
+    draw = uniforms(np.random.default_rng(1)).__next__
     goal = np.array([7.0, 8.0, 9.0])
     for _ in range(200):
-        assert np.array_equal(sample_with_bias(goal, 1.0, (0, 0, 0), (10, 10, 10), rng), goal)
-    rng = np.random.default_rng(1)
+        assert np.array_equal(sample_with_bias(goal, 1.0, (0, 0, 0), (10, 10, 10), draw), goal)
+    draw = uniforms(np.random.default_rng(1)).__next__
     for _ in range(200):
-        s = sample_with_bias(goal, 0.0, (0, 0, 0), (10, 10, 10), rng)
+        s = sample_with_bias(goal, 0.0, (0, 0, 0), (10, 10, 10), draw)
         assert not np.array_equal(s, goal)
         assert np.all(s >= 0) and np.all(s <= 10)
 
 
 def test_sample_bias_fraction_near_target_probability():
-    rng = np.random.default_rng(0)
+    draw = uniforms(np.random.default_rng(0)).__next__
     goal = np.array([1.0, 2.0, 3.0])
     draws = 100000
     hits = sum(
-        bool(np.array_equal(sample_with_bias(goal, 0.9, (0, 0, 0), (10, 10, 10), rng), goal))
+        bool(np.array_equal(sample_with_bias(goal, 0.9, (0, 0, 0), (10, 10, 10), draw), goal))
         for _ in range(draws)
     )
     assert 0.885 <= hits / draws <= 0.915
@@ -186,16 +225,32 @@ def test_sample_bias_fraction_near_target_probability():
 
 def test_sample_bias_is_deterministic_per_seed():
     goal = (5.0, 5.0, 5.0)
-    a = [sample_with_bias(goal, 0.5, (0, 0, 0), (10, 10, 10), np.random.default_rng(33))
-         for _ in range(1)]
-    b = [sample_with_bias(goal, 0.5, (0, 0, 0), (10, 10, 10), np.random.default_rng(33))
-         for _ in range(1)]
+    a = [sample_with_bias(goal, 0.5, (0, 0, 0), (10, 10, 10),
+                          uniforms(np.random.default_rng(33)).__next__) for _ in range(1)]
+    b = [sample_with_bias(goal, 0.5, (0, 0, 0), (10, 10, 10),
+                          uniforms(np.random.default_rng(33)).__next__) for _ in range(1)]
     assert np.array_equal(a[0], b[0])
 
 
+def test_block_draw_sampling_matches_the_generator_sequence():
+    # rng.random() for the bias, then rng.uniform(lo, hi) on the uniform
+    # branch: the sequence the planners drew before block draws
+    lo = np.array([-100.0, 5.0, 3.0])
+    hi = np.array([400.0, 505.0, 503.0])
+    goal = np.array([470.0, 420.0, 50.0])
+    for p_target in (0.0, 0.5, 0.9):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            want = [goal.copy() if rng.random() < p_target else rng.uniform(lo, hi)
+                    for _ in range(500)]
+            draw = uniforms(np.random.default_rng(seed)).__next__
+            got = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(500)]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_sample_bias_returned_goal_is_a_copy():
-    rng = np.random.default_rng(2)
+    draw = uniforms(np.random.default_rng(2)).__next__
     goal = np.array([1.0, 1.0, 1.0])
-    out = sample_with_bias(goal, 1.0, (0, 0, 0), (10, 10, 10), rng)
+    out = sample_with_bias(goal, 1.0, (0, 0, 0), (10, 10, 10), draw)
     out[0] = 42.0
     assert goal[0] == 1.0

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,19 +186,28 @@ def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
     checked = set()
     edges = []
     segments_collide = CityMap.segments_collide
-    add = SearchTree.add
+    segment_collides = CityMap._segment_collides
+    add = SearchTree._add
 
+    # both collision checks the loop makes (the public segment_collides
+    # goes through _segment_collides) and the add path every node takes
     def recording_segments_collide(self, starts, ends):
         for a, b in zip(np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)):
             checked.add((a.tobytes(), b.tobytes()))
         return segments_collide(self, starts, ends)
 
+    def recording_segment_collides(self, a, b):
+        checked.add((np.asarray(a, dtype=float).tobytes(), np.asarray(b, dtype=float).tobytes()))
+        return segment_collides(self, a, b)
+
     def recording_add(self, position, parent):
-        edges.append((self.positions[parent].copy(), np.asarray(position, dtype=float).copy()))
+        if parent >= 0:
+            edges.append((self.positions[parent].copy(), np.array(position, dtype=float)))
         return add(self, position, parent)
 
     monkeypatch.setattr(CityMap, "segments_collide", recording_segments_collide)
-    monkeypatch.setattr(SearchTree, "add", recording_add)
+    monkeypatch.setattr(CityMap, "_segment_collides", recording_segment_collides)
+    monkeypatch.setattr(SearchTree, "_add", recording_add)
     # requests that end with a route on the canonical city and two more; the
     # seeds include runs of 1000+ extensions that weave between the towers.
     # The last case lets the step exceed clearance_far.
@@ -239,3 +251,38 @@ def test_disabling_every_enhancement_reproduces_the_classic_planner():
         assert classic.success == down.success
         assert np.array_equal(classic.path, down.path)
         assert classic.explored_nodes == down.explored_nodes
+
+
+# ----------------------------------------------------------------------
+# frozen outputs
+# ----------------------------------------------------------------------
+
+TREE_FROZEN = Path(__file__).parent / "data" / "tree_frozen.json"
+
+
+def _tree_frozen_outputs() -> dict:
+    """Path digest and explored count of plan_rrt and plan_drrt, three seeds on two maps."""
+    out = {}
+    for map_seed, start, goal in ((11, (10, 10, 1), (470, 420, 50)),
+                                  (12, (490, 490, 5), (250, 250, 30))):
+        scenario = dataclasses.replace(default_scenario(), map_seed=map_seed,
+                                       start=start, goal=goal)
+        city = build_city(scenario)
+        for seed in (500, 501, 502):
+            runs = {
+                "rrt": plan_rrt(city, PlanRequest(start, goal), RrtParams(), seed),
+                "drrt": plan_drrt(city, PlanRequest(start, goal, max_failed_attempts=5000),
+                                  DrrtParams(), seed),
+            }
+            for name, res in runs.items():
+                out[f"map{map_seed}/{name}_seed{seed}"] = {
+                    "success": res.success,
+                    "explored_nodes": res.explored_nodes,
+                    "path_sha256": hashlib.sha256(res.path.tobytes()).hexdigest(),
+                }
+    return out
+
+
+def test_tree_planners_reproduce_the_frozen_outputs():
+    # recorded before the tree loop moved to block draws and trusted twins
+    assert _tree_frozen_outputs() == json.loads(TREE_FROZEN.read_text())

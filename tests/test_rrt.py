@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import skynav.core
 import skynav.drrt
+import skynav.env
 from skynav import Building, CityMap, DrrtParams, PlanRequest, RrtParams, plan_drrt, plan_rrt
 from skynav.rrt import check_endpoints, try_finish
 from skynav.core import SearchTree
@@ -127,13 +129,34 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_explored_counts_every_extension_attempt(monkeypatch):
-    # every extension attempt asks the tree for its nearest node once
-    nearest = _count_calls(monkeypatch, SearchTree, "nearest")
+    # every extension attempt asks the tree for its nearest node once, through
+    # the trusted twin of SearchTree.nearest
+    nearest = _count_calls(monkeypatch, SearchTree, "_nearest")
     city = CityMap([Building((20, 20, 0), (30, 30, 40))], (0, 0, 0), (60, 60, 60))
     req = PlanRequest((5, 5, 5), (55, 55, 30))
     res = plan_rrt(city, req, RrtParams(), seed=3)
     assert res.explored_nodes == len(nearest)
     assert res.explored_nodes >= len(res.path) - 2
+
+
+def test_points_are_validated_once_per_plan_not_per_extension(monkeypatch):
+    # the request and the endpoints are checked at the boundary; the tree
+    # loop runs on arrays it built itself
+    city = CityMap([Building((20, 20, 0), (30, 30, 40)), Building((40, 10, 0), (50, 22, 35))],
+                   (0, 0, 0), (80, 80, 80))
+    req = PlanRequest((5, 5, 5), (70, 70, 30))
+    calls = _count_calls(monkeypatch, skynav.env, "as_point")
+    # core imports as_point by name; count its calls there too
+    monkeypatch.setattr(skynav.core, "as_point", skynav.env.as_point)
+    per_run = {}
+    for seed in range(6):
+        calls.clear()
+        res = plan_rrt(city, req, RrtParams(), seed)
+        assert res.success
+        per_run[res.explored_nodes] = len(calls)
+    assert len(per_run) > 1, "the seeds should need different numbers of extensions"
+    assert len(set(per_run.values())) == 1, per_run
+    assert max(per_run.values()) < min(per_run)
 
 
 def test_fixed_step_runs_no_clearance_query_and_no_detour(monkeypatch):
