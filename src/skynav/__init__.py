@@ -14,7 +14,7 @@ from .env import (Building, CityMap, GenParams, MapGenerationError, generate_cit
 from .metrics import (PathMetrics, TrialRecord, dedupe, path_length, summarize,
                       turn_angles)
 from .rrt import RrtParams, plan_rrt
-from .smoothing import basis, clamped_knots, evaluate, sample_curve, smooth_path
+from .smoothing import clamped_knots, sample_curve, smooth_path
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,8 @@ __all__ = [
     "AcoParams", "AggregateRow", "BenchReport", "Building", "CityMap", "DrrtParams",
     "GenParams", "MapGenerationError", "PathMetrics", "PlanRequest", "PlanResult",
     "RrtParams", "Scenario", "SearchTree", "TrialRecord", "VoxelGrid", "aggregate",
-    "basis", "build_city", "clamped_knots", "classify_step_outcome", "dedupe",
-    "default_scenario", "detour_extend", "evaluate", "generate_city", "load_map",
+    "build_city", "clamped_knots", "classify_step_outcome", "dedupe",
+    "default_scenario", "detour_extend", "generate_city", "load_map",
     "path_length", "plan_aco", "plan_astar", "plan_drrt", "plan_rrt", "run_benchmark",
     "run_trial", "sample_curve", "sample_with_bias", "save_map", "smooth_path",
     "steer", "summarize", "turn_angles", "voxelize",

@@ -58,10 +58,12 @@ def classify_step_outcome(city: CityMap, x_new, extension_collided: bool,
 
     A collided extension dominates; otherwise the new point is ``far`` when
     its clearance strictly exceeds params.clearance_far, else ``neutral``.
+    x_new is a point inside the bounds, such as a node the planner added; it
+    goes to CityMap's trusted clearance twin unvalidated.
     """
     if extension_collided:
         return COLLIDED
-    if city.clearance(x_new) > params.clearance_far:
+    if city._clearance(x_new) > params.clearance_far:
         return FAR
     return NEUTRAL
 
@@ -85,26 +87,30 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
     all four are blocked, steps vertically toward the goal's altitude: up when
     the goal is higher than x_near, down otherwise.  Returns None when every
     candidate is blocked or out of bounds.
+
+    All five moves are checked in one batched call; the bounds are checked
+    in Python scalars first.
     """
     x_near = np.asarray(x_near, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    cands = x_near + np.array([(step, 0.0, 0.0), (-step, 0.0, 0.0),
-                               (0.0, step, 0.0), (0.0, -step, 0.0)])
-    blocked = city.segments_collide(np.broadcast_to(x_near, cands.shape), cands)
-    best = None
-    best_d = np.inf
-    for cand in cands[~blocked]:
-        d = float(np.linalg.norm(goal - cand))
-        if d < best_d:
-            best, best_d = cand, d
-    if best is not None:
-        return best
+    if not city._inside(x_near.tolist()):
+        return None
     dz = step if goal[2] > x_near[2] else -step
-    cand = x_near + (0.0, 0.0, dz)
-    # segments_collide has checked x_near
-    if not city._segment_collides(x_near, cand):
-        return cand
-    return None
+    cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
+                               (0.0, -step, 0.0), (0.0, 0.0, dz)))
+    inside = [city._inside(c) for c in cands.tolist()]
+    touched = city._touch_buildings(x_near[None].repeat(5, axis=0), cands).tolist()
+    best = None
+    best_d = math.inf
+    for k in range(4):
+        if inside[k] and not touched[k]:
+            v = goal - cands[k]
+            d = math.sqrt(v.dot(v))
+            if d < best_d:
+                best, best_d = cands[k], d
+    if best is None and inside[4] and not touched[4]:
+        return cands[4]
+    return best
 
 
 def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams(),

@@ -15,6 +15,22 @@ from typing import Sequence
 import numpy as np
 
 
+# Roof grid (see CityMap._build_roof_grid).  Cells are ROOF_CELL_M wide, and
+# wider on a map that would otherwise need more than ROOF_GRID_MAX cells along
+# an axis, so the grid never holds more than ROOF_GRID_MAX**2 floats.  A
+# segment's bounding box that spans up to ROOF_WINDOW cells per axis is read
+# cell by cell; a wider one is read as one slice in the scalar query and left
+# to the slab test in the batched one.  Batches of up to ROOF_BATCH segments
+# read the grid in Python scalars, larger ones in numpy.
+ROOF_CELL_M = 10.0
+ROOF_GRID_MAX = 256
+ROOF_WINDOW = 3
+ROOF_BATCH = 16
+# cell offsets (di, dj) of a ROOF_WINDOW-square window, row by row
+_WINDOW_DI = np.repeat(np.arange(ROOF_WINDOW), ROOF_WINDOW)
+_WINDOW_DJ = np.tile(np.arange(ROOF_WINDOW), ROOF_WINDOW)
+
+
 class MapGenerationError(RuntimeError):
     """Raised when a building layout cannot be placed within the draw budget."""
 
@@ -85,11 +101,102 @@ class CityMap:
         if outside.any():
             b = self.buildings[int(np.argmax(outside))]
             raise ValueError(f"{b} extends beyond the map bounds")
-        # plain-float copies of the bounds and the tallest roof; the planners
-        # hammer these queries, and scalar compares beat tiny-array reductions
+        # plain-float copies of the bounds; the planners hammer these queries,
+        # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
-        self._top_z = float(self._maxs[:, 2].max()) if n else -math.inf
+        self._build_roof_grid()
+
+    def _build_roof_grid(self) -> None:
+        """Highest roof per square xy cell over the bounds, -inf where no building stands.
+
+        A cell holds the tallest building whose closed footprint touches it.
+        Cells are ROOF_CELL_M wide, or wider on a map whose extent would need
+        more than ROOF_GRID_MAX cells along an axis.  Buildings and queries map
+        coordinates to cells with the same monotone function (_cells and
+        _roof_clears), so a point shared by a segment's bounding box and a
+        building's footprint falls in a cell of both: a segment whose lowest
+        z is strictly above every cell its box meets touches no building.
+        """
+        wx, wy = self._bx1 - self._bx0, self._by1 - self._by0
+        self._inv_cell = 1.0 / max(ROOF_CELL_M, wx / ROOF_GRID_MAX, wy / ROOF_GRID_MAX)
+        self._last_i = min(ROOF_GRID_MAX, max(1, math.ceil(wx * self._inv_cell))) - 1
+        self._last_j = min(ROOF_GRID_MAX, max(1, math.ceil(wy * self._inv_cell))) - 1
+        self._roof_origin = np.array([self._bx0, self._by0] * 2)
+        self._roof_last = np.array([self._last_i, self._last_j] * 2, dtype=float)
+        self._roof = np.full((self._last_i + 1, self._last_j + 1), -math.inf)
+        cells = self._cells(self._mins, self._maxs).tolist()
+        top = self._maxs[:, 2].tolist()
+        # tallest last, so each cell keeps its highest roof
+        for k in sorted(range(len(top)), key=top.__getitem__):
+            i0, j0, i1, j1 = cells[k]
+            self._roof[i0:i1 + 1, j0:j1 + 1] = top[k]
+
+    def _cells(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Roof-grid cells (i0, j0, i1, j1) of the xy boxes lo[k]..hi[k] of two (N, 3) arrays.
+
+        Coordinates outside the bounds clamp to the edge cells.  Clamping the
+        float and then truncating gives the same cells as _roof_clears'
+        truncating and then clamping.
+        """
+        c = np.concatenate((lo[:, :2], hi[:, :2]), axis=1)
+        c -= self._roof_origin
+        c *= self._inv_cell
+        np.maximum(c, 0.0, out=c)
+        np.minimum(c, self._roof_last, out=c)
+        return c.astype(np.intp)
+
+    def _roof_clears(self, p, q) -> bool:
+        """True when the roof grid proves segment p-q (two (x, y, z) lists) free of buildings.
+
+        Computes _cells' cells in Python scalars: for one segment, numpy's
+        per-call overhead costs more than the arithmetic.
+        """
+        inv, x0, y0 = self._inv_cell, self._bx0, self._by0
+        px, py, pz = p
+        qx, qy, qz = q
+        if px > qx:
+            px, qx = qx, px
+        if py > qy:
+            py, qy = qy, py
+        i0, i1 = int((px - x0) * inv), int((qx - x0) * inv)
+        j0, j1 = int((py - y0) * inv), int((qy - y0) * inv)
+        # clamp to the grid; i0 <= i1 and j0 <= j1 already
+        if i0 < 0:
+            i0 = 0
+            i1 = max(i1, 0)
+        if i1 > self._last_i:
+            i1 = self._last_i
+            i0 = min(i0, i1)
+        if j0 < 0:
+            j0 = 0
+            j1 = max(j1, 0)
+        if j1 > self._last_j:
+            j1 = self._last_j
+            j0 = min(j0, j1)
+        z = pz if pz < qz else qz
+        if i1 - i0 >= ROOF_WINDOW or j1 - j0 >= ROOF_WINDOW:
+            return z > self._roof[i0:i1 + 1, j0:j1 + 1].max()
+        roof = self._roof.item
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                if roof(i, j) >= z:
+                    return False
+        return True
+
+    def _roof_open(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per box lo[k]..hi[k]: False when the roof grid proves its segment free.
+
+        Reads a ROOF_WINDOW-square window of cells from each box's low
+        corner, each index clamped to the box's high cell, so the window
+        covers exactly the box's cells when the box spans at most
+        ROOF_WINDOW cells per axis.  A wider box is left open.
+        """
+        c = self._cells(lo, hi)
+        ii = np.minimum(c[:, 0:1] + _WINDOW_DI, c[:, 2:3])
+        jj = np.minimum(c[:, 1:2] + _WINDOW_DJ, c[:, 3:4])
+        wide = (c[:, 2:] - c[:, :2] >= ROOF_WINDOW).any(axis=1)
+        return wide | (lo[:, 2] <= self._roof[ii, jj].max(axis=1))
 
     # ------------------------------------------------------------------
     # collision queries
@@ -111,7 +218,8 @@ class CityMap:
         p = as_point(p)
         if not self._inside(p):
             return False
-        if not self.buildings or p[2] > self._top_z:
+        q = p.tolist()
+        if self._roof_clears(q, q):
             return True
         inside = np.all((self._mins <= p) & (p <= self._maxs), axis=1)
         return not bool(inside.any())
@@ -119,28 +227,30 @@ class CityMap:
     def segment_collides(self, a, b) -> bool:
         """True iff segment a-b touches any building or leaves the bounds.
 
-        The one-segment case of segments_collide.  Its bounds and
-        above-the-roof answers come from scalar compares first: a tree
-        planner's segments often end there, and for one segment numpy's
-        per-call overhead costs more than the arithmetic.
+        The one-segment case of segments_collide, answered in Python scalars
+        up to the slab test: a tree planner's segments often end at the
+        bounds or the roof grid, and for one segment numpy's per-call overhead
+        costs more than the arithmetic.
         """
         return self._segment_collides(as_point(a), as_point(b))
 
     def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
         """segment_collides for two float64 points the caller has validated."""
-        if not self._inside(a) or not self._inside(b):
+        pa, pb = a.tolist(), b.tolist()
+        if not self._inside(pa) or not self._inside(pb):
             return True
-        if a[2] > self._top_z and b[2] > self._top_z:
+        if self._roof_clears(pa, pb):
             return False
-        return bool(self._touch_buildings(a[None], b[None])[0])
+        return bool(self._slab_hits(a[None], b[None])[0])
 
     def segments_collide(self, starts, ends) -> np.ndarray:
         """One flag per segment starts[k]-ends[k]: True iff it touches a building or leaves the bounds.
 
-        Takes two (S, 3) arrays of finite coordinates.  Uses the slab method
-        per building, with the intersection parameter clipped to [0, 1].
-        Leaving the bounds and boundary grazing count as collisions
-        (closed-set convention).
+        Takes two (S, 3) arrays of finite coordinates.  The roof grid clears
+        the segments it can; the rest go to the slab method per building,
+        with the intersection parameter clipped to [0, 1].  Leaving the
+        bounds and boundary grazing count as collisions (closed-set
+        convention).
         """
         a = np.asarray(starts, dtype=float)
         b = np.asarray(ends, dtype=float)
@@ -154,12 +264,28 @@ class CityMap:
         return outside | self._touch_buildings(a, b)
 
     def _touch_buildings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per segment a[k]-b[k] of an (S, 3) pair: True iff it touches a building."""
+        """Per segment a[k]-b[k] of an (S, 3) pair of float64 arrays: True iff it touches a building.
+
+        Only the segments the roof grid does not clear reach the slab test.
+        A batch of up to ROOF_BATCH segments reads the grid in Python
+        scalars, a larger one in numpy, whose per-call overhead a few
+        segments do not repay.
+        """
+        if len(a) > ROOF_BATCH:
+            k = np.flatnonzero(self._roof_open(np.minimum(a, b), np.maximum(a, b)))
+        else:
+            k = [s for s, (p, q) in enumerate(zip(a.tolist(), b.tolist()))
+                 if not self._roof_clears(p, q)]
         hit = np.zeros(len(a), dtype=bool)
-        # broad phase: a segment can only touch a building whose closed box
-        # overlaps the segment's own bounding box.  This also clears every
-        # segment flown strictly above the tallest roof, since a segment never
-        # dips below the lower of its endpoints.
+        if len(k):
+            hit[k] = self._slab_hits(a[k], b[k])
+        return hit
+
+    def _slab_hits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The narrow phase of _touch_buildings: the slab test against every nearby building."""
+        hit = np.zeros(len(a), dtype=bool)
+        # a segment can only touch a building whose closed box overlaps the
+        # segment's own bounding box
         seg_lo = np.minimum(a, b)[:, None, :]
         seg_hi = np.maximum(a, b)[:, None, :]
         near = ((self._mins <= seg_hi) & (seg_lo <= self._maxs)).all(axis=2)
@@ -194,10 +320,18 @@ class CityMap:
         p = as_point(p)
         if not self._inside(p):
             raise ValueError(f"clearance queried outside map bounds: {tuple(p)}")
+        return self._clearance(p)
+
+    def _clearance(self, p: np.ndarray) -> float:
+        """clearance for a float64 point inside the bounds that the caller has validated.
+
+        Takes one square root, of the smallest squared distance: the root is
+        monotone and correctly rounded, so that equals the smallest root.
+        """
         if not self.buildings:
             return math.inf
         delta = np.maximum(np.maximum(self._mins - p, p - self._maxs), 0.0)
-        return float(np.sqrt((delta * delta).sum(axis=1)).min())
+        return math.sqrt((delta * delta).sum(axis=1).min())
 
     # ------------------------------------------------------------------
     # serialization

@@ -16,51 +16,16 @@ def clamped_knots(n_control: int, degree: int) -> np.ndarray:
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 
 
-def basis(i: int, degree: int, u: float, knots: np.ndarray) -> float:
-    """Cox-de Boor basis value N_{i,degree}(u).  0/0 terms are taken as zero.
-
-    The parameter range is closed on the right: u equal to the final knot
-    belongs to the last non-empty span, so clamped curves interpolate the
-    last control point exactly.
-    """
-    if degree == 0:
-        if knots[i] <= u < knots[i + 1]:
-            return 1.0
-        if u == knots[-1] and knots[i] < knots[i + 1] and knots[i + 1] == knots[-1]:
-            return 1.0
-        return 0.0
-    total = 0.0
-    left_den = knots[i + degree] - knots[i]
-    if left_den > 0.0:
-        total += (u - knots[i]) / left_den * basis(i, degree - 1, u, knots)
-    right_den = knots[i + degree + 1] - knots[i + 1]
-    if right_den > 0.0:
-        total += (knots[i + degree + 1] - u) / right_den * basis(i + 1, degree - 1, u, knots)
-    return total
-
-
-def evaluate(control_points: np.ndarray, degree: int, knots: np.ndarray, u: float) -> np.ndarray:
-    """Curve point sum(N_{i,degree}(u) * P_i) over the active control window."""
-    n = len(control_points)
-    span = int(np.searchsorted(knots, u, side="right")) - 1
-    span = min(max(span, degree), n - 1)
-    point = np.zeros(3)
-    for i in range(span - degree, span + 1):
-        w = basis(i, degree, u, knots)
-        if w != 0.0:
-            point = point + w * control_points[i]
-    return point
-
-
 def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarray:
     """Evaluate the clamped spline at uniform parameters.
 
     The sample count is samples_per_span per knot span plus the final
     endpoint, so the polyline always starts and ends on the curve endpoints.
     Each sample weighs only the degree+1 control points of its knot span.
-    The weights come from the Cox-de Boor recursion of ``basis``, run for all
-    samples at once with the same operations in the same order, so every
-    sample equals ``evaluate`` at its parameter bit for bit.
+    The weights come from the Cox-de Boor recursion, run for all samples at
+    once.  0/0 terms are taken as zero, and the parameter range is closed on
+    the right: u equal to the final knot belongs to the last non-empty span,
+    so the curve interpolates the last control point exactly.
     """
     control_points = np.asarray(control_points, dtype=float)
     n = len(control_points)
@@ -83,7 +48,7 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
         right_den = knots[i + q + 1] - knots[i + 1]
         left_on = left_den > 0.0
         right_on = right_den > 0.0
-        # terms with a zero denominator are skipped, as in basis
+        # terms with a zero denominator are skipped
         left = (u - knots[i]) / np.where(left_on, left_den, 1.0) * weights[:, :-1]
         right = (knots[i + q + 1] - u) / np.where(right_on, right_den, 1.0) * weights[:, 1:]
         weights = 0.0 + np.where(left_on, left, 0.0)

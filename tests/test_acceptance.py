@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from spline_reference import basis, evaluate
 
 from skynav import (AcoParams, Building, CityMap, DrrtParams, GenParams,
-                    PlanRequest, RrtParams, Scenario, VoxelGrid, basis,
-                    clamped_knots, evaluate, generate_city, plan_astar, plan_drrt,
-                    plan_rrt, run_benchmark, sample_curve, smooth_path)
+                    PlanRequest, RrtParams, Scenario, VoxelGrid, clamped_knots,
+                    generate_city, plan_astar, plan_drrt, plan_rrt, run_benchmark,
+                    sample_curve, smooth_path)
 from skynav.bench import PLANNERS, build_city, build_grid, default_scenario
 from skynav.core import SearchTree
 from skynav.drrt import COLLIDED, FAR, NEUTRAL, update_step

@@ -185,16 +185,17 @@ def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
     """Every edge the far-node certificate let through passes the dense-sampling oracle."""
     checked = set()
     edges = []
-    segments_collide = CityMap.segments_collide
+    touch_buildings = CityMap._touch_buildings
     segment_collides = CityMap._segment_collides
     add = SearchTree._add
 
-    # both collision checks the loop makes (the public segment_collides
-    # goes through _segment_collides) and the add path every node takes
-    def recording_segments_collide(self, starts, ends):
-        for a, b in zip(np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)):
+    # both collision checks the loop makes (the straight extension's
+    # _segment_collides and the detour's batched _touch_buildings) and the add
+    # path every node takes
+    def recording_touch_buildings(self, starts, ends):
+        for a, b in zip(starts, ends):
             checked.add((a.tobytes(), b.tobytes()))
-        return segments_collide(self, starts, ends)
+        return touch_buildings(self, starts, ends)
 
     def recording_segment_collides(self, a, b):
         checked.add((np.asarray(a, dtype=float).tobytes(), np.asarray(b, dtype=float).tobytes()))
@@ -205,7 +206,7 @@ def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
             edges.append((self.positions[parent].copy(), np.array(position, dtype=float)))
         return add(self, position, parent)
 
-    monkeypatch.setattr(CityMap, "segments_collide", recording_segments_collide)
+    monkeypatch.setattr(CityMap, "_touch_buildings", recording_touch_buildings)
     monkeypatch.setattr(CityMap, "_segment_collides", recording_segment_collides)
     monkeypatch.setattr(SearchTree, "_add", recording_add)
     # requests that end with a route on the canonical city and two more; the

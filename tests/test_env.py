@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +257,171 @@ def test_segment_above_all_roofs_is_free():
     assert city.segments_collide([(20, 20, 30), (15, 15, 29.5), (0, 0, 31)],
                                  [(20, 20, 35), (35, 35, 31), (100, 100, 30.5)]).tolist() == [
         True, True, False]
+
+
+# ----------------------------------------------------------------------
+# roof grid
+# ----------------------------------------------------------------------
+
+def _oracle_collides(city, a, b, steps=4000):
+    """Dense sampling with both endpoints included; exact for axis-parallel segments.
+
+    Samples are clipped to the segment's bounding box, so along an
+    axis-parallel segment every sample is a point of the segment.  The
+    segment's points in a closed box then form an interval that either holds
+    an endpoint or spans the box, which is far wider than the sample spacing.
+    """
+    if not (city.in_bounds(a) and city.in_bounds(b)):
+        return True
+    ts = np.linspace(0.0, 1.0, steps)[:, None]
+    pts = np.clip(np.vstack([a, b, a + ts * (b - a)]), np.minimum(a, b), np.maximum(a, b))
+    return bool(((pts[:, None, :] >= city._mins) & (pts[:, None, :] <= city._maxs))
+                .all(axis=2).any())
+
+
+def _aligned_city(origin):
+    """Buildings whose faces sit on roof-grid cell boundaries, one flush with the bounds.
+
+    Returns the map and, per axis, the coordinates a query should hit
+    exactly: cell boundaries, faces and roofs, the floats next to them and
+    the bounds.
+    """
+    ox, oy, oz = origin
+    lo, hi = np.array(origin), np.array(origin) + (250.0, 250.0, 120.0)
+    boxes = [
+        ((ox, oy, oz), (ox + 30.0, oy + 20.0, oz + 40.0)),             # flush with the low bounds
+        ((ox + 20.0, oy + 40.0, oz), (ox + 50.0, oy + 60.0, oz + 70.0)),
+        ((ox + 60.0, oy + 60.0, oz), (ox + 70.0, oy + 90.0, oz + 70.0)),  # same roof height
+        ((ox + 100.0, oy + 100.0, oz + 30.0), (ox + 130.0, oy + 110.0, oz + 55.5)),
+        ((ox + 200.0, oy + 225.0, oz), (hi[0], hi[1], oz + 90.0)),      # flush with the high bounds
+    ]
+    city = CityMap([_box(b_lo, b_hi) for b_lo, b_hi in boxes], lo, hi)
+    special = []
+    for axis in range(3):
+        base = {lo[axis], hi[axis]}
+        base.update(origin[axis] + 10.0 * k for k in range(26))
+        for b_lo, b_hi in boxes:
+            base.update((b_lo[axis], b_hi[axis]))
+        vals = set()
+        for v in base:
+            vals.update((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), v + 5.0))
+        special.append(np.array(sorted(v for v in vals if lo[axis] <= v <= hi[axis])))
+    return city, special
+
+
+def _adversarial_segments(rng, special, n):
+    """Axis-parallel and degenerate segments with every coordinate drawn from special."""
+    a = np.column_stack([rng.choice(v, n) for v in special])
+    b = a.copy()
+    axis = rng.integers(0, 4, n)           # 3: a single point
+    for k in range(3):
+        moved = axis == k
+        b[moved, k] = rng.choice(special[k], moved.sum())
+    return a, b
+
+
+def _check_against_oracle(city, a, b):
+    expected = [_oracle_collides(city, p, q) for p, q in zip(a, b)]
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
+    # a large batch reads the grid in numpy, a small one in Python scalars
+    assert city.segments_collide(a, b).tolist() == expected
+    small = np.concatenate([city.segments_collide(a[k:k + 5], b[k:k + 5])
+                            for k in range(0, len(a), 5)])
+    assert small.tolist() == expected
+    points = [k for k in range(len(a)) if np.array_equal(a[k], b[k])]
+    assert [not city.point_free(a[k]) for k in points] == [expected[k] for k in points]
+    return expected
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-37.3, 1234.567, 15.25)])
+def test_roof_grid_is_exact_on_adversarial_segments(origin):
+    """Cell boundaries, z exactly on a roof, many-cell spans, a nonzero origin, flush buildings."""
+    city, special = _aligned_city(origin)
+    rng = np.random.default_rng(8)
+    a, b = _adversarial_segments(rng, special, 1500)
+    # horizontal segments exactly at, and just above, each roof, across its building
+    roofs = []
+    for lo, hi in zip(city._mins, city._maxs):
+        mid = (lo + hi) / 2
+        for z in (hi[2], np.nextafter(hi[2], np.inf)):
+            roofs.append(((lo[0], mid[1], z), (hi[0], mid[1], z)))
+            roofs.append(((mid[0], lo[1] - 3.0, z), (mid[0], hi[1], z)))
+    ra, rb = (np.clip(np.array(v), city.bounds_min, city.bounds_max) for v in zip(*roofs))
+    expected = _check_against_oracle(city, np.vstack([a, ra]), np.vstack([b, rb]))
+    # a segment exactly on a roof touches its building, one a float above clears it
+    n = len(city.buildings)
+    assert expected[1500::4] == expected[1501::4] == [True] * n
+    assert expected[1502::4] == expected[1503::4] == [False] * n
+    assert sum(expected) > 100 and len(expected) - sum(expected) > 100
+
+
+def test_roof_grid_is_exact_on_random_segments_and_empty_maps():
+    rng = np.random.default_rng(21)
+    boxes = _random_boxes(rng, 12)
+    origin = np.array([-512.75, 33.1, -4.0])
+    city = CityMap([_box(lo + origin, hi + origin) for lo, hi in boxes], origin, origin + 100.0)
+    a = rng.uniform(origin, origin + 100.0, (400, 3))
+    # short steps like a tree's, and long ones across many cells
+    b = np.clip(a + rng.normal(0.0, 1.0, (400, 3)) * np.where(np.arange(400) % 2, 6.0, 60.0)[:, None],
+                origin, origin + 100.0)
+    # skip near-grazing segments, where a sampling oracle is unreliable
+    ts = np.linspace(0.0, 1.0, 2000)[:, None, None]
+    keep = []
+    for k in range(400):
+        pts = (a[k] + ts * (b[k] - a[k]))
+        thin = ((pts >= city._mins) & (pts <= city._maxs)).all(axis=2).any(axis=0)
+        fat = ((pts >= city._mins - 0.05) & (pts <= city._maxs + 0.05)).all(axis=2).any(axis=0)
+        if (thin == fat).all():
+            keep.append(k)
+    assert len(keep) > 250
+    _check_against_oracle(city, a[keep], b[keep])
+    empty, special = CityMap((), origin, origin + 100.0), [np.linspace(v, v + 100.0, 21)
+                                                           for v in origin]
+    a, b = _adversarial_segments(rng, special, 100)
+    assert not any(_check_against_oracle(empty, a, b))
+    assert np.isneginf(empty._roof).all()
+
+
+def test_roof_grid_clears_most_segments_on_a_generated_map(monkeypatch):
+    """The grid is not dead code: most short segments never reach the slab test."""
+    city = generate_city(11)
+    slab_hits = CityMap._slab_hits
+    narrow = []
+
+    def counting_slab_hits(self, a, b):
+        narrow.append(len(a))
+        return slab_hits(self, a, b)
+
+    monkeypatch.setattr(CityMap, "_slab_hits", counting_slab_hits)
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 500.0, (400, 3)) * (1.0, 1.0, 0.5)
+    b = np.clip(a + rng.uniform(-8.0, 8.0, (400, 3)), 0.0, 500.0)
+    flags = city.segments_collide(a, b)
+    assert 0 < sum(narrow) < 200
+    narrow.clear()
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags.tolist()
+    assert 0 < len(narrow) < 200
+
+
+def test_huge_bounds_build_a_bounded_roof_grid_quickly():
+    """Bounds of 1e7 m widen the cells instead of allocating a huge grid."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        city = CityMap([_box((0, 0, 0), (30, 30, 50)), _box((9.9e6, 5e6, 0), (1e7, 5.1e6, 70))],
+                       (0, 0, 0), (1e7, 1e7, 1e7))
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2_000_000
+    assert city._roof.shape == (256, 256)
+    assert city.segment_collides((10, 10, 1), (10, 10, 60))
+    assert not city.segment_collides((10, 10, 51), (5e6, 5e6, 51))
+    assert city.segment_collides((9.95e6, 4e6, 10), (9.95e6, 6e6, 10))
+    assert not city.point_free((9.95e6, 5.05e6, 70))
+    assert city.point_free((9.95e6, 5.05e6, 70.5))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 import skynav.core
 import skynav.drrt
 import skynav.env
-from skynav import Building, CityMap, DrrtParams, PlanRequest, RrtParams, plan_drrt, plan_rrt
+from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, build_city,
+                    default_scenario, plan_drrt, plan_rrt)
 from skynav.rrt import check_endpoints, try_finish
 from skynav.core import SearchTree
 
@@ -159,10 +160,30 @@ def test_points_are_validated_once_per_plan_not_per_extension(monkeypatch):
     assert max(per_run.values()) < min(per_run)
 
 
+def test_enhanced_planner_validates_points_once_per_plan(monkeypatch):
+    # the step controller's clearance query and the detours run on points
+    # the loop built itself, so the count does not grow with the extensions
+    scenario = default_scenario()
+    city = build_city(scenario)
+    req = PlanRequest(scenario.start, scenario.goal)
+    calls = _count_calls(monkeypatch, skynav.env, "as_point")
+    monkeypatch.setattr(skynav.core, "as_point", skynav.env.as_point)
+    per_run = {}
+    for seed in (500, 501, 502):
+        calls.clear()
+        res = plan_drrt(city, req, DrrtParams(), seed)
+        assert res.success
+        per_run[res.explored_nodes] = len(calls)
+    assert len(per_run) > 1, "the seeds should need different numbers of extensions"
+    assert len(set(per_run.values())) == 1, per_run
+    assert max(per_run.values()) < min(per_run)
+
+
 def test_fixed_step_runs_no_clearance_query_and_no_detour(monkeypatch):
     # the classic planner's step never changes, so the step controller's
-    # clearance query would be pure cost on every extension
-    clearance = _count_calls(monkeypatch, CityMap, "clearance")
+    # clearance query would be pure cost on every extension; the controller
+    # calls the trusted twin of CityMap.clearance
+    clearance = _count_calls(monkeypatch, CityMap, "_clearance")
     detours = _count_calls(monkeypatch, skynav.drrt, "detour_extend")
     city = CityMap([Building((20, 20, 0), (30, 30, 40)), Building((40, 10, 0), (50, 22, 35))],
                    (0, 0, 0), (80, 80, 80))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from skynav import CityMap, Building, basis, clamped_knots, evaluate, sample_curve, smooth_path
+from spline_reference import basis, evaluate
+
+from skynav import CityMap, Building, clamped_knots, sample_curve, smooth_path
 from skynav.metrics import turn_angles, SHARP_TURN_DEG
 
 
