@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -18,7 +18,7 @@ from .baselines import AcoParams, VoxelGrid, plan_aco, plan_astar, voxelize
 from .core import PlanRequest
 from .drrt import DrrtParams, plan_drrt
 from .env import CityMap, GenParams, generate_city, load_map
-from .metrics import TrialRecord, summarize
+from .metrics import PathMetrics, TrialRecord, summarize
 from .rrt import RrtParams, plan_rrt
 from .smoothing import smooth_path
 
@@ -55,18 +55,19 @@ class Scenario:
     aco: AcoParams = field(default_factory=AcoParams)
 
     def __post_init__(self):
+        if isinstance(self.algorithms, str):
+            raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        self.request()   # refuses bad endpoints, goal_threshold or max_failed_attempts
+        if self.map_file is not None and not isinstance(self.map_file, str):
+            raise ValueError(f"map_file must be a path string, got {self.map_file!r}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["start"] = list(self.start)
-        data["goal"] = list(self.goal)
-        data["algorithms"] = list(self.algorithms)
-        return data
+        return asdict(self)
 
     def request(self) -> PlanRequest:
         return PlanRequest(self.start, self.goal, self.goal_threshold,
@@ -74,40 +75,37 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        _reject_unknown_keys("scenario", data, cls)
-        data = dict(data)
-        for key, cls_ in _SECTIONS.items():
-            if key in data:
-                _reject_unknown_keys(key, data[key], cls_)
-        if "map_params" in data:
-            mp = dict(data["map_params"])
-            for key in ("footprint_range", "height_range", "bounds_min", "bounds_max"):
-                if key in mp:
-                    mp[key] = tuple(mp[key])
-            if "keep_clear" in mp:
-                mp["keep_clear"] = tuple(tuple(p) for p in mp["keep_clear"])
-            data["map_params"] = GenParams(**mp)
-        for key in ("rrt", "drrt", "aco"):
-            if key in data:
-                data[key] = _SECTIONS[key](**data[key])
-        for key in ("start", "goal"):
-            if key in data:
-                data[key] = tuple(data[key])
-        if "algorithms" in data:
-            data["algorithms"] = tuple(data["algorithms"])
-        return cls(**data)
+        """A JSON object's scenario; unknown keys and wrongly typed values raise ValueError."""
+        return _build("scenario", cls, data)
 
 
 # nested scenario objects and the dataclass each one is read into
 _SECTIONS = {"map_params": GenParams, "rrt": RrtParams, "drrt": DrrtParams, "aco": AcoParams}
 
 
-def _reject_unknown_keys(section: str, data: dict, cls_) -> None:
+def _build(name: str, cls_, data: dict):
+    """cls_ from a JSON object of its fields; keys are checked first, sections recurse."""
     if not isinstance(data, dict):
-        raise ValueError(f"{section} must be an object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in fields(cls_)}
+        raise ValueError(f"{name} must be an object, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in fields(cls_)}
+    unknown = set(data) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return cls_(**{key: _build(key, _SECTIONS[key], value) if key in _SECTIONS
+                   else _from_json(f"{name}.{key}", value, defaults[key])
+                   for key, value in data.items()})
+
+
+def _from_json(where: str, value, default):
+    """A JSON value, arrays as tuples, of its default's type (an int may be a float)."""
+    if isinstance(value, list):
+        inner = default[0] if isinstance(default, tuple) and default else None
+        value = tuple(_from_json(where, v, inner) for v in value)
+    kind = (int, float) if type(default) is float else type(default)
+    if default is not None and (isinstance(value, bool) != isinstance(default, bool)
+                                or not isinstance(value, kind)):
+        raise ValueError(f"{where} must be of the same type as {default!r}, got {value!r}")
+    return value
 
 
 def default_scenario() -> Scenario:
@@ -127,14 +125,11 @@ def build_city(scenario: Scenario) -> CityMap:
     """Load or generate the scenario map; start and goal are always kept clear."""
     if scenario.map_file is not None:
         return load_map(scenario.map_file)
-    params = scenario.map_params
-    keep = list(params.keep_clear)
+    keep = list(scenario.map_params.keep_clear)
     for p in (scenario.start, scenario.goal):
         if tuple(p) not in {tuple(k) for k in keep}:
             keep.append(tuple(float(v) for v in p))
-    if keep != list(params.keep_clear):
-        params = GenParams(**{**asdict(params), "keep_clear": tuple(keep)})
-    return generate_city(scenario.map_seed, params)
+    return generate_city(scenario.map_seed, replace(scenario.map_params, keep_clear=tuple(keep)))
 
 
 def build_grid(city: CityMap, scenario: Scenario) -> VoxelGrid | None:
@@ -184,29 +179,26 @@ class AggregateRow:
 def aggregate(records: list[TrialRecord]) -> AggregateRow:
     if not records:
         raise ValueError("cannot aggregate zero trials")
-    t = float(np.mean([r.elapsed_s for r in records]))
-    m = float(np.mean([r.explored_nodes for r in records]))
-    eta = sum(r.success for r in records) / len(records)
     ok = [r.metrics for r in records if r.success]
-    if ok:
-        l = float(np.mean([mm.length_m for mm in ok]))
-        w = float(np.mean([mm.waypoints for mm in ok]))
-        beta = float(np.mean([mm.max_turn_deg for mm in ok]))
-        n = float(np.mean([mm.sharp_turns for mm in ok]))
-    else:
-        l = w = beta = n = None
     smoothed = [mm for mm in ok if mm.smoothed_length_m is not None]
-    if smoothed:
-        l_s = float(np.mean([mm.smoothed_length_m for mm in smoothed]))
-        beta_s = float(np.mean([mm.max_turn_smoothed_deg for mm in smoothed]))
-        n_s = float(np.mean([mm.sharp_turns_smoothed for mm in smoothed]))
-    else:
-        l_s = beta_s = n_s = None
-    return AggregateRow(t, l, l_s, w, m, eta, beta, beta_s, n, n_s)
+
+    def mean(rows, name):
+        return float(np.mean([getattr(r, name) for r in rows])) if rows else None
+
+    return AggregateRow(
+        t=mean(records, "elapsed_s"), l=mean(ok, "length_m"),
+        l_smoothed=mean(smoothed, "smoothed_length_m"), w=mean(ok, "waypoints"),
+        m=mean(records, "explored_nodes"), eta=mean(records, "success"),
+        beta=mean(ok, "max_turn_deg"), beta_smoothed=mean(smoothed, "max_turn_smoothed_deg"),
+        n=mean(ok, "sharp_turns"), n_smoothed=mean(smoothed, "sharp_turns_smoothed"))
 
 
-CSV_COLUMNS = ("algorithm", "t", "l", "l_smoothed", "w", "m", "eta",
-               "beta", "beta_smoothed", "n", "n_smoothed")
+CSV_COLUMNS = ("algorithm", *(f.name for f in fields(AggregateRow)))
+
+
+def _cells(values) -> list:
+    """CSV cells: None is blank and a flag is 0 or 1; csv writes floats with repr."""
+    return ["" if v is None else int(v) if isinstance(v, bool) else v for v in values]
 
 
 @dataclass
@@ -219,21 +211,11 @@ class BenchReport:
         results = {}
         for algo in self.scenario.algorithms:
             agg = asdict(self.rows[algo])
+            trials = [asdict(rec) for rec in self.records[algo]]
             if not include_timing:
                 agg.pop("t")
-            trials = []
-            for rec in self.records[algo]:
-                entry = {
-                    "algorithm": rec.algorithm,
-                    "seed": rec.seed,
-                    "success": rec.success,
-                    "elapsed_s": rec.elapsed_s,
-                    "explored_nodes": rec.explored_nodes,
-                    "metrics": None if rec.metrics is None else asdict(rec.metrics),
-                }
-                if not include_timing:
+                for entry in trials:
                     entry.pop("elapsed_s")
-                trials.append(entry)
             results[algo] = {"aggregate": agg, "trials": trials}
         return {"scenario": self.scenario.to_dict(), "results": results}
 
@@ -249,38 +231,26 @@ class BenchReport:
             out = csv.writer(fh)
             out.writerow(CSV_COLUMNS)
             for algo in self.scenario.algorithms:
-                agg = self.rows[algo]
-                row = [algo] + [
-                    "" if value is None else repr(value)
-                    for value in (agg.t, agg.l, agg.l_smoothed, agg.w, agg.m,
-                                  agg.eta, agg.beta, agg.beta_smoothed, agg.n,
-                                  agg.n_smoothed)
-                ]
-                out.writerow(row)
+                out.writerow(_cells((algo, *astuple(self.rows[algo]))))
 
     def write_trials_csv(self, path) -> None:
-        """Per-trial rows for plotting and debugging."""
-        columns = ("algorithm", "trial", "seed", "success", "elapsed_s",
-                   "explored_nodes", "length_m", "waypoints", "max_turn_deg",
-                   "sharp_turns", "smoothed_length_m", "max_turn_smoothed_deg",
-                   "sharp_turns_smoothed")
+        """Per-trial rows for plotting and debugging.
+
+        The columns are the TrialRecord fields with the trial index after the
+        algorithm, and the PathMetrics fields (blank for a failed trial) in
+        place of metrics.
+        """
+        names = [f.name for f in fields(TrialRecord) if f.name != "metrics"]
+        metric_names = [f.name for f in fields(PathMetrics)]
+        blank = (None,) * len(metric_names)
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh)
-            out.writerow(columns)
+            out.writerow([names[0], "trial", *names[1:], *metric_names])
             for algo in self.scenario.algorithms:
                 for i, rec in enumerate(self.records[algo]):
-                    mm = rec.metrics
-                    vals = [algo, i, rec.seed, int(rec.success), repr(rec.elapsed_s),
-                            rec.explored_nodes]
-                    if mm is None:
-                        vals += [""] * 7
-                    else:
-                        vals += [repr(mm.length_m), mm.waypoints, repr(mm.max_turn_deg),
-                                 mm.sharp_turns,
-                                 "" if mm.smoothed_length_m is None else repr(mm.smoothed_length_m),
-                                 "" if mm.max_turn_smoothed_deg is None else repr(mm.max_turn_smoothed_deg),
-                                 "" if mm.sharp_turns_smoothed is None else mm.sharp_turns_smoothed]
-                    out.writerow(vals)
+                    metrics = blank if rec.metrics is None else astuple(rec.metrics)
+                    out.writerow(_cells((rec.algorithm, i, *(getattr(rec, n) for n in names[1:]),
+                                         *metrics)))
 
 
 def run_benchmark(scenario: Scenario, city: CityMap | None = None) -> BenchReport:

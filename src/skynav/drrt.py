@@ -131,12 +131,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     """plan_drrt's loop; plan_rrt runs it with p_target 0, no detour and a pinned step.
 
     A pinned step (step_min == step_max) never changes, so the step
-    controller and its clearance query are skipped.  A straight extension
-    from a node labelled ``far`` skips its collision check when the step is
-    below clearance_far and the new point is in bounds: the node is more
-    than clearance_far from every building, so no point within one step of
-    it touches one (the collision certificate of Bialkowski, Karaman &
-    Frazzoli, 2011).  The answer is the same with or without the check.
+    controller and its clearance query are skipped.
 
     PlanRequest and check_endpoints validate the endpoints once; the loop
     then calls the trusted twins (SearchTree._nearest and _add, _steer,
@@ -151,8 +146,6 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     adapt_step = params.step_min < params.step_max
     goal = req.goal
     tree = SearchTree(req.start)
-    # per node: classify_step_outcome labelled it FAR (the root is never labelled)
-    far = [False]
     explored = 0
 
     if math.dist(req.start, goal) <= max(step, req.goal_threshold):
@@ -169,8 +162,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         new = _steer(near_pos, sample, step)
         explored += 1
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
-        certified = far[near] and step < params.clearance_far and city._inside(new)
-        blocked = degenerate or (not certified and city._segment_collides(near_pos, new))
+        blocked = degenerate or city._segment_collides(near_pos, new)
         idx = None
         x_new = new
         if not blocked:
@@ -188,10 +180,6 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
             path = try_finish(city, tree, idx, goal, req.goal_threshold, step)
             if path is not None:
                 return PlanResult(True, path, explored, perf_counter() - t0)
-        outcome = None
         if adapt_step:
-            outcome = classify_step_outcome(city, x_new, blocked, params)
-            step = update_step(step, outcome, params)
-        if idx is not None:
-            far.append(outcome == FAR)
+            step = update_step(step, classify_step_outcome(city, x_new, blocked, params), params)
     return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)

@@ -75,17 +75,17 @@ class TrialRecord:
     metrics: PathMetrics | None
 
 
+def _turns(path: np.ndarray) -> tuple[float, int]:
+    """Largest turn angle (0 without an interior waypoint) and the sharp-turn count."""
+    angles = turn_angles(path)
+    return (float(angles.max()) if len(angles) else 0.0), int((angles > SHARP_TURN_DEG).sum())
+
+
 def summarize(path, smoothed=None) -> PathMetrics:
     """Metrics for a raw path and, optionally, its smoothed counterpart."""
     p = _as_path(path)
-    angles = turn_angles(p)
-    beta = float(angles.max()) if len(angles) else 0.0
-    n = int((angles > SHARP_TURN_DEG).sum())
+    raw = (path_length(p), len(p), *_turns(p))
     if smoothed is None:
-        return PathMetrics(path_length(p), len(p), beta, n)
+        return PathMetrics(*raw)
     s = _as_path(smoothed)
-    s_angles = turn_angles(s)
-    s_beta = float(s_angles.max()) if len(s_angles) else 0.0
-    s_n = int((s_angles > SHARP_TURN_DEG).sum())
-    return PathMetrics(path_length(p), len(p), beta, n,
-                       path_length(s), s_beta, s_n)
+    return PathMetrics(*raw, path_length(s), *_turns(s))

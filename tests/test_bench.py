@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -116,6 +117,28 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
         Scenario.from_dict({"map_params": 3})
     with pytest.raises(ValueError, match="scenario must be an object"):
         Scenario.from_dict([1, 2])
+    # a wrongly typed value is named, not left to fail inside the run
+    for data, named in (({"start": 5}, "scenario.start"),
+                        ({"start": None}, "scenario.start"),
+                        ({"trials": "3"}, "scenario.trials"),
+                        ({"grid_resolution": "5"}, "scenario.grid_resolution"),
+                        ({"drrt": {"p_target": "x"}}, "drrt.p_target"),
+                        ({"map_params": {"count": "4"}}, "map_params.count"),
+                        ({"algorithms": "rrt"}, "scenario.algorithms"),
+                        ({"algorithms": [["rrt"]]}, "scenario.algorithms"),
+                        ({"drrt": {"use_detour": 0}}, "drrt.use_detour"),
+                        ({"aco": {"ants": 2.5}}, "aco.ants"),
+                        ({"map_file": 5}, "map_file")):
+        with pytest.raises(ValueError, match=named):
+            Scenario.from_dict(data)
+    with pytest.raises(ValueError, match="algorithms must be a list"):
+        Scenario(algorithms="rrt")
+    for bad in ((1, 2), (0, 0, float("nan"))):
+        with pytest.raises(ValueError):
+            Scenario(start=bad)
+    # an int stands for a float, and a scenario may leave every key out
+    assert Scenario.from_dict({"grid_resolution": 5}).grid_resolution == 5
+    assert Scenario.from_dict({}) == Scenario()
 
 
 def test_build_city_always_keeps_the_endpoints_clear():
@@ -191,6 +214,35 @@ def test_csv_columns_and_values(tmp_path):
         trial_rows = list(csv.reader(fh))
     assert len(trial_rows) == 1 + len(ALGORITHMS) * 2
     assert trial_rows[0][0] == "algorithm"
+
+
+def _starved_scenario() -> Scenario:
+    # three failed attempts end most tree searches: rrt fails every trial, drrt some
+    return dataclasses.replace(_small_scenario(), trials=4, max_failed_attempts=3)
+
+
+def _blank_column(text: str, column: str) -> str:
+    """CSV text with one column's cells emptied; the timing cells differ run to run."""
+    lines = text.splitlines()
+    k = lines[0].split(",").index(column)
+    out = []
+    for line in lines:
+        cells = line.split(",")
+        if out:
+            cells[k] = ""
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name, scenario", [("small", _small_scenario),
+                                            ("starved", _starved_scenario)])
+def test_csv_reports_match_the_frozen_files(tmp_path, name, scenario):
+    report = run_benchmark(scenario())
+    report.write_csv(tmp_path / "report.csv")
+    report.write_trials_csv(tmp_path / "trials.csv")
+    for kind, timing in (("report", "t"), ("trials", "elapsed_s")):
+        written = _blank_column((tmp_path / f"{kind}.csv").read_text(), timing)
+        assert written == (DATA / f"{name}_{kind}.csv").read_text(), kind
 
 
 def test_json_report_orders_keys_deterministically(tmp_path):

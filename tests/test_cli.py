@@ -107,7 +107,15 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
     scn_file = tmp_path / "scenario.json"
     for scenario, named in (({"trials": 1, "trails": 3}, "trails"),
                             ({"trials": 1, "aco": 3}, "aco"),
-                            ({"trials": 1, "map_params": 3}, "map_params")):
+                            ({"trials": 1, "map_params": 3}, "map_params"),
+                            ({"trials": 1, "start": 5}, "start"),
+                            ({"trials": 1, "start": None}, "start"),
+                            ({"trials": "3"}, "trials"),
+                            ({"trials": 1, "grid_resolution": "5"}, "grid_resolution"),
+                            ({"trials": 1, "drrt": {"p_target": "x"}}, "p_target"),
+                            ({"trials": 1, "map_params": {"count": "4"}}, "count"),
+                            ({"trials": 1, "algorithms": "rrt"}, "algorithms"),
+                            ({"trials": 1, "map_file": 5}, "map_file")):
         scn_file.write_text(json.dumps(scenario))
         rc = main(["bench", "--scenario", str(scn_file), "--out", str(tmp_path / "report")])
         err = capsys.readouterr().err

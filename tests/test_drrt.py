@@ -181,33 +181,16 @@ def test_budget_exhaustion_reports_failure():
     assert not res.success and res.path.shape == (0, 3)
 
 
-def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
-    """Every edge the far-node certificate let through passes the dense-sampling oracle."""
-    checked = set()
+def test_every_edge_the_planner_adds_is_free(monkeypatch):
+    """Every edge plan_drrt adds, straight or detour, passes the dense-sampling oracle."""
     edges = []
-    touch_buildings = CityMap._touch_buildings
-    segment_collides = CityMap._segment_collides
     add = SearchTree._add
-
-    # both collision checks the loop makes (the straight extension's
-    # _segment_collides and the detour's batched _touch_buildings) and the add
-    # path every node takes
-    def recording_touch_buildings(self, starts, ends):
-        for a, b in zip(starts, ends):
-            checked.add((a.tobytes(), b.tobytes()))
-        return touch_buildings(self, starts, ends)
-
-    def recording_segment_collides(self, a, b):
-        checked.add((np.asarray(a, dtype=float).tobytes(), np.asarray(b, dtype=float).tobytes()))
-        return segment_collides(self, a, b)
 
     def recording_add(self, position, parent):
         if parent >= 0:
             edges.append((self.positions[parent].copy(), np.array(position, dtype=float)))
         return add(self, position, parent)
 
-    monkeypatch.setattr(CityMap, "_touch_buildings", recording_touch_buildings)
-    monkeypatch.setattr(CityMap, "_segment_collides", recording_segment_collides)
     monkeypatch.setattr(SearchTree, "_add", recording_add)
     # requests that end with a route on the canonical city and two more; the
     # seeds include runs of 1000+ extensions that weave between the towers.
@@ -224,18 +207,13 @@ def test_extensions_added_without_a_collision_check_are_free(monkeypatch):
         city = build_city(scenario)
         req = PlanRequest(start, goal, max_failed_attempts=5000)
         boxes = [(np.array(b.min_corner), np.array(b.max_corner)) for b in city.buildings]
-        certified = 0
         for seed in seeds:
-            checked.clear()
             edges.clear()
             plan_drrt(city, req, params, seed)
+            assert edges
             for a, b in edges:
-                if (a.tobytes(), b.tobytes()) in checked:
-                    continue
-                certified += 1
                 assert city.in_bounds(b)
                 assert not any(_segment_hits_box_oracle(a, b, lo, hi) for lo, hi in boxes)
-        assert certified > 0, f"the certificate never applied on map {map_seed}"
 
 
 def test_disabling_every_enhancement_reproduces_the_classic_planner():
