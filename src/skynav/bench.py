@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import AcoParams, VoxelGrid, plan_aco, plan_astar, voxelize
 from .core import PlanRequest
 from .drrt import DrrtParams, plan_drrt
-from .env import CityMap, GenParams, generate_city, load_map
+from .env import CityMap, GenParams, as_point, generate_city, load_map
 from .metrics import PathMetrics, TrialRecord, summarize
 from .rrt import RrtParams, plan_rrt
 from .smoothing import smooth_path
@@ -62,7 +62,12 @@ class Scenario:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        self.request()   # refuses bad endpoints, goal_threshold or max_failed_attempts
+        for name in ("start", "goal"):
+            try:
+                as_point(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"scenario.{name}: {exc}") from None
+        self.request()   # refuses a bad goal_threshold or max_failed_attempts
         if self.map_file is not None and not isinstance(self.map_file, str):
             raise ValueError(f"map_file must be a path string, got {self.map_file!r}")
 

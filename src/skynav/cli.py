@@ -104,8 +104,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_metrics(args) -> int:
     data = json.loads(Path(args.path).read_text())
-    path = data["path"] if isinstance(data, dict) else data
-    smoothed = data.get("smoothed") if isinstance(data, dict) else None
+    path, smoothed = data, None
+    if isinstance(data, dict):
+        if "path" not in data:
+            raise ValueError(f"{args.path}: a path object needs a 'path' key")
+        path, smoothed = data["path"], data.get("smoothed")
     mm = summarize(path, smoothed)
     print(f"length {mm.length_m:.2f} m over {mm.waypoints} waypoints; "
           f"max turn {mm.max_turn_deg:.1f} deg, {mm.sharp_turns} sharp turns")

@@ -19,16 +19,10 @@ import numpy as np
 # wider on a map that would otherwise need more than ROOF_GRID_MAX cells along
 # an axis, so the grid never holds more than ROOF_GRID_MAX**2 floats.  A
 # segment's bounding box that spans up to ROOF_WINDOW cells per axis is read
-# cell by cell; a wider one is read as one slice in the scalar query and left
-# to the slab test in the batched one.  Batches of up to ROOF_BATCH segments
-# read the grid in Python scalars, larger ones in numpy.
+# cell by cell, a wider one as one slice.
 ROOF_CELL_M = 10.0
 ROOF_GRID_MAX = 256
 ROOF_WINDOW = 3
-ROOF_BATCH = 16
-# cell offsets (di, dj) of a ROOF_WINDOW-square window, row by row
-_WINDOW_DI = np.repeat(np.arange(ROOF_WINDOW), ROOF_WINDOW)
-_WINDOW_DJ = np.tile(np.arange(ROOF_WINDOW), ROOF_WINDOW)
 
 
 class MapGenerationError(RuntimeError):
@@ -37,7 +31,10 @@ class MapGenerationError(RuntimeError):
 
 def as_point(p) -> np.ndarray:
     """Coerce an (x, y, z) array-like to a finite float64 vector of shape (3,)."""
-    a = np.asarray(p, dtype=float)
+    try:
+        a = np.asarray(p, dtype=float)
+    except TypeError:
+        raise ValueError(f"expected 3 coordinates, got {p!r:.40}") from None
     if a.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got shape {a.shape}")
     if not (math.isfinite(a[0]) and math.isfinite(a[1]) and math.isfinite(a[2])):
@@ -93,11 +90,12 @@ class CityMap:
             raise ValueError("map bounds must have positive extent on every axis")
         self.buildings = tuple(buildings)
         self.seed = seed
-        # stacked corners for vectorised queries
+        # building boxes as contiguous (3, N) arrays, one row per axis, for
+        # the batched queries
         n = len(self.buildings)
-        self._mins = np.array([b.min_corner for b in self.buildings], dtype=float).reshape(n, 3)
-        self._maxs = np.array([b.max_corner for b in self.buildings], dtype=float).reshape(n, 3)
-        outside = ((self._mins < self.bounds_min) | (self._maxs > self.bounds_max)).any(axis=1)
+        self._lo = np.array([b.min_corner for b in self.buildings], float).reshape(n, 3).T.copy()
+        self._hi = np.array([b.max_corner for b in self.buildings], float).reshape(n, 3).T.copy()
+        outside = ((self._lo.T < self.bounds_min) | (self._hi.T > self.bounds_max)).any(axis=1)
         if outside.any():
             b = self.buildings[int(np.argmax(outside))]
             raise ValueError(f"{b} extends beyond the map bounds")
@@ -113,67 +111,50 @@ class CityMap:
         A cell holds the tallest building whose closed footprint touches it.
         Cells are ROOF_CELL_M wide, or wider on a map whose extent would need
         more than ROOF_GRID_MAX cells along an axis.  Buildings and queries map
-        coordinates to cells with the same monotone function (_cells and
-        _roof_clears), so a point shared by a segment's bounding box and a
-        building's footprint falls in a cell of both: a segment whose lowest
-        z is strictly above every cell its box meets touches no building.
+        coordinates to cells with the one monotone _cell_box, so a point
+        shared by a segment's bounding box and a building's footprint falls in
+        a cell of both: a segment whose lowest z is strictly above every cell
+        its box meets touches no building.
         """
         wx, wy = self._bx1 - self._bx0, self._by1 - self._by0
         self._inv_cell = 1.0 / max(ROOF_CELL_M, wx / ROOF_GRID_MAX, wy / ROOF_GRID_MAX)
         self._last_i = min(ROOF_GRID_MAX, max(1, math.ceil(wx * self._inv_cell))) - 1
         self._last_j = min(ROOF_GRID_MAX, max(1, math.ceil(wy * self._inv_cell))) - 1
-        self._roof_origin = np.array([self._bx0, self._by0] * 2)
-        self._roof_last = np.array([self._last_i, self._last_j] * 2, dtype=float)
         self._roof = np.full((self._last_i + 1, self._last_j + 1), -math.inf)
-        cells = self._cells(self._mins, self._maxs).tolist()
-        top = self._maxs[:, 2].tolist()
-        # tallest last, so each cell keeps its highest roof
-        for k in sorted(range(len(top)), key=top.__getitem__):
-            i0, j0, i1, j1 = cells[k]
-            self._roof[i0:i1 + 1, j0:j1 + 1] = top[k]
+        # tallest last (a stable sort), so each cell keeps its highest roof
+        for b in sorted(self.buildings, key=lambda b: b.max_corner[2]):
+            (x0, y0, _), (x1, y1, top) = b.min_corner, b.max_corner
+            i0, i1, j0, j1 = self._cell_box(x0, x1, y0, y1)
+            self._roof[i0:i1 + 1, j0:j1 + 1] = top
 
-    def _cells(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Roof-grid cells (i0, j0, i1, j1) of the xy boxes lo[k]..hi[k] of two (N, 3) arrays.
+    def _cell_box(self, x0: float, x1: float, y0: float, y1: float) -> tuple[int, int, int, int]:
+        """Roof-grid cells (i0, i1, j0, j1) of the xy box [x0, x1] x [y0, y1] inside the bounds.
 
-        Coordinates outside the bounds clamp to the edge cells.  Clamping the
-        float and then truncating gives the same cells as _roof_clears'
-        truncating and then clamping.
-        """
-        c = np.concatenate((lo[:, :2], hi[:, :2]), axis=1)
-        c -= self._roof_origin
-        c *= self._inv_cell
-        np.maximum(c, 0.0, out=c)
-        np.minimum(c, self._roof_last, out=c)
-        return c.astype(np.intp)
-
-    def _roof_clears(self, p, q) -> bool:
-        """True when the roof grid proves segment p-q (two (x, y, z) lists) free of buildings.
-
-        Computes _cells' cells in Python scalars: for one segment, numpy's
+        Needs x0 <= x1 and y0 <= y1.  Truncates, then clamps to the last
+        cell, which a coordinate on the high bound can overrun; inside the
+        bounds no index is negative.  Python scalars: for one box, numpy's
         per-call overhead costs more than the arithmetic.
         """
-        inv, x0, y0 = self._inv_cell, self._bx0, self._by0
+        inv, bx, by = self._inv_cell, self._bx0, self._by0
+        i0, i1 = int((x0 - bx) * inv), int((x1 - bx) * inv)
+        j0, j1 = int((y0 - by) * inv), int((y1 - by) * inv)
+        if i1 > self._last_i:
+            i1 = self._last_i
+            i0 = min(i0, i1)
+        if j1 > self._last_j:
+            j1 = self._last_j
+            j0 = min(j0, j1)
+        return i0, i1, j0, j1
+
+    def _roof_clears(self, p, q) -> bool:
+        """True when the roof grid proves segment p-q (two (x, y, z) lists in the bounds) free."""
         px, py, pz = p
         qx, qy, qz = q
         if px > qx:
             px, qx = qx, px
         if py > qy:
             py, qy = qy, py
-        i0, i1 = int((px - x0) * inv), int((qx - x0) * inv)
-        j0, j1 = int((py - y0) * inv), int((qy - y0) * inv)
-        # clamp to the grid; i0 <= i1 and j0 <= j1 already
-        if i0 < 0:
-            i0 = 0
-            i1 = max(i1, 0)
-        if i1 > self._last_i:
-            i1 = self._last_i
-            i0 = min(i0, i1)
-        if j0 < 0:
-            j0 = 0
-            j1 = max(j1, 0)
-        if j1 > self._last_j:
-            j1 = self._last_j
-            j0 = min(j0, j1)
+        i0, i1, j0, j1 = self._cell_box(px, qx, py, qy)
         z = pz if pz < qz else qz
         if i1 - i0 >= ROOF_WINDOW or j1 - j0 >= ROOF_WINDOW:
             return z > self._roof[i0:i1 + 1, j0:j1 + 1].max()
@@ -183,20 +164,6 @@ class CityMap:
                 if roof(i, j) >= z:
                     return False
         return True
-
-    def _roof_open(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per box lo[k]..hi[k]: False when the roof grid proves its segment free.
-
-        Reads a ROOF_WINDOW-square window of cells from each box's low
-        corner, each index clamped to the box's high cell, so the window
-        covers exactly the box's cells when the box spans at most
-        ROOF_WINDOW cells per axis.  A wider box is left open.
-        """
-        c = self._cells(lo, hi)
-        ii = np.minimum(c[:, 0:1] + _WINDOW_DI, c[:, 2:3])
-        jj = np.minimum(c[:, 1:2] + _WINDOW_DJ, c[:, 3:4])
-        wide = (c[:, 2:] - c[:, :2] >= ROOF_WINDOW).any(axis=1)
-        return wide | (lo[:, 2] <= self._roof[ii, jj].max(axis=1))
 
     # ------------------------------------------------------------------
     # collision queries
@@ -214,15 +181,10 @@ class CityMap:
         """True iff p lies inside the bounds and outside every building.
 
         Buildings are closed boxes, so a point exactly on a face is not free.
+        A point is the degenerate segment p-p.
         """
         p = as_point(p)
-        if not self._inside(p):
-            return False
-        q = p.tolist()
-        if self._roof_clears(q, q):
-            return True
-        inside = np.all((self._mins <= p) & (p <= self._maxs), axis=1)
-        return not bool(inside.any())
+        return not self._segment_collides(p, p)
 
     def segment_collides(self, a, b) -> bool:
         """True iff segment a-b touches any building or leaves the bounds.
@@ -241,16 +203,15 @@ class CityMap:
             return True
         if self._roof_clears(pa, pb):
             return False
-        return bool(self._slab_hits(a[None], b[None])[0])
+        return bool(self._touch_buildings(a[None], b[None])[0])
 
     def segments_collide(self, starts, ends) -> np.ndarray:
         """One flag per segment starts[k]-ends[k]: True iff it touches a building or leaves the bounds.
 
-        Takes two (S, 3) arrays of finite coordinates.  The roof grid clears
-        the segments it can; the rest go to the slab method per building,
-        with the intersection parameter clipped to [0, 1].  Leaving the
-        bounds and boundary grazing count as collisions (closed-set
-        convention).
+        Takes two (S, 3) arrays of finite coordinates.  Runs the slab method
+        per building, with the intersection parameter clipped to [0, 1].
+        Leaving the bounds and boundary grazing count as collisions
+        (closed-set convention).
         """
         a = np.asarray(starts, dtype=float)
         b = np.asarray(ends, dtype=float)
@@ -266,48 +227,31 @@ class CityMap:
     def _touch_buildings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per segment a[k]-b[k] of an (S, 3) pair of float64 arrays: True iff it touches a building.
 
-        Only the segments the roof grid does not clear reach the slab test.
-        A batch of up to ROOF_BATCH segments reads the grid in Python
-        scalars, a larger one in numpy, whose per-call overhead a few
-        segments do not repay.
+        The slab test.  A segment can only touch a building whose closed box
+        overlaps the segment's own bounding box; only those pairs reach the
+        narrow phase, computed with one row per axis.
         """
-        if len(a) > ROOF_BATCH:
-            k = np.flatnonzero(self._roof_open(np.minimum(a, b), np.maximum(a, b)))
-        else:
-            k = [s for s, (p, q) in enumerate(zip(a.tolist(), b.tolist()))
-                 if not self._roof_clears(p, q)]
         hit = np.zeros(len(a), dtype=bool)
-        if len(k):
-            hit[k] = self._slab_hits(a[k], b[k])
-        return hit
-
-    def _slab_hits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The narrow phase of _touch_buildings: the slab test against every nearby building."""
-        hit = np.zeros(len(a), dtype=bool)
-        # a segment can only touch a building whose closed box overlaps the
-        # segment's own bounding box
-        seg_lo = np.minimum(a, b)[:, None, :]
-        seg_hi = np.maximum(a, b)[:, None, :]
-        near = ((self._mins <= seg_hi) & (seg_lo <= self._maxs)).all(axis=2)
+        seg_lo = np.minimum(a, b)[:, :, None]
+        seg_hi = np.maximum(a, b)[:, :, None]
+        near = ((self._lo <= seg_hi) & (seg_lo <= self._hi)).all(axis=1)
         seg, bld = np.nonzero(near)
         if seg.size == 0:
             return hit
-        a = a[seg]
-        d = b[seg] - a
-        mins = self._mins[bld]
-        maxs = self._maxs[bld]
+        a = a[seg].T
+        d = b[seg].T - a
         # axis-parallel segments never cross that axis' slab planes: either the
         # whole line is inside the slab or it misses the box outright.  The
         # broad phase kept only pairs whose boxes overlap on every axis, which
         # on a parallel axis means the line lies inside the slab.
         parallel = d == 0.0
         inv = 1.0 / np.where(parallel, 1.0, d)
-        t1 = (mins - a) * inv
-        t2 = (maxs - a) * inv
+        t1 = (self._lo[:, bld] - a) * inv
+        t2 = (self._hi[:, bld] - a) * inv
         lo = np.where(parallel, -np.inf, np.minimum(t1, t2))
         hi = np.where(parallel, np.inf, np.maximum(t1, t2))
-        tmin = np.maximum(lo.max(axis=1), 0.0)
-        tmax = np.minimum(hi.min(axis=1), 1.0)
+        tmin = np.maximum(lo.max(axis=0), 0.0)
+        tmax = np.minimum(hi.min(axis=0), 1.0)
         hit[seg[tmin <= tmax]] = True
         return hit
 
@@ -323,15 +267,17 @@ class CityMap:
         return self._clearance(p)
 
     def _clearance(self, p: np.ndarray) -> float:
-        """clearance for a float64 point inside the bounds that the caller has validated.
+        """clearance for a finite point inside the bounds that the caller has validated.
 
-        Takes one square root, of the smallest squared distance: the root is
-        monotone and correctly rounded, so that equals the smallest root.
+        p may be any (x, y, z) array-like.  Takes one square root, of the
+        smallest squared distance: the root is monotone and correctly
+        rounded, so that equals the smallest root.
         """
         if not self.buildings:
             return math.inf
-        delta = np.maximum(np.maximum(self._mins - p, p - self._maxs), 0.0)
-        return math.sqrt((delta * delta).sum(axis=1).min())
+        p = np.asarray(p)[:, None]
+        delta = np.maximum(np.maximum(self._lo - p, p - self._hi), 0.0)
+        return math.sqrt((delta * delta).sum(axis=0).min())
 
     # ------------------------------------------------------------------
     # serialization
@@ -348,12 +294,26 @@ class CityMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CityMap":
+        """The map of a JSON object; a missing key or a wrongly typed part raises ValueError."""
+        _json_part(data, dict, "map data")
         try:
-            lo, hi = data["bounds"]["min"], data["bounds"]["max"]
-            buildings = [Building(tuple(b["min"]), tuple(b["max"])) for b in data["buildings"]]
+            bounds = _json_part(data["bounds"], dict, "map bounds")
+            lo, hi = bounds["min"], bounds["max"]
+            buildings = []
+            for b in _json_part(data["buildings"], list, "map buildings"):
+                _json_part(b, dict, "map building")
+                buildings.append(Building(b["min"], b["max"]))
         except KeyError as exc:
             raise ValueError(f"map data is missing the {exc.args[0]!r} key") from None
         return cls(buildings, lo, hi, seed=data.get("seed"))
+
+
+def _json_part(value, kind: type, name: str):
+    """value, if it is of the JSON kind (dict or list) that name needs; else ValueError."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "an array"
+        raise ValueError(f"{name} must be {what}, got {value!r:.40}")
+    return value
 
 
 def save_map(city: CityMap, path) -> None:

@@ -134,8 +134,10 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
     with pytest.raises(ValueError, match="algorithms must be a list"):
         Scenario(algorithms="rrt")
     for bad in ((1, 2), (0, 0, float("nan"))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scenario.start: "):
             Scenario(start=bad)
+        with pytest.raises(ValueError, match="scenario.goal: "):
+            Scenario(goal=bad)
     # an int stands for a float, and a scenario may leave every key out
     assert Scenario.from_dict({"grid_resolution": 5}).grid_resolution == 5
     assert Scenario.from_dict({}) == Scenario()

@@ -123,6 +123,29 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
         assert err.startswith("skynav: error:") and named in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    # malformed map JSON
+    map_file = tmp_path / "map.json"
+    bounds = {"min": [0, 0, 0], "max": [500, 500, 500]}
+    for city, named in (([1, 2], "map data"),
+                        ({"bounds": [0, 1], "buildings": []}, "map bounds"),
+                        ({"bounds": bounds, "buildings": 5}, "map buildings"),
+                        ({"bounds": bounds, "buildings": [5]}, "map building")):
+        map_file.write_text(json.dumps(city))
+        rc = main(["plan", "--map", str(map_file), "--algo", "astar"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("skynav: error:") and named in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    # a stored path object with no path
+    stored = tmp_path / "flight.json"
+    stored.write_text(json.dumps({"foo": 1}))
+    rc = main(["metrics", str(stored)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("skynav: error:") and "'path'" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
     # a missing map or scenario file
     for argv in (["plan", "--map", str(tmp_path / "nope.json")],
                  ["bench", "--scenario", str(tmp_path / "nope.json")]):

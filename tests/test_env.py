@@ -263,6 +263,13 @@ def test_segment_above_all_roofs_is_free():
 # roof grid
 # ----------------------------------------------------------------------
 
+def _corners(city):
+    """The buildings' min and max corners as two (N, 3) arrays."""
+    n = len(city.buildings)
+    return (np.array([b.min_corner for b in city.buildings], dtype=float).reshape(n, 3),
+            np.array([b.max_corner for b in city.buildings], dtype=float).reshape(n, 3))
+
+
 def _oracle_collides(city, a, b, steps=4000):
     """Dense sampling with both endpoints included; exact for axis-parallel segments.
 
@@ -275,8 +282,8 @@ def _oracle_collides(city, a, b, steps=4000):
         return True
     ts = np.linspace(0.0, 1.0, steps)[:, None]
     pts = np.clip(np.vstack([a, b, a + ts * (b - a)]), np.minimum(a, b), np.maximum(a, b))
-    return bool(((pts[:, None, :] >= city._mins) & (pts[:, None, :] <= city._maxs))
-                .all(axis=2).any())
+    mins, maxs = _corners(city)
+    return bool(((pts[:, None, :] >= mins) & (pts[:, None, :] <= maxs)).all(axis=2).any())
 
 
 def _aligned_city(origin):
@@ -323,7 +330,8 @@ def _adversarial_segments(rng, special, n):
 def _check_against_oracle(city, a, b):
     expected = [_oracle_collides(city, p, q) for p, q in zip(a, b)]
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
-    # a large batch reads the grid in numpy, a small one in Python scalars
+    # single segments ask the roof grid first, batches go straight to the slab
+    # test: one large batch and batches of five (a detour's size)
     assert city.segments_collide(a, b).tolist() == expected
     small = np.concatenate([city.segments_collide(a[k:k + 5], b[k:k + 5])
                             for k in range(0, len(a), 5)])
@@ -341,7 +349,7 @@ def test_roof_grid_is_exact_on_adversarial_segments(origin):
     a, b = _adversarial_segments(rng, special, 1500)
     # horizontal segments exactly at, and just above, each roof, across its building
     roofs = []
-    for lo, hi in zip(city._mins, city._maxs):
+    for lo, hi in zip(*_corners(city)):
         mid = (lo + hi) / 2
         for z in (hi[2], np.nextafter(hi[2], np.inf)):
             roofs.append(((lo[0], mid[1], z), (hi[0], mid[1], z)))
@@ -366,11 +374,12 @@ def test_roof_grid_is_exact_on_random_segments_and_empty_maps():
                 origin, origin + 100.0)
     # skip near-grazing segments, where a sampling oracle is unreliable
     ts = np.linspace(0.0, 1.0, 2000)[:, None, None]
+    mins, maxs = _corners(city)
     keep = []
     for k in range(400):
         pts = (a[k] + ts * (b[k] - a[k]))
-        thin = ((pts >= city._mins) & (pts <= city._maxs)).all(axis=2).any(axis=0)
-        fat = ((pts >= city._mins - 0.05) & (pts <= city._maxs + 0.05)).all(axis=2).any(axis=0)
+        thin = ((pts >= mins) & (pts <= maxs)).all(axis=2).any(axis=0)
+        fat = ((pts >= mins - 0.05) & (pts <= maxs + 0.05)).all(axis=2).any(axis=0)
         if (thin == fat).all():
             keep.append(k)
     assert len(keep) > 250
@@ -383,22 +392,20 @@ def test_roof_grid_is_exact_on_random_segments_and_empty_maps():
 
 
 def test_roof_grid_clears_most_segments_on_a_generated_map(monkeypatch):
-    """The grid is not dead code: most short segments never reach the slab test."""
+    """The grid is not dead code: most short single segments never reach the slab test."""
     city = generate_city(11)
-    slab_hits = CityMap._slab_hits
+    touch_buildings = CityMap._touch_buildings
     narrow = []
 
-    def counting_slab_hits(self, a, b):
+    def counting_touch_buildings(self, a, b):
         narrow.append(len(a))
-        return slab_hits(self, a, b)
+        return touch_buildings(self, a, b)
 
-    monkeypatch.setattr(CityMap, "_slab_hits", counting_slab_hits)
     rng = np.random.default_rng(4)
     a = rng.uniform(0.0, 500.0, (400, 3)) * (1.0, 1.0, 0.5)
     b = np.clip(a + rng.uniform(-8.0, 8.0, (400, 3)), 0.0, 500.0)
     flags = city.segments_collide(a, b)
-    assert 0 < sum(narrow) < 200
-    narrow.clear()
+    monkeypatch.setattr(CityMap, "_touch_buildings", counting_touch_buildings)
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags.tolist()
     assert 0 < len(narrow) < 200
 
@@ -514,4 +521,11 @@ def test_map_dict_round_trip_preserves_queries():
                         ("min", {**good, "bounds": {"max": [1, 1, 1]}}),
                         ("max", {**good, "buildings": [{"min": [0, 0, 0]}]})):
         with pytest.raises(ValueError, match=repr(key)):
+            CityMap.from_dict(broken)
+    for part, broken in (("map data", [1, 2]),
+                         ("map bounds", {**good, "bounds": [0, 1]}),
+                         ("map buildings", {**good, "buildings": 5}),
+                         ("map building", {**good, "buildings": [5]}),
+                         ("3 coordinates", {**good, "buildings": [{"min": {}, "max": [1, 1, 1]}]})):
+        with pytest.raises(ValueError, match=part):
             CityMap.from_dict(broken)
