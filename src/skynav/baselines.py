@@ -189,8 +189,7 @@ def _grid_endpoints(grid: VoxelGrid, req: PlanRequest) -> tuple[int, int]:
 
 def _cells_to_path(grid: VoxelGrid, chain: list[int], req: PlanRequest) -> np.ndarray:
     """Cell-center waypoints bracketed by the exact continuous endpoints."""
-    centers = grid.origin + (grid.cells(chain) + 0.5) * grid.resolution
-    return np.vstack([req.start, centers, req.goal])
+    return np.vstack([req.start, grid.center_of(grid.cells(chain)), req.goal])
 
 
 def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:

@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from .baselines import AcoParams, VoxelGrid, plan_aco, plan_astar, voxelize
-from .core import PlanRequest
+from .core import PlanRequest, PlanResult
 from .drrt import DrrtParams, plan_drrt
 from .env import CityMap, GenParams, as_point, generate_city, load_map
 from .metrics import PathMetrics, TrialRecord, summarize
@@ -144,9 +144,9 @@ def build_grid(city: CityMap, scenario: Scenario) -> VoxelGrid | None:
     return voxelize(city, scenario.grid_resolution)
 
 
-def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
-              scenario: Scenario, seed: int) -> TrialRecord:
-    """One planner invocation plus metric extraction; drrt's time includes smoothing."""
+def fly(algorithm: str, city: CityMap, grid: VoxelGrid | None, scenario: Scenario,
+        seed: int) -> tuple[PlanResult, np.ndarray | None]:
+    """One planner run and, for a drrt route, its smoothed curve; elapsed includes smoothing."""
     if algorithm not in PLANNERS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     result = PLANNERS[algorithm](city, grid, scenario.request(), scenario, seed)
@@ -155,6 +155,13 @@ def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
         t0 = perf_counter()
         smoothed = smooth_path(result.path, city, scenario.samples_per_span)
         result.elapsed += perf_counter() - t0
+    return result, smoothed
+
+
+def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
+              scenario: Scenario, seed: int) -> TrialRecord:
+    """One fly() plus metric extraction."""
+    result, smoothed = fly(algorithm, city, grid, scenario, seed)
     metrics = summarize(result.path, smoothed) if result.success else None
     return TrialRecord(algorithm, seed, result.success, result.elapsed,
                        result.explored_nodes, metrics)

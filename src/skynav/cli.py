@@ -4,14 +4,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .bench import (ALGORITHMS, PLANNERS, Scenario, build_city, build_grid, default_scenario,
-                    run_benchmark)
+from .bench import (ALGORITHMS, GRID_ALGORITHMS, Scenario, build_city, build_grid,
+                    default_scenario, fly, run_benchmark)
+from .drrt import DrrtParams
 from .env import GenParams, generate_city, save_map
 from .metrics import summarize
-from .smoothing import smooth_path
 
 
 def _parse_xyz(text: str) -> tuple[float, float, float]:
@@ -45,15 +45,11 @@ def _cmd_plan(args) -> int:
                         max_failed_attempts=args.max_failed, algorithms=(args.algo,),
                         map_file=args.map, map_seed=args.map_seed,
                         map_params=GenParams(count=args.count), grid_resolution=args.resolution)
-    if args.algo in ("rrt", "drrt"):  # --step sets the tree planner's initial step
+    if args.algo not in GRID_ALGORITHMS:  # --step sets the tree planner's initial step
         params = replace(getattr(scenario, args.algo), step_size=args.step)
         scenario = replace(scenario, **{args.algo: params})
     city = build_city(scenario)
-    result = PLANNERS[args.algo](city, build_grid(city, scenario), scenario.request(),
-                                 scenario, args.seed)
-    smoothed = None
-    if args.algo == "drrt" and result.success and not args.no_smoothing:
-        smoothed = smooth_path(result.path, city, scenario.samples_per_span)
+    result, smoothed = fly(args.algo, city, build_grid(city, scenario), scenario, args.seed)
     payload = {
         "algorithm": args.algo,
         "seed": args.seed,
@@ -69,13 +65,17 @@ def _cmd_plan(args) -> int:
     if not result.success:
         print(f"{args.algo}: no path found ({result.explored_nodes} nodes explored)")
         return 1
-    mm = summarize(result.path, smoothed)
-    line = (f"{args.algo}: length {mm.length_m:.1f} m, {mm.waypoints} waypoints, "
-            f"{result.explored_nodes} nodes explored, {result.elapsed:.3f} s")
-    if mm.smoothed_length_m is not None:
-        line += f", smoothed length {mm.smoothed_length_m:.1f} m"
-    print(line)
+    print(f"{args.algo}: {result.explored_nodes} nodes explored, {result.elapsed:.3f} s")
+    print(_columns(summarize(result.path, smoothed)))
     return 0
+
+
+def _columns(row) -> str:
+    """A dataclass row as name-value pairs in field order; None prints as --."""
+    def cell(v):
+        return "--" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+
+    return "  ".join(f"{f.name} {cell(getattr(row, f.name))}" for f in fields(row))
 
 
 def _cmd_bench(args) -> int:
@@ -89,14 +89,7 @@ def _cmd_bench(args) -> int:
     report.write_csv(prefix.with_suffix(".csv"))
     report.write_trials_csv(prefix.parent / f"{prefix.stem}_trials.csv")
     for algo in scenario.algorithms:
-        agg = report.rows[algo]
-
-        def fmt(v, code=".2f"):
-            return "--" if v is None else format(v, code)
-
-        print(f"{algo:>6}: t {agg.t:.4f} s  l {fmt(agg.l)} m  l' {fmt(agg.l_smoothed)} m  "
-              f"w {fmt(agg.w, '.1f')}  m {agg.m:.1f}  eta {agg.eta:.2%}  "
-              f"beta {fmt(agg.beta, '.1f')}  n {fmt(agg.n, '.1f')}  n' {fmt(agg.n_smoothed, '.1f')}")
+        print(f"{algo:>6}: {_columns(report.rows[algo])}")
     print(f"wrote {prefix.with_suffix('.json')}, {prefix.with_suffix('.csv')}, "
           f"{prefix.parent / (prefix.stem + '_trials.csv')}")
     return 0
@@ -109,13 +102,7 @@ def _cmd_metrics(args) -> int:
         if "path" not in data:
             raise ValueError(f"{args.path}: a path object needs a 'path' key")
         path, smoothed = data["path"], data.get("smoothed")
-    mm = summarize(path, smoothed)
-    print(f"length {mm.length_m:.2f} m over {mm.waypoints} waypoints; "
-          f"max turn {mm.max_turn_deg:.1f} deg, {mm.sharp_turns} sharp turns")
-    if mm.smoothed_length_m is not None:
-        print(f"smoothed: length {mm.smoothed_length_m:.2f} m; "
-              f"max turn {mm.max_turn_smoothed_deg:.1f} deg, "
-              f"{mm.sharp_turns_smoothed} sharp turns")
+    print(_columns(summarize(path, smoothed)))
     return 0
 
 
@@ -126,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genmap", help="generate a random building map")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=40)
-    p.add_argument("--size", type=float, default=500.0)
-    p.add_argument("--footprint-min", type=float, default=20.0)
-    p.add_argument("--footprint-max", type=float, default=60.0)
-    p.add_argument("--height-min", type=float, default=18.0)
-    p.add_argument("--height-max", type=float, default=270.0)
-    p.add_argument("--clear-radius", type=float, default=5.0)
+    p.add_argument("--count", type=int, default=GenParams.count)
+    p.add_argument("--size", type=float, default=GenParams.bounds_max[0])
+    p.add_argument("--footprint-min", type=float, default=GenParams.footprint_range[0])
+    p.add_argument("--footprint-max", type=float, default=GenParams.footprint_range[1])
+    p.add_argument("--height-min", type=float, default=GenParams.height_range[0])
+    p.add_argument("--height-max", type=float, default=GenParams.height_range[1])
+    p.add_argument("--clear-radius", type=float, default=GenParams.clear_radius)
     p.add_argument("--keep-clear", type=_parse_xyz, action="append", default=[],
                    metavar="X,Y,Z", help="point no building may encroach (repeatable)")
     p.add_argument("--out", required=True)
@@ -141,17 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan a single flight")
     p.add_argument("--algo", choices=ALGORITHMS, default="drrt")
     p.add_argument("--map", help="map JSON produced by genmap")
-    p.add_argument("--map-seed", type=int, default=0,
+    p.add_argument("--map-seed", type=int, default=Scenario.map_seed,
                    help="generate a map with this seed when --map is absent")
-    p.add_argument("--count", type=int, default=40, help="building count for generated maps")
-    p.add_argument("--start", type=_parse_xyz, default=(10.0, 10.0, 1.0), metavar="X,Y,Z")
-    p.add_argument("--goal", type=_parse_xyz, default=(470.0, 420.0, 50.0), metavar="X,Y,Z")
+    p.add_argument("--count", type=int, default=GenParams.count,
+                   help="building count for generated maps")
+    p.add_argument("--start", type=_parse_xyz, default=Scenario.start, metavar="X,Y,Z")
+    p.add_argument("--goal", type=_parse_xyz, default=Scenario.goal, metavar="X,Y,Z")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=10.0)
-    p.add_argument("--goal-threshold", type=float, default=5.0)
-    p.add_argument("--max-failed", type=int, default=20000)
-    p.add_argument("--resolution", type=float, default=5.0, help="voxel size for astar/aco")
-    p.add_argument("--no-smoothing", action="store_true")
+    p.add_argument("--step", type=float, default=DrrtParams.step_size)
+    p.add_argument("--goal-threshold", type=float, default=Scenario.goal_threshold)
+    p.add_argument("--max-failed", type=int, default=Scenario.max_failed_attempts)
+    p.add_argument("--resolution", type=float, default=Scenario.grid_resolution,
+                   help="voxel size for astar/aco")
     p.add_argument("--out", help="write the resulting path as JSON")
     p.set_defaults(func=_cmd_plan)
 

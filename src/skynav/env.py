@@ -19,7 +19,8 @@ import numpy as np
 # wider on a map that would otherwise need more than ROOF_GRID_MAX cells along
 # an axis, so the grid never holds more than ROOF_GRID_MAX**2 floats.  A
 # segment's bounding box that spans up to ROOF_WINDOW cells per axis is read
-# cell by cell, a wider one as one slice.
+# cell by cell; a wider one, never a tree step of at most 15 m, is left to the
+# slab test.
 ROOF_CELL_M = 10.0
 ROOF_GRID_MAX = 256
 ROOF_WINDOW = 3
@@ -155,9 +156,9 @@ class CityMap:
         if py > qy:
             py, qy = qy, py
         i0, i1, j0, j1 = self._cell_box(px, qx, py, qy)
-        z = pz if pz < qz else qz
         if i1 - i0 >= ROOF_WINDOW or j1 - j0 >= ROOF_WINDOW:
-            return z > self._roof[i0:i1 + 1, j0:j1 + 1].max()
+            return False
+        z = pz if pz < qz else qz
         roof = self._roof.item
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):

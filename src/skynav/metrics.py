@@ -9,10 +9,10 @@ import numpy as np
 SHARP_TURN_DEG = 45.0
 
 
-def _as_path(path) -> np.ndarray:
+def _as_path(path, name: str = "path") -> np.ndarray:
     p = np.asarray(path, dtype=float)
     if p.ndim != 2 or p.shape[1] != 3 or len(p) < 1:
-        raise ValueError("path must be a non-empty (N, 3) array of waypoints")
+        raise ValueError(f"{name} must be a non-empty (N, 3) array of waypoints")
     return p
 
 
@@ -87,5 +87,5 @@ def summarize(path, smoothed=None) -> PathMetrics:
     raw = (path_length(p), len(p), *_turns(p))
     if smoothed is None:
         return PathMetrics(*raw)
-    s = _as_path(smoothed)
+    s = _as_path(smoothed, "smoothed")
     return PathMetrics(*raw, path_length(s), *_turns(s))

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from skynav import AcoParams, GenParams, Scenario, load_map
-from skynav.cli import main
+from skynav import AcoParams, DrrtParams, GenParams, RrtParams, Scenario, build_city, load_map
+from skynav.bench import AggregateRow, fly
+from skynav.cli import build_parser, main
 
 
 def test_genmap_writes_a_loadable_map(tmp_path, capsys):
@@ -33,6 +35,41 @@ def test_plan_drrt_reports_success_and_writes_json(tmp_path, capsys):
     assert len(payload["path"]) >= 2
     assert "smoothed" in payload
     assert "length" in capsys.readouterr().out
+
+
+def test_plan_writes_what_the_bench_trial_step_flies(tmp_path):
+    out = tmp_path / "flight.json"
+    assert main(["plan", "--algo", "drrt", "--map-seed", "4", "--count", "8",
+                 "--start", "5,5,5", "--goal", "460,430,60", "--seed", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    scenario = Scenario(start=(5.0, 5.0, 5.0), goal=(460.0, 430.0, 60.0), algorithms=("drrt",),
+                        map_seed=4, map_params=GenParams(count=8))
+    result, smoothed = fly("drrt", build_city(scenario), None, scenario, 1)
+    assert payload["path"] == result.path.tolist()
+    assert payload["smoothed"] == smoothed.tolist()
+    assert payload["explored_nodes"] == result.explored_nodes
+
+
+def test_option_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    gen = parser.parse_args(["genmap", "--out", "f"])
+    assert gen.count == GenParams.count
+    assert (gen.size,) * 3 == GenParams.bounds_max
+    assert (gen.footprint_min, gen.footprint_max) == GenParams.footprint_range
+    assert (gen.height_min, gen.height_max) == GenParams.height_range
+    assert gen.clear_radius == GenParams.clear_radius
+    assert tuple(gen.keep_clear) == GenParams.keep_clear
+
+    plan = parser.parse_args(["plan"])
+    assert plan.map_seed == Scenario.map_seed
+    assert plan.count == GenParams.count
+    assert plan.start == Scenario.start and plan.goal == Scenario.goal
+    # --step feeds whichever tree planner runs
+    assert plan.step == DrrtParams.step_size == RrtParams.step_size
+    assert plan.goal_threshold == Scenario.goal_threshold
+    assert plan.max_failed == Scenario.max_failed_attempts
+    assert plan.resolution == Scenario.grid_resolution
 
 
 def test_plan_astar_on_a_stored_map(tmp_path, capsys):
@@ -87,7 +124,14 @@ def test_bench_writes_all_three_reports(tmp_path, capsys):
     assert len(rows) == 5
     with open(tmp_path / "report_trials.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 5
-    assert "wrote" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("wrote")
+    columns = [f.name for f in fields(AggregateRow)]
+    assert len(columns) == 10 and "beta_smoothed" in columns
+    for algo, line in zip(("rrt", "drrt", "astar", "aco"), lines):
+        name, summary = line.split(":")
+        assert name.strip() == algo
+        assert summary.split()[::2] == columns
 
 
 def test_bad_coordinate_syntax_is_rejected():
@@ -137,14 +181,16 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
         assert err.startswith("skynav: error:") and named in err
         assert "Traceback" not in err and err.count("\n") == 1
 
-    # a stored path object with no path
+    # a stored path object with no path, or a bad smoothed curve
     stored = tmp_path / "flight.json"
-    stored.write_text(json.dumps({"foo": 1}))
-    rc = main(["metrics", str(stored)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("skynav: error:") and "'path'" in err
-    assert "Traceback" not in err and err.count("\n") == 1
+    for flight, named in (({"foo": 1}, "'path'"),
+                          ({"path": [[0, 0, 0], [1, 1, 1]], "smoothed": 7}, "smoothed")):
+        stored.write_text(json.dumps(flight))
+        rc = main(["metrics", str(stored)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("skynav: error:") and named in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     # a missing map or scenario file
     for argv in (["plan", "--map", str(tmp_path / "nope.json")],
