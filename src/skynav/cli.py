@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .bench import (ALGORITHMS, GRID_ALGORITHMS, Scenario, build_city, build_grid,
                     default_scenario, fly, run_benchmark)
-from .drrt import DrrtParams
 from .env import GenParams, generate_city, save_map
 from .metrics import summarize
 
@@ -45,7 +44,9 @@ def _cmd_plan(args) -> int:
                         max_failed_attempts=args.max_failed, algorithms=(args.algo,),
                         map_file=args.map, map_seed=args.map_seed,
                         map_params=GenParams(count=args.count), grid_resolution=args.resolution)
-    if args.algo not in GRID_ALGORITHMS:  # --step sets the tree planner's initial step
+    if args.step is not None:  # --step sets the tree planner's initial step
+        if args.algo in GRID_ALGORITHMS:
+            raise ValueError(f"--step sets a tree planner's step; {args.algo} has none")
         params = replace(getattr(scenario, args.algo), step_size=args.step)
         scenario = replace(scenario, **{args.algo: params})
     city = build_city(scenario)
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_parse_xyz, default=Scenario.start, metavar="X,Y,Z")
     p.add_argument("--goal", type=_parse_xyz, default=Scenario.goal, metavar="X,Y,Z")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=DrrtParams.step_size)
+    p.add_argument("--step", type=float, help="initial rrt/drrt step (default: the planner's)")
     p.add_argument("--goal-threshold", type=float, default=Scenario.goal_threshold)
     p.add_argument("--max-failed", type=int, default=Scenario.max_failed_attempts)
     p.add_argument("--resolution", type=float, default=Scenario.grid_resolution,

@@ -56,11 +56,10 @@ def uniforms(rng: np.random.Generator, block: int = 1024):
         yield from rng.random(block).tolist()
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """An array twice as long whose first half is a (the rest is left unset)."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
+# SearchTree scores whole blocks of PAD columns (BLAS rounds a ragged tail on
+# another path, which can flip a tie); unused columns hold FILLER (score +inf)
+PAD = 16
+FILLER = np.array([[0.0], [0.0], [0.0], [np.inf]])
 
 
 class SearchTree:
@@ -71,13 +70,11 @@ class SearchTree:
     """
 
     def __init__(self, root, capacity: int = 1024):
-        capacity = max(capacity, 1)
+        capacity = -(-max(capacity, 1) // PAD) * PAD
         self._pos = np.empty((capacity, 3), dtype=float)
-        # per node -2x and |x|^2 plus scratch, so nearest() is one BLAS matvec
-        # and one add; scaling by -2 is exact, so the scores equal |x|^2 - 2 x.p
-        self._m2 = np.empty((capacity, 3), dtype=float)
-        self._sqn = np.empty(capacity, dtype=float)
-        self._scratch = np.empty(capacity, dtype=float)
+        # column i is (-2x, -2y, -2z, |x|^2) of node i: nearest() is one matvec with (p, 1)
+        self._rows = np.empty((4, capacity))
+        self._q = np.ones(4)
         self._parents: list[int] = []
         self._n = 0
         self._add(as_point(root), -1)
@@ -103,13 +100,18 @@ class SearchTree:
     def _add(self, p: np.ndarray, parent: int) -> int:
         n = self._n
         if n == len(self._pos):
-            self._pos = _doubled(self._pos)
-            self._m2 = _doubled(self._m2)
-            self._sqn = _doubled(self._sqn)
-            self._scratch = np.empty(2 * n, dtype=float)
+            # one at a time, larger first, for a lower peak; new halves stay unset
+            rows = np.empty((4, 2 * n))
+            rows[:, :n] = self._rows
+            self._rows = rows
+            pos = np.empty((2 * n, 3))
+            pos[:n] = self._pos
+            self._pos = pos
+        if n % PAD == 0:
+            self._rows[:, n : n + PAD] = FILLER
         self._pos[n] = p
-        self._m2[n] = -2.0 * p
-        self._sqn[n] = p.dot(p)
+        self._rows[:3, n] = -2.0 * p
+        self._rows[3, n] = p.dot(p)
         self._parents.append(parent)
         self._n = n + 1
         return n
@@ -123,11 +125,13 @@ class SearchTree:
         return self._nearest(as_point(p))
 
     def _nearest(self, p: np.ndarray) -> int:
-        n = self._n
-        score = self._scratch[:n]
-        np.dot(self._m2[:n], p, out=score)
-        score += self._sqn[:n]
-        return int(score.argmin())
+        return int(self._scores(p).argmin())
+
+    def _scores(self, p: np.ndarray) -> np.ndarray:
+        """Node scores against p, then +inf up to a whole PAD block."""
+        q = self._q
+        q[:3] = p
+        return q @ self._rows[:, : -(-self._n // PAD) * PAD]
 
     def extract_path(self, leaf: int) -> np.ndarray:
         """Positions along the unique root-to-leaf chain, shape (K, 3)."""
@@ -175,3 +179,24 @@ def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, draw) -> np.
         return np.array(goal, dtype=float)
     lo = np.asarray(bounds_min, dtype=float)
     return lo + (np.asarray(bounds_max, dtype=float) - lo) * np.array((draw(), draw(), draw()))
+
+
+def samples(goal, p_target: float, bounds_min, bounds_max, rng: np.random.Generator,
+            block: int = 1024):
+    """Endless stream of sample_with_bias's points for uniforms(rng).__next__.
+
+    Takes float64 (3,) arrays; builds each block's candidate points at once (a
+    goal is a fresh copy, a uniform point a view); a draw cut by a block end
+    continues in the next block.
+    """
+    lo, span = bounds_min[:, None], (bounds_max - bounds_min)[:, None]
+    u = rng.random(block)
+    while True:
+        # points[k] is bounds_min + span * u[k:k + 3]; built as (3, K) for long inner loops
+        points = (lo + span * np.array((u[:-2], u[1:-1], u[2:]))).T
+        hit = (u < p_target).tolist()
+        k, end = 0, len(u)
+        while k < end and (hit[k] or k + 3 < end):
+            yield goal.copy() if hit[k] else points[k + 1]
+            k += 1 if hit[k] else 4
+        u = np.concatenate((u[k:], rng.random(block)))

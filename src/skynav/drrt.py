@@ -12,8 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import (EMPTY_PATH, PlanRequest, PlanResult, SearchTree, _steer, sample_with_bias,
-                   uniforms)
+from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, _steer, samples
 from .env import CityMap
 from .rrt import check_endpoints, try_finish
 
@@ -135,16 +134,16 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
 
     PlanRequest and check_endpoints validate the endpoints once; the loop
     then calls the trusted twins (SearchTree._nearest and _add, _steer,
-    CityMap._segment_collides) on float64 arrays it built itself, and draws
-    its uniforms in blocks.
+    CityMap._segment_collides) on float64 arrays it built itself, and takes
+    sample_with_bias's points from the block-built core.samples stream.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
-    draw = uniforms(np.random.default_rng(seed)).__next__
-    lo, hi = city.bounds_min, city.bounds_max
     step = params.step_size
     adapt_step = params.step_min < params.step_max
     goal = req.goal
+    draw = samples(goal, params.p_target, city.bounds_min, city.bounds_max,
+                   np.random.default_rng(seed)).__next__
     tree = SearchTree(req.start)
     explored = 0
 
@@ -156,7 +155,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
 
     failed = 0
     while failed < req.max_failed_attempts:
-        sample = sample_with_bias(goal, params.p_target, lo, hi, draw)
+        sample = draw()
         near = tree._nearest(sample)
         near_pos = tree.positions[near]
         new = _steer(near_pos, sample, step)

@@ -9,7 +9,9 @@ import pytest
 
 from skynav import AcoParams, DrrtParams, GenParams, RrtParams, Scenario, build_city, load_map
 from skynav.bench import AggregateRow, fly
+from skynav import cli
 from skynav.cli import build_parser, main
+from skynav.core import EMPTY_PATH, PlanResult
 
 
 def test_genmap_writes_a_loadable_map(tmp_path, capsys):
@@ -65,8 +67,8 @@ def test_option_defaults_are_the_dataclass_defaults():
     assert plan.map_seed == Scenario.map_seed
     assert plan.count == GenParams.count
     assert plan.start == Scenario.start and plan.goal == Scenario.goal
-    # --step feeds whichever tree planner runs
-    assert plan.step == DrrtParams.step_size == RrtParams.step_size
+    # no --step keeps the planner's own step, the same for both tree planners
+    assert plan.step is None and DrrtParams.step_size == RrtParams.step_size
     assert plan.goal_threshold == Scenario.goal_threshold
     assert plan.max_failed == Scenario.max_failed_attempts
     assert plan.resolution == Scenario.grid_resolution
@@ -81,6 +83,28 @@ def test_plan_astar_on_a_stored_map(tmp_path, capsys):
                "--start", "5,5,5", "--goal", "140,140,30", "--resolution", "5"])
     assert rc == 0
     assert "astar" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", ["astar", "aco"])
+def test_plan_refuses_step_for_grid_planners(algo, capsys):
+    rc = main(["plan", "--algo", algo, "--step", "3", "--count", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("skynav: error: --step") and err.count("\n") == 1
+
+
+def test_plan_step_sets_the_tree_planners_step(monkeypatch):
+    flown = []
+
+    def record(algorithm, city, grid, scenario, seed):
+        flown.append(getattr(scenario, algorithm).step_size)
+        return PlanResult(False, EMPTY_PATH, 0, 0.0), None
+
+    monkeypatch.setattr(cli, "fly", record)
+    for algo in ("rrt", "drrt"):
+        main(["plan", "--algo", algo, "--count", "5"])
+        main(["plan", "--algo", algo, "--count", "5", "--step", "4"])
+    assert flown == [RrtParams.step_size, 4.0, DrrtParams.step_size, 4.0]
 
 
 def test_plan_failure_exit_code(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skynav import CityMap, PlanRequest, SearchTree, sample_with_bias, steer
-from skynav.core import uniforms
+from skynav.core import samples, uniforms
 
 
 # ----------------------------------------------------------------------
@@ -96,11 +96,14 @@ def test_tree_nearest_matches_linear_scan_oracle():
 
 
 def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
-    # the tree scores with stored -2x; the same scores unscaled are
-    # dot(x, p) * -2 + |x|^2, and scaling by -2 is exact, so every score
-    # (not only the winner) must agree to the bit, with duplicates present
+    # the tree scores with one padded matvec over stored rows (-2x, |x|^2)
+    # and query (p, 1); the same scores unscaled are dot(x, p) * -2 + |x|^2,
+    # and scaling by -2 is exact, so every score (not only the winner) must
+    # agree to the bit, with duplicates present.  n covers tails of 1-3 and
+    # 5-7 columns past a 4- or 16-column block, and a tree large enough for
+    # BLAS to split the product across threads.
     rng = np.random.default_rng(29)
-    for n in (1, 5, 7, 1000, 8001):
+    for n in (1, 2, 3, 5, 7, 15, 17, 1023, 1025, 8001, 60013):
         pts = rng.uniform(-100, 550, (n, 3))
         dup = rng.integers(0, n, n // 4)
         pts[dup] = pts[rng.integers(0, n, dup.size)]
@@ -115,7 +118,39 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
             want += sqn
             got = tree.nearest(q)
             assert got == int(np.argmin(want))
-            assert tree._scratch[:n].tobytes() == want.tobytes()   # the scores nearest ranked
+            scores = tree._scores(q)   # the scores nearest ranked
+            assert len(scores) % 16 == 0 and np.all(scores[n:] == np.inf)
+            if n == 1:
+                # numpy takes a one-row product as a dot product, which
+                # rounds apart from a matvec; a lone node has no rival
+                assert scores[0] == pytest.approx(want[0], rel=1e-15, abs=1e-9)
+            else:
+                assert scores[:n].tobytes() == want.tobytes()
+
+
+def test_tree_nearest_duplicates_across_the_block_tail_take_the_lowest_index():
+    # a 7-node tree: indices 3 and 6 lie on either side of a 4-column block
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(0, 500, (7, 3))
+    pts[6] = pts[3]
+    tree = SearchTree(pts[0])
+    for p in pts[1:]:
+        tree.add(p, 0)
+    for q in np.vstack([pts[3], pts[3] + rng.normal(0, 1e-3, (50, 3))]):
+        assert tree.nearest(q) == 3
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_tree_nearest_stays_exact_across_capacity_doubling(capacity):
+    rng = np.random.default_rng(capacity)
+    pts = rng.uniform(0, 500, (300, 3))
+    tree = SearchTree(pts[0], capacity=capacity)
+    for n in range(1, len(pts)):
+        q = rng.uniform(0, 500, 3)
+        d = ((pts[:n] - q) ** 2).sum(axis=1)
+        assert tree.nearest(q) == int(np.argmin(d))
+        assert tree.nearest(pts[n - 1]) == n - 1
+        tree.add(pts[n], 0)
 
 
 def test_tree_positions_survive_capacity_growth():
@@ -246,6 +281,25 @@ def test_block_draw_sampling_matches_the_generator_sequence():
             draw = uniforms(np.random.default_rng(seed)).__next__
             got = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(500)]
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("block", [5, 7, 1024])
+@pytest.mark.parametrize("p_target", [0.0, 0.5, 0.9, 1.0])
+def test_sample_stream_matches_sample_with_bias(p_target, block):
+    # block 5 and 7 cut draws at block ends; 3,000 draws cross many of them
+    lo = np.array([-100.0, 5.0, 3.0])
+    hi = np.array([400.0, 505.0, 503.0])
+    goal = np.array([470.0, 420.0, 50.0])
+    for seed in range(3):
+        draw = uniforms(np.random.default_rng(seed)).__next__
+        want = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(3000)]
+        stream = samples(goal, p_target, lo, hi, np.random.default_rng(seed), block)
+        got = [next(stream) for _ in range(3000)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    stream = samples(goal, 1.0, lo, hi, np.random.default_rng(0), block)
+    out = next(stream)
+    out[0] = 42.0
+    assert goal[0] == 470.0 and next(stream)[0] == 470.0
 
 
 def test_sample_bias_returned_goal_is_a_copy():
