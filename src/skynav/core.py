@@ -56,9 +56,10 @@ def uniforms(rng: np.random.Generator, block: int = 1024):
         yield from rng.random(block).tolist()
 
 
-# SearchTree scores whole blocks of PAD columns (BLAS rounds a ragged tail on
-# another path, which can flip a tie); unused columns hold FILLER (score +inf)
-PAD = 16
+# SearchTree scores nodes in blocks of BLOCK columns, one BLAS matvec each: too
+# few for BLAS to split a block across threads, whose chunk tails would round on
+# another path.  Unused columns of the last block hold FILLER (score +inf).
+BLOCK = 256
 FILLER = np.array([[0.0], [0.0], [0.0], [np.inf]])
 
 
@@ -70,10 +71,10 @@ class SearchTree:
     """
 
     def __init__(self, root, capacity: int = 1024):
-        capacity = -(-max(capacity, 1) // PAD) * PAD
-        self._pos = np.empty((capacity, 3), dtype=float)
-        # column i is (-2x, -2y, -2z, |x|^2) of node i: nearest() is one matvec with (p, 1)
-        self._rows = np.empty((4, capacity))
+        blocks = -(-max(capacity, 1) // BLOCK)
+        self._pos = np.empty((blocks * BLOCK, 3), dtype=float)
+        # rows[b, :, c] is (-2x, -2y, -2z, |x|^2) of node b * BLOCK + c, scored by (p, 1)
+        self._rows = np.empty((blocks, 4, BLOCK))
         self._q = np.ones(4)
         self._parents: list[int] = []
         self._n = 0
@@ -100,18 +101,19 @@ class SearchTree:
     def _add(self, p: np.ndarray, parent: int) -> int:
         n = self._n
         if n == len(self._pos):
-            # one at a time, larger first, for a lower peak; new halves stay unset
-            rows = np.empty((4, 2 * n))
-            rows[:, :n] = self._rows
+            # one at a time, larger first, for a lower peak; new blocks stay unset
+            rows = np.empty((2 * len(self._rows), 4, BLOCK))
+            rows[: len(self._rows)] = self._rows
             self._rows = rows
             pos = np.empty((2 * n, 3))
             pos[:n] = self._pos
             self._pos = pos
-        if n % PAD == 0:
-            self._rows[:, n : n + PAD] = FILLER
+        b, c = divmod(n, BLOCK)
+        if c == 0:
+            self._rows[b] = FILLER
         self._pos[n] = p
-        self._rows[:3, n] = -2.0 * p
-        self._rows[3, n] = p.dot(p)
+        self._rows[b, :3, c] = -2.0 * p
+        self._rows[b, 3, c] = p.dot(p)
         self._parents.append(parent)
         self._n = n + 1
         return n
@@ -128,10 +130,9 @@ class SearchTree:
         return int(self._scores(p).argmin())
 
     def _scores(self, p: np.ndarray) -> np.ndarray:
-        """Node scores against p, then +inf up to a whole PAD block."""
-        q = self._q
-        q[:3] = p
-        return q @ self._rows[:, : -(-self._n // PAD) * PAD]
+        """Scores against p, shape (blocks in use, BLOCK); +inf past the last node."""
+        self._q[:3] = p
+        return self._q @ self._rows[: -(-self._n // BLOCK)]
 
     def extract_path(self, leaf: int) -> np.ndarray:
         """Positions along the unique root-to-leaf chain, shape (K, 3)."""
@@ -185,9 +186,8 @@ def samples(goal, p_target: float, bounds_min, bounds_max, rng: np.random.Genera
             block: int = 1024):
     """Endless stream of sample_with_bias's points for uniforms(rng).__next__.
 
-    Takes float64 (3,) arrays; builds each block's candidate points at once (a
-    goal is a fresh copy, a uniform point a view); a draw cut by a block end
-    continues in the next block.
+    Takes float64 (3,) arrays and builds the candidate points of each block of
+    uniforms at once; a draw cut by a block end goes on in the next block.
     """
     lo, span = bounds_min[:, None], (bounds_max - bounds_min)[:, None]
     u = rng.random(block)

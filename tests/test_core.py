@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skynav import CityMap, PlanRequest, SearchTree, sample_with_bias, steer
-from skynav.core import samples, uniforms
+from skynav.core import BLOCK, samples, uniforms
 
 
 # ----------------------------------------------------------------------
@@ -96,14 +96,17 @@ def test_tree_nearest_matches_linear_scan_oracle():
 
 
 def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
-    # the tree scores with one padded matvec over stored rows (-2x, |x|^2)
+    # the tree scores with one matvec per block of stored rows (-2x, |x|^2)
     # and query (p, 1); the same scores unscaled are dot(x, p) * -2 + |x|^2,
     # and scaling by -2 is exact, so every score (not only the winner) must
     # agree to the bit, with duplicates present.  n covers tails of 1-3 and
-    # 5-7 columns past a 4- or 16-column block, and a tree large enough for
-    # BLAS to split the product across threads.
+    # 5-7 columns past a 4- or 16-column block, more than one tree block, and
+    # a tree large enough that OpenBLAS would split one matvec over all of it
+    # across threads (it does from 115,200 columns of 4 rows).  numpy takes a
+    # one-row pts @ q as a dot product, which rounds apart from a matvec;
+    # stacking pts twice keeps the oracle a matvec
     rng = np.random.default_rng(29)
-    for n in (1, 2, 3, 5, 7, 15, 17, 1023, 1025, 8001, 60013):
+    for n in (1, 2, 3, 5, 7, 15, 17, 1023, 1025, 8001, 131071):
         pts = rng.uniform(-100, 550, (n, 3))
         dup = rng.integers(0, n, n // 4)
         pts[dup] = pts[rng.integers(0, n, dup.size)]
@@ -113,37 +116,34 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
         sqn = np.array([p @ p for p in pts])
         queries = np.vstack([rng.uniform(-100, 550, (40, 3)), pts[rng.integers(0, n, 10)]])
         for q in queries:
-            want = pts @ q
+            want = (np.vstack([pts, pts]) @ q)[:n]
             want *= -2.0
             want += sqn
             got = tree.nearest(q)
             assert got == int(np.argmin(want))
-            scores = tree._scores(q)   # the scores nearest ranked
-            assert len(scores) % 16 == 0 and np.all(scores[n:] == np.inf)
-            if n == 1:
-                # numpy takes a one-row product as a dot product, which
-                # rounds apart from a matvec; a lone node has no rival
-                assert scores[0] == pytest.approx(want[0], rel=1e-15, abs=1e-9)
-            else:
-                assert scores[:n].tobytes() == want.tobytes()
+            scores = tree._scores(q).ravel()   # the scores nearest ranked
+            assert len(scores) % BLOCK == 0 and np.all(scores[n:] == np.inf)
+            assert scores[:n].tobytes() == want.tobytes()
 
 
-def test_tree_nearest_duplicates_across_the_block_tail_take_the_lowest_index():
-    # a 7-node tree: indices 3 and 6 lie on either side of a 4-column block
+@pytest.mark.parametrize("n, first, second", [(7, 3, 6), (BLOCK + 9, BLOCK - 1, BLOCK)])
+def test_tree_nearest_duplicates_across_the_block_tail_take_the_lowest_index(n, first, second):
+    # 3 and 6 would lie on either side of BLAS's 4-column kernel block if the
+    # tree scored only its 7 columns; BLOCK - 1 and BLOCK lie in two tree blocks
     rng = np.random.default_rng(41)
-    pts = rng.uniform(0, 500, (7, 3))
-    pts[6] = pts[3]
+    pts = rng.uniform(0, 500, (n, 3))
+    pts[second] = pts[first]
     tree = SearchTree(pts[0])
     for p in pts[1:]:
         tree.add(p, 0)
-    for q in np.vstack([pts[3], pts[3] + rng.normal(0, 1e-3, (50, 3))]):
-        assert tree.nearest(q) == 3
+    for q in np.vstack([pts[first], pts[first] + rng.normal(0, 1e-3, (50, 3))]):
+        assert tree.nearest(q) == first
 
 
 @pytest.mark.parametrize("capacity", [1, 2])
 def test_tree_nearest_stays_exact_across_capacity_doubling(capacity):
     rng = np.random.default_rng(capacity)
-    pts = rng.uniform(0, 500, (300, 3))
+    pts = rng.uniform(0, 500, (2 * BLOCK + 50, 3))   # the tree doubles twice
     tree = SearchTree(pts[0], capacity=capacity)
     for n in range(1, len(pts)):
         q = rng.uniform(0, 500, 3)
