@@ -1,9 +1,11 @@
 """Grid-based baseline planners: voxel rasterization, A*, and ant colony search.
 
 Both baselines run on a conservative voxelization of the building map.  Moves
-use 26-connectivity, but a diagonal move is only legal when every cell it
-brushes past is free; this keeps cell-center paths collision-free in the
-continuous map even when buildings poke into neighbouring cells.
+use 26-connectivity, and a move is legal only when every cell of the box its
+offset spans is free (for a diagonal, every cell it brushes past); this keeps
+cell-center paths collision-free in the continuous map even when buildings
+poke into neighbouring cells.  The planners decode a cell's move mask through
+a small bounded memo.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import heapq
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, product
 from math import inf, sqrt
 from time import perf_counter
@@ -26,39 +28,15 @@ NEIGHBOR_OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
     off for off in product((-1, 0, 1), repeat=3) if off != (0, 0, 0)
 )
 
-# cells a diagonal move brushes past: the same offset with any nonzero
-# component(s) zeroed out.  All of them must be free for the move to be legal.
-_GUARDS: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-    tuple(
-        guard
-        for guard in {
-            tuple(0 if z else d for d, z in zip(off, zeroing))
-            for zeroing in product((False, True), repeat=3)
-        }
-        if guard != off and guard != (0, 0, 0)
-    )
-    for off in NEIGHBOR_OFFSETS
-)
 
+@lru_cache(maxsize=4096)
+def _moves(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a move mask, ascending.
 
-def _decode_table(first: int) -> tuple[tuple[int, ...], ...]:
-    """Entry m lists, ascending, first + b for every set bit b of the 13-bit m."""
-    table: list[tuple[int, ...]] = [()]
-    for m in range(1, 1 << 13):
-        low = m & -m
-        table.append((first + low.bit_length() - 1,) + table[m ^ low])
-    return tuple(table)
-
-
-@cache
-def _move_decoder() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Tables (LO, HI) giving a move mask m's legal move indices, ascending, as
-    LO[m & 0x1FFF] + HI[m >> 13].
-
-    Built on first use: the 16k tuples take 1.6 MB, which a process that never
-    plans on a grid should not pay at import.
+    Bounded: a real map holds about a hundred distinct masks, but an arbitrary
+    occupancy grid can hold one per cell.
     """
-    return _decode_table(0), _decode_table(13)
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 # ants give up after this multiple of the straight-line cell distance
@@ -113,9 +91,12 @@ class VoxelGrid:
         masks = np.zeros(self.dims, dtype=np.uint32)
         ok = np.empty(self.dims, dtype=bool)
         for k, off in enumerate(NEIGHBOR_OFFSETS):
-            np.logical_and(free, shifted(off), out=ok)
-            for guard in _GUARDS[k]:
-                ok &= shifted(guard)
+            # the corners of the box the offset spans: origin, target and, for
+            # a diagonal, every cell it brushes past
+            np.copyto(ok, free)
+            for corner in product(*((0, d) if d else (0,) for d in off)):
+                if any(corner):
+                    ok &= shifted(corner)
             masks |= ok.astype(np.uint32) << np.uint32(k)
         self.legal_moves = masks.reshape(self.ncells)
 
@@ -201,7 +182,6 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
     """
     t0 = perf_counter()
     s, g = _grid_endpoints(grid, req)
-    lo, hi = _move_decoder()
     masks = memoryview(grid.legal_moves)
     offs = grid.flat_offsets.tolist()
     costs = grid.move_costs.tolist()
@@ -214,20 +194,17 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
     came: dict[int, int] = {}
     closed: set[int] = set()
     heap: list[tuple[float, float, int]] = [(0.0, 0.0, s)]  # popped first whatever its f
-    explored = 0
     found = False
     while heap:
         _, _, cur = heapq.heappop(heap)
         if cur in closed:
             continue
         closed.add(cur)
-        explored += 1
         if cur == g:
             found = True
             break
-        m = masks[cur]
         g_cur = g_score[cur]
-        for k in lo[m & 0x1FFF] + hi[m >> 13]:
+        for k in _moves(masks[cur]):
             nb = cur + offs[k]
             ng = g_cur + costs[k]
             if ng < g_score.get(nb, inf) and nb not in closed:
@@ -239,12 +216,12 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
                 dx, dy, dz = x - gx, y - gy, z - gz
                 heapq.heappush(heap, (ng + sqrt(dx * dx + dy * dy + dz * dz) * res, -ng, nb))
     if not found:
-        return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)
+        return PlanResult(False, EMPTY_PATH.copy(), len(closed), perf_counter() - t0)
     chain = [g]
     while chain[-1] != s:
         chain.append(came[chain[-1]])
     chain.reverse()
-    return PlanResult(True, _cells_to_path(grid, chain, req), explored, perf_counter() - t0)
+    return PlanResult(True, _cells_to_path(grid, chain, req), len(closed), perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -282,7 +259,6 @@ def _walk_ant(grid: VoxelGrid, s: int, g: int, weight: np.ndarray, q0: float, ca
 
     weight[c] scores entering cell c; draw() returns the next uniform in [0, 1).
     """
-    lo, hi = _move_decoder()
     masks = memoryview(grid.legal_moves)
     score = memoryview(weight)
     offs = grid.flat_offsets.tolist()
@@ -290,8 +266,7 @@ def _walk_ant(grid: VoxelGrid, s: int, g: int, weight: np.ndarray, q0: float, ca
     chain = [s]
     cur = s
     for _ in range(cap):
-        m = masks[cur]
-        candidates = [nb for k in lo[m & 0x1FFF] + hi[m >> 13]
+        candidates = [nb for k in _moves(masks[cur])
                       if (nb := cur + offs[k]) not in visited]
         if not candidates:
             return None, len(chain)

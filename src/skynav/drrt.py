@@ -162,23 +162,17 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         explored += 1
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
         blocked = degenerate or city._segment_collides(near_pos, new)
-        idx = None
-        x_new = new
-        if not blocked:
-            idx = tree._add(new, near)
-        elif params.use_detour:
-            detour = detour_extend(city, near_pos, goal, step)
-            if detour is not None:
-                idx = tree._add(detour, near)
-                x_new = detour
+        node = new
         if blocked:
             # a blocked straight extension spends budget even when a detour
             # rescues it, so the attempt budget always bounds the search
             failed += 1
-        if idx is not None:
-            path = try_finish(city, tree, idx, goal, req.goal_threshold, step)
+            node = detour_extend(city, near_pos, goal, step) if params.use_detour else None
+        if node is not None:
+            path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
             if path is not None:
                 return PlanResult(True, path, explored, perf_counter() - t0)
         if adapt_step:
-            step = update_step(step, classify_step_outcome(city, x_new, blocked, params), params)
+            # the point is read only when the extension was not blocked
+            step = update_step(step, classify_step_outcome(city, new, blocked, params), params)
     return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)

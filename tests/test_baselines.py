@@ -13,8 +13,8 @@ import pytest
 
 from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid,
                     generate_city, plan_aco, plan_astar, voxelize)
-from skynav.baselines import (_GUARDS, ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS,
-                              _chain_cost, _walk_ant)
+from skynav.baselines import (ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS,
+                              _chain_cost, _moves, _walk_ant)
 from skynav.bench import build_city, default_scenario
 from skynav.metrics import dedupe, path_length
 
@@ -143,11 +143,16 @@ def _legal_moves_by_loop(occ: np.ndarray) -> np.ndarray:
         inside = all(0 <= c < n for c, n in zip(cell, occ.shape))
         return inside and not occ[cell]
 
+    def spanned(off):
+        """Every cell of the box between the origin and the offset."""
+        return [(i, j, k) for i in range(min(0, off[0]), max(0, off[0]) + 1)
+                for j in range(min(0, off[1]), max(0, off[1]) + 1)
+                for k in range(min(0, off[2]), max(0, off[2]) + 1)]
+
     table = np.zeros((occ.size, 26), dtype=bool)
     for flat, cell in enumerate(np.ndindex(occ.shape)):
         for k, off in enumerate(NEIGHBOR_OFFSETS):
-            brushed = (off, (0, 0, 0)) + _GUARDS[k]
-            table[flat, k] = all(free(tuple(c + d for c, d in zip(cell, o))) for o in brushed)
+            table[flat, k] = all(free(tuple(c + d for c, d in zip(cell, o))) for o in spanned(off))
     return table
 
 
@@ -162,6 +167,20 @@ def test_move_masks_match_a_per_cell_loop(dims):
         bits = (grid.legal_moves[:, None] >> np.arange(26, dtype=np.uint32)) & 1
         assert np.array_equal(bits.astype(bool), _legal_moves_by_loop(occ))
         assert not (grid.legal_moves >> 26).any()
+
+
+def test_moves_lists_the_set_bits_of_a_mask_in_ascending_order():
+    def set_bits(m):
+        return tuple(k for k, bit in enumerate(reversed(f"{m:026b}")) if bit == "1")
+
+    city_masks = np.unique(voxelize(build_city(default_scenario()), 5.0).legal_moves)
+    masks = ([0, 2 ** 26 - 1] + [1 << k for k in range(26)]
+             + np.random.default_rng(7).integers(0, 2 ** 26, size=200).tolist()
+             + city_masks.tolist())
+    for m in masks:
+        assert _moves(m) == set_bits(m)
+    # a process-wide memo must not grow with the number of distinct masks
+    assert _moves.cache_info().maxsize == 4096
 
 
 def test_every_legal_move_is_collision_free_in_the_continuous_map():
