@@ -87,8 +87,8 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
     the goal is higher than x_near, down otherwise.  Returns None when every
     candidate is blocked or out of bounds.
 
-    All five moves are checked in one batched call; the bounds are checked
-    in Python scalars first.
+    Each move is one single-segment CityMap._segment_collides query from
+    x_near, which is checked against the bounds first.
     """
     x_near = np.asarray(x_near, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -97,17 +97,15 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
     dz = step if goal[2] > x_near[2] else -step
     cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
                                (0.0, -step, 0.0), (0.0, 0.0, dz)))
-    inside = [city._inside(c) for c in cands.tolist()]
-    touched = city._touch_buildings(x_near[None].repeat(5, axis=0), cands).tolist()
     best = None
     best_d = math.inf
     for k in range(4):
-        if inside[k] and not touched[k]:
+        if not city._segment_collides(x_near, cands[k]):
             v = goal - cands[k]
             d = math.sqrt(v.dot(v))
             if d < best_d:
                 best, best_d = cands[k], d
-    if best is None and inside[4] and not touched[4]:
+    if best is None and not city._segment_collides(x_near, cands[4]):
         return cands[4]
     return best
 
@@ -136,6 +134,8 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     then calls the trusted twins (SearchTree._nearest and _add, _steer,
     CityMap._segment_collides) on float64 arrays it built itself, and takes
     sample_with_bias's points from the block-built core.samples stream.
+    Straight extensions and detour moves alike are single-segment queries,
+    answered in Python floats over the map's column index.
     """
     t0 = perf_counter()
     check_endpoints(city, req)

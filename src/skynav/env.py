@@ -15,15 +15,15 @@ from typing import Sequence
 import numpy as np
 
 
-# Roof grid (see CityMap._build_roof_grid).  Cells are ROOF_CELL_M wide, and
-# wider on a map that would otherwise need more than ROOF_GRID_MAX cells along
-# an axis, so the grid never holds more than ROOF_GRID_MAX**2 floats.  A
-# segment's bounding box that spans up to ROOF_WINDOW cells per axis is read
-# cell by cell; a wider one, never a tree step of at most 15 m, is left to the
-# slab test.
-ROOF_CELL_M = 10.0
-ROOF_GRID_MAX = 256
-ROOF_WINDOW = 3
+# Column index (see CityMap._build_columns).  Columns cut the x extent into
+# strips COLUMN_M wide, and wider on a map that would otherwise need more than
+# COLUMN_MAX of them, so the index holds at most COLUMN_MAX references per
+# building.  A segment whose x-range spans up to COLUMN_WINDOW columns is
+# checked box by box in Python floats; a wider one, never a tree step of at
+# most 15 m, goes to the batched slab test.
+COLUMN_M = 10.0
+COLUMN_MAX = 256
+COLUMN_WINDOW = 3
 
 
 class MapGenerationError(RuntimeError):
@@ -104,67 +104,41 @@ class CityMap:
         # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
-        self._build_roof_grid()
+        self._build_columns()
 
-    def _build_roof_grid(self) -> None:
-        """Highest roof per square xy cell over the bounds, -inf where no building stands.
+    def _build_columns(self) -> None:
+        """Per x-column of the bounds, the boxes of the buildings that reach into it.
 
-        A cell holds the tallest building whose closed footprint touches it.
-        Cells are ROOF_CELL_M wide, or wider on a map whose extent would need
-        more than ROOF_GRID_MAX cells along an axis.  Buildings and queries map
-        coordinates to cells with the one monotone _cell_box, so a point
-        shared by a segment's bounding box and a building's footprint falls in
-        a cell of both: a segment whose lowest z is strictly above every cell
-        its box meets touches no building.
+        self._columns[i] lists the (x0, y0, z0, x1, y1, z1) float tuples of
+        every building whose closed x-range meets column i.  Columns are
+        COLUMN_M wide, or wider on a map whose x extent would need more than
+        COLUMN_MAX of them.  Buildings and queries map x to a column with the
+        one monotone _column_span, so a point shared by a segment's x-range
+        and a building's falls in a column of both: a segment touches only
+        buildings listed in the columns its x-range spans.
         """
-        wx, wy = self._bx1 - self._bx0, self._by1 - self._by0
-        self._inv_cell = 1.0 / max(ROOF_CELL_M, wx / ROOF_GRID_MAX, wy / ROOF_GRID_MAX)
-        self._last_i = min(ROOF_GRID_MAX, max(1, math.ceil(wx * self._inv_cell))) - 1
-        self._last_j = min(ROOF_GRID_MAX, max(1, math.ceil(wy * self._inv_cell))) - 1
-        self._roof = np.full((self._last_i + 1, self._last_j + 1), -math.inf)
-        # tallest last (a stable sort), so each cell keeps its highest roof
-        for b in sorted(self.buildings, key=lambda b: b.max_corner[2]):
-            (x0, y0, _), (x1, y1, top) = b.min_corner, b.max_corner
-            i0, i1, j0, j1 = self._cell_box(x0, x1, y0, y1)
-            self._roof[i0:i1 + 1, j0:j1 + 1] = top
+        wx = self._bx1 - self._bx0
+        self._inv_col = 1.0 / max(COLUMN_M, wx / COLUMN_MAX)
+        self._last_col = min(COLUMN_MAX, max(1, math.ceil(wx * self._inv_col))) - 1
+        self._columns = [[] for _ in range(self._last_col + 1)]
+        for b in self.buildings:
+            box = b.min_corner + b.max_corner
+            i0, i1 = self._column_span(box[0], box[3])
+            for i in range(i0, i1 + 1):
+                self._columns[i].append(box)
 
-    def _cell_box(self, x0: float, x1: float, y0: float, y1: float) -> tuple[int, int, int, int]:
-        """Roof-grid cells (i0, i1, j0, j1) of the xy box [x0, x1] x [y0, y1] inside the bounds.
+    def _column_span(self, x0: float, x1: float) -> tuple[int, int]:
+        """Columns (i0, i1) of the x-range [x0, x1] inside the bounds; needs x0 <= x1.
 
-        Needs x0 <= x1 and y0 <= y1.  Truncates, then clamps to the last
-        cell, which a coordinate on the high bound can overrun; inside the
-        bounds no index is negative.  Python scalars: for one box, numpy's
-        per-call overhead costs more than the arithmetic.
+        Truncates, then clamps to the last column, which a coordinate on the
+        high bound can overrun; inside the bounds no index is negative.
         """
-        inv, bx, by = self._inv_cell, self._bx0, self._by0
+        inv, bx = self._inv_col, self._bx0
         i0, i1 = int((x0 - bx) * inv), int((x1 - bx) * inv)
-        j0, j1 = int((y0 - by) * inv), int((y1 - by) * inv)
-        if i1 > self._last_i:
-            i1 = self._last_i
+        if i1 > self._last_col:
+            i1 = self._last_col
             i0 = min(i0, i1)
-        if j1 > self._last_j:
-            j1 = self._last_j
-            j0 = min(j0, j1)
-        return i0, i1, j0, j1
-
-    def _roof_clears(self, p, q) -> bool:
-        """True when the roof grid proves segment p-q (two (x, y, z) lists in the bounds) free."""
-        px, py, pz = p
-        qx, qy, qz = q
-        if px > qx:
-            px, qx = qx, px
-        if py > qy:
-            py, qy = qy, py
-        i0, i1, j0, j1 = self._cell_box(px, qx, py, qy)
-        if i1 - i0 >= ROOF_WINDOW or j1 - j0 >= ROOF_WINDOW:
-            return False
-        z = pz if pz < qz else qz
-        roof = self._roof.item
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                if roof(i, j) >= z:
-                    return False
-        return True
+        return i0, i1
 
     # ------------------------------------------------------------------
     # collision queries
@@ -190,21 +164,35 @@ class CityMap:
     def segment_collides(self, a, b) -> bool:
         """True iff segment a-b touches any building or leaves the bounds.
 
-        The one-segment case of segments_collide, answered in Python scalars
-        up to the slab test: a tree planner's segments often end at the
-        bounds or the roof grid, and for one segment numpy's per-call overhead
-        costs more than the arithmetic.
+        The one-segment case of segments_collide, answered in Python floats
+        over the column index: for one segment against a few boxes, numpy's
+        per-call overhead costs more than the arithmetic.
         """
         return self._segment_collides(as_point(a), as_point(b))
 
     def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """segment_collides for two float64 points the caller has validated."""
+        """segment_collides for two float64 points the caller has validated.
+
+        Scans the boxes listed in the columns the segment's x-range spans,
+        with the closed box-overlap test and then _slab; a segment spanning
+        more than COLUMN_WINDOW columns goes to the batched slab test.
+        """
         pa, pb = a.tolist(), b.tolist()
         if not self._inside(pa) or not self._inside(pb):
             return True
-        if self._roof_clears(pa, pb):
-            return False
-        return bool(self._touch_buildings(a[None], b[None])[0])
+        (ax, ay, az), (bx, by, bz) = pa, pb
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        i0, i1 = self._column_span(x0, x1)
+        if i1 - i0 >= COLUMN_WINDOW:
+            return bool(self._touch_buildings(a[None], b[None])[0])
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        z0, z1 = (az, bz) if az <= bz else (bz, az)
+        for column in self._columns[i0:i1 + 1]:
+            for box in column:
+                if (box[0] <= x1 and x0 <= box[3] and box[1] <= y1 and y0 <= box[4]
+                        and box[2] <= z1 and z0 <= box[5] and _slab(pa, pb, box)):
+                    return True
+        return False
 
     def segments_collide(self, starts, ends) -> np.ndarray:
         """One flag per segment starts[k]-ends[k]: True iff it touches a building or leaves the bounds.
@@ -307,6 +295,34 @@ class CityMap:
         except KeyError as exc:
             raise ValueError(f"map data is missing the {exc.args[0]!r} key") from None
         return cls(buildings, lo, hi, seed=data.get("seed"))
+
+
+def _slab(a: list, b: list, box: tuple) -> bool:
+    """True iff segment a-b meets the closed box (x0, y0, z0, x1, y1, z1): the slab test.
+
+    A scalar copy of CityMap._touch_buildings' narrow phase for one pair
+    whose boxes overlap: the same IEEE operations in the same order, which
+    Python floats round as float64 ufuncs do, so the two answers match bit
+    for bit.  An axis the segment does not move along is skipped, and a NaN
+    parameter (a zero times an infinite one) misses, as it does in numpy.
+    """
+    tmin, tmax = 0.0, 1.0
+    for k in range(3):
+        d = b[k] - a[k]
+        if d == 0.0:
+            continue
+        inv = 1.0 / d
+        t1 = (box[k] - a[k]) * inv
+        t2 = (box[k + 3] - a[k]) * inv
+        if t1 > t2:
+            t1, t2 = t2, t1
+        elif not t1 <= t2:
+            return False
+        if t1 > tmin:
+            tmin = t1
+        if t2 < tmax:
+            tmax = t2
+    return tmin <= tmax
 
 
 def _json_part(value, kind: type, name: str):

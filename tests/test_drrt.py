@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,81 @@ def test_detour_falls_back_to_vertical_when_horizontals_are_blocked():
     assert np.array_equal(up, [50, 50, 15])
     down = detour_extend(city, (50, 50, 10), (50, 50, 1), 5.0)
     assert np.array_equal(down, [50, 50, 5])
+
+
+def _batched_detour_extend(city, x_near, goal, step):
+    """detour_extend as it was with its five moves checked in one batched slab test."""
+    x_near = np.asarray(x_near, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    if not city._inside(x_near.tolist()):
+        return None
+    dz = step if goal[2] > x_near[2] else -step
+    cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
+                               (0.0, -step, 0.0), (0.0, 0.0, dz)))
+    inside = [city._inside(c) for c in cands.tolist()]
+    touched = city._touch_buildings(x_near[None].repeat(5, axis=0), cands).tolist()
+    best = None
+    best_d = math.inf
+    for k in range(4):
+        if inside[k] and not touched[k]:
+            v = goal - cands[k]
+            d = math.sqrt(v.dot(v))
+            if d < best_d:
+                best, best_d = cands[k], d
+    if best is None and inside[4] and not touched[4]:
+        return cands[4]
+    return best
+
+
+def _detour_kinds_matching_the_batched_detour(city, near, goals, steps):
+    """Assert detour_extend equals the batched copy on every point; return the outcomes seen."""
+    kinds = set()
+    for x, g, step in zip(near, goals, steps):
+        got = detour_extend(city, x, g, step)
+        want = _batched_detour_extend(city, x, g, step)
+        if want is None:
+            assert got is None
+            kinds.add("none")
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            kinds.add("vertical" if got[2] != x[2] else "sideways")
+    return kinds
+
+
+def test_detour_matches_the_batched_detour():
+    """Random near points, steps of 1-15 m, goals above and below.
+
+    On the canonical map, a third of the points sit exactly one step off a
+    building face; on a lattice of thin walls 10 m apart, most points have
+    every sideways move blocked.
+    """
+    city = build_city(default_scenario())
+    rng = np.random.default_rng(5)
+    n = 2000
+    steps = rng.uniform(1.0, 15.0, n)
+    near = rng.uniform(0.0, 500.0, (n, 3)) * (1.0, 1.0, 0.6)
+    lo, hi = (np.array([getattr(b, c) for b in city.buildings]) for c in ("min_corner", "max_corner"))
+    pick = rng.integers(0, len(lo), n)
+    axis = rng.integers(0, 3, n)
+    below = rng.random(n) < 0.5
+    for k in np.nonzero(np.arange(n) % 3 == 0)[0]:
+        face = lo[pick[k], axis[k]] - steps[k] if below[k] else hi[pick[k], axis[k]] + steps[k]
+        near[k, axis[k]] = min(max(face, 0.0), 500.0)
+    goals = near + rng.uniform(-200.0, 200.0, (n, 3))
+    goals[:, 2] = np.where(np.arange(n) % 2, near[:, 2] + 40.0, near[:, 2] - 40.0)
+    kinds = _detour_kinds_matching_the_batched_detour(city, near, goals, steps)
+    assert kinds == {"none", "sideways"}
+
+    walls = [Building((10.0 * k, 0, 0), (10.0 * k + 0.5, 100, 20.0 + 5 * k)) for k in range(1, 10)]
+    walls += [Building((0, 10.0 * k, 0), (100, 10.0 * k + 0.5, 70.0 - 5 * k)) for k in range(1, 10)]
+    lattice = CityMap(walls, (0, 0, 0), (100, 100, 100))
+    n = 1000
+    steps = rng.uniform(1.0, 15.0, n)
+    near = rng.uniform(0.0, 100.0, (n, 3)) * (1.0, 1.0, 0.8)
+    goals = rng.uniform(0.0, 100.0, (n, 3))
+    goals[:, 2] = np.where(np.arange(n) % 2, near[:, 2] + 40.0, near[:, 2] - 40.0)
+    kinds = _detour_kinds_matching_the_batched_detour(lattice, near, goals, steps)
+    assert kinds == {"none", "sideways", "vertical"}
 
 
 def test_detour_returns_none_when_fully_caged():

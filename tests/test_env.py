@@ -1,6 +1,7 @@
 """Map generation and collision geometry tests."""
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -260,7 +261,7 @@ def test_segment_above_all_roofs_is_free():
 
 
 # ----------------------------------------------------------------------
-# roof grid
+# column index
 # ----------------------------------------------------------------------
 
 def _corners(city):
@@ -287,10 +288,10 @@ def _oracle_collides(city, a, b, steps=4000):
 
 
 def _aligned_city(origin):
-    """Buildings whose faces sit on roof-grid cell boundaries, one flush with the bounds.
+    """Buildings whose faces sit on 10 m boundaries, one flush with the bounds.
 
     Returns the map and, per axis, the coordinates a query should hit
-    exactly: cell boundaries, faces and roofs, the floats next to them and
+    exactly: column boundaries, faces and roofs, the floats next to them and
     the bounds.
     """
     ox, oy, oz = origin
@@ -330,8 +331,8 @@ def _adversarial_segments(rng, special, n):
 def _check_against_oracle(city, a, b):
     expected = [_oracle_collides(city, p, q) for p, q in zip(a, b)]
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
-    # single segments ask the roof grid first, batches go straight to the slab
-    # test: one large batch and batches of five (a detour's size)
+    # single segments are answered in Python floats over the column index,
+    # batches by the numpy slab test: one large batch and batches of five
     assert city.segments_collide(a, b).tolist() == expected
     small = np.concatenate([city.segments_collide(a[k:k + 5], b[k:k + 5])
                             for k in range(0, len(a), 5)])
@@ -343,7 +344,7 @@ def _check_against_oracle(city, a, b):
 
 @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-37.3, 1234.567, 15.25)])
 def test_roof_grid_is_exact_on_adversarial_segments(origin):
-    """Cell boundaries, z exactly on a roof, many-cell spans, a nonzero origin, flush buildings."""
+    """Column boundaries, z exactly on a roof, many-column spans, a nonzero origin, flush buildings."""
     city, special = _aligned_city(origin)
     rng = np.random.default_rng(8)
     a, b = _adversarial_segments(rng, special, 1500)
@@ -363,13 +364,13 @@ def test_roof_grid_is_exact_on_adversarial_segments(origin):
     assert sum(expected) > 100 and len(expected) - sum(expected) > 100
 
 
-def test_roof_grid_is_exact_on_random_segments_and_empty_maps():
+def test_column_index_is_exact_on_random_segments_and_empty_maps():
     rng = np.random.default_rng(21)
     boxes = _random_boxes(rng, 12)
     origin = np.array([-512.75, 33.1, -4.0])
     city = CityMap([_box(lo + origin, hi + origin) for lo, hi in boxes], origin, origin + 100.0)
     a = rng.uniform(origin, origin + 100.0, (400, 3))
-    # short steps like a tree's, and long ones across many cells
+    # short steps like a tree's, and long ones across many columns
     b = np.clip(a + rng.normal(0.0, 1.0, (400, 3)) * np.where(np.arange(400) % 2, 6.0, 60.0)[:, None],
                 origin, origin + 100.0)
     # skip near-grazing segments, where a sampling oracle is unreliable
@@ -388,11 +389,11 @@ def test_roof_grid_is_exact_on_random_segments_and_empty_maps():
                                                            for v in origin]
     a, b = _adversarial_segments(rng, special, 100)
     assert not any(_check_against_oracle(empty, a, b))
-    assert np.isneginf(empty._roof).all()
+    assert len(empty._columns) == 10 and not any(empty._columns)
 
 
-def test_roof_grid_clears_most_segments_on_a_generated_map(monkeypatch):
-    """The grid is not dead code: most short single segments never reach the slab test."""
+def test_column_index_answers_every_short_segment_on_a_generated_map(monkeypatch):
+    """No short single segment reaches the batched slab test, and all agree with it."""
     city = generate_city(11)
     touch_buildings = CityMap._touch_buildings
     narrow = []
@@ -407,11 +408,12 @@ def test_roof_grid_clears_most_segments_on_a_generated_map(monkeypatch):
     flags = city.segments_collide(a, b)
     monkeypatch.setattr(CityMap, "_touch_buildings", counting_touch_buildings)
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags.tolist()
-    assert 0 < len(narrow) < 200
+    assert narrow == []
+    assert 0 < flags.sum() < 400
 
 
-def test_huge_bounds_build_a_bounded_roof_grid_quickly():
-    """Bounds of 1e7 m widen the cells instead of allocating a huge grid."""
+def test_huge_bounds_build_a_bounded_column_index_quickly():
+    """Bounds of 1e7 m widen the columns instead of allocating a huge index."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -423,12 +425,78 @@ def test_huge_bounds_build_a_bounded_roof_grid_quickly():
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 2_000_000
-    assert city._roof.shape == (256, 256)
+    assert len(city._columns) == 256
     assert city.segment_collides((10, 10, 1), (10, 10, 60))
     assert not city.segment_collides((10, 10, 51), (5e6, 5e6, 51))
     assert city.segment_collides((9.95e6, 4e6, 10), (9.95e6, 6e6, 10))
     assert not city.point_free((9.95e6, 5.05e6, 70))
     assert city.point_free((9.95e6, 5.05e6, 70.5))
+
+
+# lengths d whose rounded reciprocal gives d * (1 / d) == 1 - 2**-53, and two
+# whose product is exactly 1
+INEXACT_LENGTHS = (49.0, 98.0, 103.0, 107.0, 161.0)
+EXACT_LENGTHS = (50.0, 100.0)
+
+
+def test_scalar_slab_matches_the_batched_slab_on_segments_ending_on_a_face():
+    """Axis-parallel and diagonal segments with an endpoint exactly on the building's surface.
+
+    Every axis a segment moves along spans one of the lengths above, toward
+    or away from the box, so the slab parameters round to just below 1 or to
+    exactly 1 and the answer at the contact point rests on the last bit.
+    """
+    assert all(d * (1.0 / d) != 1.0 for d in INEXACT_LENGTHS)
+    assert all(d * (1.0 / d) == 1.0 for d in EXACT_LENGTHS)
+    lo, hi = np.array([170.0, 170.0, 170.0]), np.array([330.0, 330.0, 330.0])
+    city = CityMap([_box(lo, hi)], (0, 0, 0), (500, 500, 500))
+    levels = np.array([lo, (lo + hi) / 2, hi]).T
+    # the 26 corners, edge midpoints and face centres of the box
+    surface = np.array([p for p in itertools.product(*levels) if not np.array_equal(p, levels[:, 1])])
+    steps = (0.0,) + tuple(s * d for d in INEXACT_LENGTHS + EXACT_LENGTHS for s in (1.0, -1.0))
+    # moving along one axis or two
+    offsets = np.array([v for v in itertools.product(steps, repeat=3) if 0 < np.count_nonzero(v) < 3])
+    on = np.repeat(surface, len(offsets), axis=0)
+    off = on + np.tile(offsets, (len(surface), 1))
+    hits = []
+    for a, b in ((off, on), (on, off)):
+        flags = city.segments_collide(a, b).tolist()
+        assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+        hits.append(sum(flags))
+    # every segment starting on the surface touches it at t = 0; some ending
+    # on it miss where one axis' exit rounds to just below 1 and another's
+    # entry to exactly 1
+    assert hits[1] == len(on) and 0 < len(on) - hits[0] < len(on) // 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
+    """A subnormal length overflows its reciprocal, and a zero times it is a NaN parameter."""
+    city = CityMap([_box((0, 0, 0), (10, 10, 10))], (0, 0, 0), (100, 100, 100))
+    tiny = 5e-324
+    a = [(0.0, 5.0, 5.0), (0.0, 5.0, 5.0), (20.0, 5.0, 5.0), (1.0, 1.0, 0.0), (10.0, 5.0, 5.0)]
+    b = [(tiny, 5.0, 5.0), (tiny, 5.0, 20.0), (20.0, 5.0, tiny), (1.0, 1.0, tiny), (10.0, 5.0, tiny)]
+    flags = city.segments_collide(a, b).tolist()
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+
+
+def test_column_index_stays_bounded_on_buildings_spanning_the_whole_map():
+    """2,000 overlapping buildings across the full x extent: a bounded index, built quickly."""
+    rng = np.random.default_rng(13)
+    n, side = 2000, 1e5
+    y0 = rng.uniform(0.0, side - 50.0, n)
+    z1 = rng.uniform(1.0, 300.0, n)
+    boxes = [_box((0.0, y, 0.0), (side, y + 50.0, z)) for y, z in zip(y0, z1)]
+    t0 = time.perf_counter()
+    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
+    assert time.perf_counter() - t0 < 0.5
+    assert len(city._columns) == 256
+    assert sum(len(c) for c in city._columns) <= 256 * n
+    a = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (200, 3))
+    b = np.clip(a + rng.uniform(-15.0, 15.0, (200, 3)), 0.0, (side, side, 500.0))
+    flags = city.segments_collide(a, b).tolist()
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+    assert 0 < sum(flags) < 200
 
 
 # ----------------------------------------------------------------------
