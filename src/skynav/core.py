@@ -14,8 +14,9 @@ class PlanRequest:
     """One planning query: fly from start to goal.
 
     A plan succeeds once the tree (or grid search) reaches within
-    ``goal_threshold`` meters of the goal.  Sampling planners give up after
-    ``max_failed_attempts`` extensions that did not add a node.
+    ``goal_threshold`` meters of the goal.  The tree planners give up after
+    ``max_failed_attempts`` blocked straight extensions, whether or not a
+    detour then adds a node.
     """
 
     start: tuple[float, float, float]

@@ -136,6 +136,17 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     sample_with_bias's points from the block-built core.samples stream.
     Straight extensions and detour moves alike are single-segment queries,
     answered in Python floats over the map's column index.
+
+    A goal draw from a (near, step) pair whose straight extension was blocked
+    before is replayed, not recomputed: it counts an explored and a failed
+    attempt, shrinks the step as a collision and adds no node.  The steer, the
+    collision check and detour_extend are pure functions of the near position,
+    goal, step and map, so recomputing would add a copy of a node the tree
+    holds, with the same parent and a try_finish that returned None.  Equal
+    coordinates score the same wherever a node sits and nearest ties go to the
+    lowest index, so that copy could never be a nearest node or a parent:
+    dropping it changes no route.  The goal's nearest node is reused while the
+    tree has not grown.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
@@ -153,13 +164,31 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         if path is not None:
             return PlanResult(True, path, explored, perf_counter() - t0)
 
+    goal_l = goal.tolist()
+    # (near, step) of goal draws whose straight extension was blocked, and the
+    # tree size and nearest node of the last goal draw
+    trapped = set()
+    goal_size = goal_near = 0
     failed = 0
     while failed < req.max_failed_attempts:
         sample = draw()
-        near = tree._nearest(sample)
-        near_pos = tree.positions[near]
-        new = _steer(near_pos, sample, step)
         explored += 1
+        to_goal = sample.tolist() == goal_l
+        if to_goal:
+            if goal_size != tree._n:
+                goal_size, goal_near = tree._n, tree._nearest(sample)
+            near = goal_near
+            if (near, step) in trapped:
+                # an exact repeat: it would block, detour and fail to finish as
+                # before, adding at most a copy of a node the tree holds
+                failed += 1
+                if adapt_step:
+                    step = update_step(step, COLLIDED, params)
+                continue
+        else:
+            near = tree._nearest(sample)
+        near_pos = tree._pos[near]
+        new = _steer(near_pos, sample, step)
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
         blocked = degenerate or city._segment_collides(near_pos, new)
         node = new
@@ -167,6 +196,8 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
             # a blocked straight extension spends budget even when a detour
             # rescues it, so the attempt budget always bounds the search
             failed += 1
+            if to_goal:
+                trapped.add((near, step))
             node = detour_extend(city, near_pos, goal, step) if params.use_detour else None
         if node is not None:
             path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +25,8 @@ import numpy as np
 COLUMN_M = 10.0
 COLUMN_MAX = 256
 COLUMN_WINDOW = 3
+# smallest normal float64; the slab tests treat a smaller move as none
+TINY = sys.float_info.min
 
 
 class MapGenerationError(RuntimeError):
@@ -232,8 +235,11 @@ class CityMap:
         # axis-parallel segments never cross that axis' slab planes: either the
         # whole line is inside the slab or it misses the box outright.  The
         # broad phase kept only pairs whose boxes overlap on every axis, which
-        # on a parallel axis means the line lies inside the slab.
-        parallel = d == 0.0
+        # on a parallel axis means the line lies inside the slab.  A subnormal
+        # move counts as parallel too: its reciprocal can overflow, and a zero
+        # times inf is a NaN parameter that would miss the box; as parallel it
+        # errs toward a hit by less than the smallest normal float.
+        parallel = np.abs(d) < TINY
         inv = 1.0 / np.where(parallel, 1.0, d)
         t1 = (self._lo[:, bld] - a) * inv
         t2 = (self._hi[:, bld] - a) * inv
@@ -303,13 +309,14 @@ def _slab(a: list, b: list, box: tuple) -> bool:
     A scalar copy of CityMap._touch_buildings' narrow phase for one pair
     whose boxes overlap: the same IEEE operations in the same order, which
     Python floats round as float64 ufuncs do, so the two answers match bit
-    for bit.  An axis the segment does not move along is skipped, and a NaN
-    parameter (a zero times an infinite one) misses, as it does in numpy.
+    for bit.  An axis the segment does not move along, or moves along by less
+    than the smallest normal float, is skipped, as it is there, and a NaN
+    parameter misses, as it does in numpy.
     """
     tmin, tmax = 0.0, 1.0
     for k in range(3):
         d = b[k] - a[k]
-        if d == 0.0:
+        if -TINY < d < TINY:
             continue
         inv = 1.0 / d
         t1 = (box[k] - a[k]) * inv

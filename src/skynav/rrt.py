@@ -36,7 +36,7 @@ def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: floa
     the goal connects directly when that segment is free.  goal is a finite
     float64 array of shape (3,), as PlanRequest holds it.
     """
-    pos = tree.positions[node]
+    pos = tree._pos[node]
     d = math.dist(pos.tolist(), goal.tolist())
     if d <= threshold:
         path = tree.extract_path(node)

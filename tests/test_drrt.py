@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 from test_env import _segment_hits_box_oracle
 
+import skynav.drrt
 from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, SearchTree,
                     build_city, classify_step_outcome, default_scenario, detour_extend,
-                    plan_drrt, plan_rrt, update_step)
+                    generate_city, plan_drrt, plan_rrt, update_step)
+from skynav.core import EMPTY_PATH, _steer, samples
 from skynav.drrt import COLLIDED, FAR, NEUTRAL
+from skynav.rrt import check_endpoints, try_finish
 
 
 def _empty(side=500.0):
@@ -311,6 +314,83 @@ def test_disabling_every_enhancement_reproduces_the_classic_planner():
         assert classic.success == down.success
         assert np.array_equal(classic.path, down.path)
         assert classic.explored_nodes == down.explored_nodes
+
+
+def _grow_tree_recomputing(city, req, params, seed):
+    """Reference tree loop that recomputes every draw, for params with detours on and an
+    adaptive step: success, path and explored count."""
+    step = params.step_size
+    goal = req.goal
+    draw = samples(goal, params.p_target, city.bounds_min, city.bounds_max,
+                   np.random.default_rng(seed)).__next__
+    tree = SearchTree(req.start)
+    explored = 0
+    check_endpoints(city, req)
+    if math.dist(req.start, goal) <= max(step, req.goal_threshold):
+        explored = 1
+        path = try_finish(city, tree, 0, goal, req.goal_threshold, step)
+        if path is not None:
+            return True, path, explored
+    failed = 0
+    while failed < req.max_failed_attempts:
+        sample = draw()
+        near = tree._nearest(sample)
+        near_pos = tree.positions[near]
+        new = _steer(near_pos, sample, step)
+        explored += 1
+        blocked = np.array_equal(new, near_pos) or city._segment_collides(near_pos, new)
+        node = new
+        if blocked:
+            failed += 1
+            node = detour_extend(city, near_pos, goal, step)
+        if node is not None:
+            path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
+            if path is not None:
+                return True, path, explored
+        step = update_step(step, classify_step_outcome(city, new, blocked, params), params)
+    return False, EMPTY_PATH.copy(), explored
+
+
+# Requests 12, 15, 19, 20 and 23 of the benchmark's drrt_city pool, where the
+# goal bias keeps drawing the goal from one blocked node: (map seed, start,
+# goal, seed).  Map 11 is the canonical city; 12 and 13 are generated with its
+# parameters.  All run with a budget of 5000 blocked extensions.
+TRAPPED_REQUESTS = (
+    (11, (486.27103684223374, 241.86700708638912, 1.046562806715413),
+     (128.07569644769237, 224.49461533943665, 311.68689071809285), 512),
+    (11, (326.2632534236794, 439.32729575876397, 1.0742850576485523),
+     (479.57220425761955, 41.36563078542839, 15.231952680131952), 515),
+    (12, (78.0634405943256, 352.9026131755906, 18.679152758780482),
+     (464.63305103794653, 35.89001661748604, 248.7295490424695), 519),
+    (13, (486.8834680712733, 458.87743848310714, 6.188410608969867),
+     (274.3424570293298, 231.26565050230474, 396.29574648044047), 520),
+    (13, (159.96961871078386, 402.14159083473703, 4.205677760518894),
+     (489.99278257483877, 204.0519998860185, 139.17075779587063), 523),
+)
+
+
+def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
+    """Replaying a repeated blocked goal draw changes no route, and skips its detour."""
+    scenario = default_scenario()
+    maps = {11: build_city(scenario),
+            12: generate_city(12, scenario.map_params),
+            13: generate_city(13, scenario.map_params)}
+    calls = []
+    monkeypatch.setattr(skynav.drrt, "detour_extend",
+                        lambda *args: calls.append(1) or detour_extend(*args))
+    failures = 0
+    for map_seed, start, goal, seed in TRAPPED_REQUESTS:
+        city, req = maps[map_seed], PlanRequest(start, goal, max_failed_attempts=5000)
+        success, path, explored = _grow_tree_recomputing(city, req, DrrtParams(), seed)
+        calls.clear()
+        res = plan_drrt(city, req, DrrtParams(), seed)
+        assert (res.success, res.explored_nodes) == (success, explored)
+        assert res.path.tobytes() == path.tobytes()
+        if not success:
+            # the recomputing loop calls detour_extend once per budgeted attempt
+            failures += 1
+            assert len(calls) < 1000
+    assert failures == 3
 
 
 # ----------------------------------------------------------------------

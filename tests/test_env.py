@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -469,15 +470,50 @@ def test_scalar_slab_matches_the_batched_slab_on_segments_ending_on_a_face():
     assert hits[1] == len(on) and 0 < len(on) - hits[0] < len(on) // 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
-    """A subnormal length overflows its reciprocal, and a zero times it is a NaN parameter."""
-    city = CityMap([_box((0, 0, 0), (10, 10, 10))], (0, 0, 0), (100, 100, 100))
+    """A move shorter than the smallest normal float counts as none in both slab tests.
+
+    Its reciprocal can overflow, and a zero times inf is a NaN parameter that
+    used to miss the box, so a segment inside a building read as free.  Runs
+    with warnings as errors: no RuntimeWarning on the way.
+    """
+    probe = CityMap([_box((0, 0, 0), (10, 10, 10))], (0, 0, 0), (100, 100, 100))
     tiny = 5e-324
+    assert not probe.point_free((0.0, 5.0, 5.0))
+    assert probe.segments_collide([(0.0, 5.0, 5.0)], [(tiny, 5.0, 5.0)]).tolist() == [True]
+    assert probe.segment_collides((0.0, 5.0, 5.0), (tiny, 5.0, 5.0))
     a = [(0.0, 5.0, 5.0), (0.0, 5.0, 5.0), (20.0, 5.0, 5.0), (1.0, 1.0, 0.0), (10.0, 5.0, 5.0)]
     b = [(tiny, 5.0, 5.0), (tiny, 5.0, 20.0), (20.0, 5.0, tiny), (1.0, 1.0, tiny), (10.0, 5.0, tiny)]
-    flags = city.segments_collide(a, b).tolist()
-    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+    assert probe.segments_collide(a, b).tolist() == [True, True, False, True, True]
+    assert [probe.segment_collides(p, q) for p, q in zip(a, b)] == [True, True, False, True, True]
+
+    # subnormal moves along every set of axes, from starts inside, on and off
+    # a box around the origin; on their own, and beside a 15 m move
+    city = CityMap([_box((-10, -10, -10), (10, 10, 10))], (-100, -100, -100), (100, 100, 100))
+    starts = [(0.0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, -10.0), (0.0, 50.0, 0.0),
+              (0.0, 0.0, 20.0), (-50.0, 0.0, 0.0)]
+    lengths = (tiny, -tiny, 1e-310, -1e-315, sys.float_info.min / 2)
+    moves = [v for d in lengths for v in itertools.product((0.0, d), repeat=3) if any(v)]
+    # beside a 15 m move, only the one from above the roof down into it enters the box
+    long = [(0.0, 0.0, -15.0), (15.0, 0.0, 0.0)]
+    enters = ((0.0, 0.0, 20.0), (0.0, 0.0, -15.0))
+    seg_a, seg_b, expected = [], [], []
+    for p in starts:
+        # every segment below stays within 1e-307 m of p or of its 15 m move
+        hit = not city.point_free(p)
+        for v in moves:
+            q = np.add(p, v)
+            seg_a.append(p)
+            seg_b.append(q)
+            expected.append(hit)
+            for w in long:
+                seg_a.append(p)
+                seg_b.append(q + w)
+                expected.append(hit or (p, w) == enters)
+    flags = city.segments_collide(seg_a, seg_b).tolist()
+    assert flags == expected
+    assert [city.segment_collides(p, q) for p, q in zip(seg_a, seg_b)] == flags
 
 
 def test_column_index_stays_bounded_on_buildings_spanning_the_whole_map():
