@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from .core import EMPTY_PATH, PlanRequest, PlanResult, uniforms
-from .env import CityMap
+from .env import CityMap, as_point
 
 # all 26 neighbour offsets, lexicographic for deterministic tie handling
 NEIGHBOR_OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
@@ -105,8 +105,11 @@ class VoxelGrid:
     # ------------------------------------------------------------------
 
     def cell_of(self, p) -> tuple[int, int, int]:
-        """Cell containing a point; points on the far boundary map to the last cell."""
-        rel = (np.asarray(p, dtype=float) - self.origin) / self.resolution
+        """Cell containing a point; points on the far boundary map to the last cell.
+
+        A point outside the grid, or not three finite coordinates, raises ValueError.
+        """
+        rel = (as_point(p) - self.origin) / self.resolution
         idx = np.floor(rel).astype(int)
         idx = np.clip(idx, 0, np.array(self.dims) - 1)
         if np.any(rel < 0) or np.any(rel > np.array(self.dims)):

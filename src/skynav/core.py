@@ -189,7 +189,12 @@ def samples(goal, p_target: float, bounds_min, bounds_max, rng: np.random.Genera
 
     Takes float64 (3,) arrays and builds the candidate points of each block of
     uniforms at once; a draw cut by a block end goes on in the next block.
+    Every goal draw yields one read-only array, so a caller can tell it by
+    identity: goal itself when it is read-only, else a read-only copy.
     """
+    if goal.flags.writeable:
+        goal = goal.copy()
+        goal.flags.writeable = False
     lo, span = bounds_min[:, None], (bounds_max - bounds_min)[:, None]
     u = rng.random(block)
     while True:
@@ -198,6 +203,6 @@ def samples(goal, p_target: float, bounds_min, bounds_max, rng: np.random.Genera
         hit = (u < p_target).tolist()
         k, end = 0, len(u)
         while k < end and (hit[k] or k + 3 < end):
-            yield goal.copy() if hit[k] else points[k + 1]
+            yield goal if hit[k] else points[k + 1]
             k += 1 if hit[k] else 4
         u = np.concatenate((u[k:], rng.random(block)))

@@ -57,12 +57,13 @@ def classify_step_outcome(city: CityMap, x_new, extension_collided: bool,
 
     A collided extension dominates; otherwise the new point is ``far`` when
     its clearance strictly exceeds params.clearance_far, else ``neutral``.
-    x_new is a point inside the bounds, such as a node the planner added; it
-    goes to CityMap's trusted clearance twin unvalidated.
+    CityMap.clearance_exceeds makes the comparison, exactly and mostly from
+    the map's cell index; it raises ValueError when x_new lies outside the
+    bounds or has a NaN coordinate.
     """
     if extension_collided:
         return COLLIDED
-    if city._clearance(x_new) > params.clearance_far:
+    if city.clearance_exceeds(x_new, params.clearance_far):
         return FAR
     return NEUTRAL
 
@@ -88,10 +89,13 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
     candidate is blocked or out of bounds.
 
     Each move is one single-segment CityMap._segment_collides query from
-    x_near, which is checked against the bounds first.
+    x_near, which is checked against the bounds first.  x_near and goal must
+    hold three coordinates each, else ValueError.
     """
     x_near = np.asarray(x_near, dtype=float)
     goal = np.asarray(goal, dtype=float)
+    if x_near.shape != (3,) or goal.shape != (3,):
+        raise ValueError(f"expected 3 coordinates, got shapes {x_near.shape} and {goal.shape}")
     if not city._inside(x_near.tolist()):
         return None
     dz = step if goal[2] > x_near[2] else -step
@@ -128,31 +132,41 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     """plan_drrt's loop; plan_rrt runs it with p_target 0, no detour and a pinned step.
 
     A pinned step (step_min == step_max) never changes, so the step
-    controller and its clearance query are skipped.
+    controller and its far test are skipped.
 
     PlanRequest and check_endpoints validate the endpoints once; the loop
     then calls the trusted twins (SearchTree._nearest and _add, _steer,
     CityMap._segment_collides) on float64 arrays it built itself, and takes
-    sample_with_bias's points from the block-built core.samples stream.
+    sample_with_bias's points from the block-built core.samples stream,
+    whose goal draws are all one read-only copy of the goal, told apart by
+    identity (a uniform point equal to the goal by value counts as one too).
     Straight extensions and detour moves alike are single-segment queries,
-    answered in Python floats over the map's column index.
+    answered in Python floats over the map's column index.  The step
+    controller asks CityMap.clearance_exceeds, which answers from a cell
+    index of the map that is built once per clearance_far.
 
-    A goal draw from a (near, step) pair whose straight extension was blocked
-    before is replayed, not recomputed: it counts an explored and a failed
-    attempt, shrinks the step as a collision and adds no node.  The steer, the
-    collision check and detour_extend are pure functions of the near position,
-    goal, step and map, so recomputing would add a copy of a node the tree
-    holds, with the same parent and a try_finish that returned None.  Equal
-    coordinates score the same wherever a node sits and nearest ties go to the
-    lowest index, so that copy could never be a nearest node or a parent:
-    dropping it changes no route.  The goal's nearest node is reused while the
-    tree has not grown.
+    steer, the collision check and detour_extend are pure functions of the
+    near position, goal, step and map, and a node recomputed from the same
+    (near, step) pair would be a copy of a node the tree holds, with the same
+    parent and a try_finish that returned None.  Equal coordinates score the
+    same wherever a node sits and nearest ties go to the lowest index, so
+    that copy could never be a nearest node or a parent: dropping it changes
+    no route.  Hence:
+
+    - a goal draw from a (near, step) pair whose straight extension was
+      blocked before is replayed, not recomputed: it counts an explored and
+      a failed attempt, shrinks the step as a collision and adds no node;
+    - a blocked extension from a (near, step) pair whose detour already ran
+      counts as failed and calls no detour.
+
+    The goal's nearest node is reused while the tree has not grown.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
     step = params.step_size
     adapt_step = params.step_min < params.step_max
-    goal = req.goal
+    goal = req.goal.copy()
+    goal.flags.writeable = False
     draw = samples(goal, params.p_target, city.bounds_min, city.bounds_max,
                    np.random.default_rng(seed)).__next__
     tree = SearchTree(req.start)
@@ -165,22 +179,24 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
             return PlanResult(True, path, explored, perf_counter() - t0)
 
     goal_l = goal.tolist()
-    # (near, step) of goal draws whose straight extension was blocked, and the
-    # tree size and nearest node of the last goal draw
+    # (near, step) pairs of goal draws whose straight extension was blocked,
+    # and of blocked extensions whose detour ran; the tree size and nearest
+    # node of the last goal draw
     trapped = set()
+    detoured = set()
     goal_size = goal_near = 0
     failed = 0
     while failed < req.max_failed_attempts:
         sample = draw()
         explored += 1
-        to_goal = sample.tolist() == goal_l
+        to_goal = sample is goal or sample.tolist() == goal_l
         if to_goal:
             if goal_size != tree._n:
                 goal_size, goal_near = tree._n, tree._nearest(sample)
             near = goal_near
             if (near, step) in trapped:
-                # an exact repeat: it would block, detour and fail to finish as
-                # before, adding at most a copy of a node the tree holds
+                # an exact repeat: it would block as before, adding at most a
+                # copy of a node the tree holds
                 failed += 1
                 if adapt_step:
                     step = update_step(step, COLLIDED, params)
@@ -196,9 +212,13 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
             # a blocked straight extension spends budget even when a detour
             # rescues it, so the attempt budget always bounds the search
             failed += 1
+            key = (near, step)
             if to_goal:
-                trapped.add((near, step))
-            node = detour_extend(city, near_pos, goal, step) if params.use_detour else None
+                trapped.add(key)
+            node = None
+            if params.use_detour and key not in detoured:
+                detoured.add(key)
+                node = detour_extend(city, near_pos, goal, step)
         if node is not None:
             path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
             if path is not None:

@@ -27,6 +27,16 @@ COLUMN_MAX = 256
 COLUMN_WINDOW = 3
 # smallest normal float64; the slab tests treat a smaller move as none
 TINY = sys.float_info.min
+# Far-test index (see CityMap._build_far_index).  Cells are FAR_CELL_M square,
+# or wider on a map that would otherwise need more than FAR_CELLS_MAX of them
+# a side, or hold more than FAR_REFS box references per building; a map keeps
+# the indexes of at most FAR_INDEXES radii.  FAR_SLACK widens the radius by a
+# relative margin far above the rounding of the clearance arithmetic.
+FAR_CELL_M = 10.0
+FAR_CELLS_MAX = 64
+FAR_REFS = 256
+FAR_INDEXES = 4
+FAR_SLACK = 1e-9
 
 
 class MapGenerationError(RuntimeError):
@@ -108,6 +118,8 @@ class CityMap:
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
         self._build_columns()
+        # far-test indexes by radius, built on first use (see clearance_exceeds)
+        self._far_indexes = {}
 
     def _build_columns(self) -> None:
         """Per x-column of the bounds, the boxes of the buildings that reach into it.
@@ -254,25 +266,119 @@ class CityMap:
         """Euclidean distance from p to the nearest building surface.
 
         Returns 0 for points inside a building and +inf on an empty map.  The
-        bounding walls of the map do not count as obstacles here.
+        bounding walls of the map do not count as obstacles here.  Takes one
+        square root, of the smallest squared distance: the root is monotone and
+        correctly rounded, so that equals the smallest root.
         """
         p = as_point(p)
         if not self._inside(p):
             raise ValueError(f"clearance queried outside map bounds: {tuple(p)}")
-        return self._clearance(p)
-
-    def _clearance(self, p: np.ndarray) -> float:
-        """clearance for a finite point inside the bounds that the caller has validated.
-
-        p may be any (x, y, z) array-like.  Takes one square root, of the
-        smallest squared distance: the root is monotone and correctly
-        rounded, so that equals the smallest root.
-        """
         if not self.buildings:
             return math.inf
-        p = np.asarray(p)[:, None]
+        p = p[:, None]
         delta = np.maximum(np.maximum(self._lo - p, p - self._hi), 0.0)
         return math.sqrt((delta * delta).sum(axis=0).min())
+
+    def clearance_exceeds(self, p, r: float) -> bool:
+        """True iff clearance(p) > r, computed exactly as clearance computes it, for r >= 0.
+
+        p is an (x, y, z) float sequence or float64 array inside the bounds;
+        a point outside them, or with a NaN coordinate, raises ValueError.
+        Looks up p's cell in the map's index for r (see _build_far_index): a
+        point above the cell's top is farther than r from every building.
+        Otherwise the distance to each box the cell lists is computed in
+        Python floats with clearance's operations in its order, and the root
+        of the smallest is compared with r.  A box the cell does not list lies
+        farther than r from p even after rounding, so it cannot decide the
+        comparison, though it may hold clearance's minimum.
+        """
+        if isinstance(p, np.ndarray):
+            p = p.tolist()
+        x, y, z = p
+        if not self._inside(p):
+            raise ValueError(f"far test queried outside map bounds: {(x, y, z)}")
+        inv, last_i, last_j, cells = self._far_indexes.get(r) or self._build_far_index(r)
+        i = int((x - self._bx0) * inv)
+        j = int((y - self._by0) * inv)
+        top, boxes = cells[(i if i < last_i else last_i) * (last_j + 1)
+                           + (j if j < last_j else last_j)]
+        if z > top:
+            return True
+        best = math.inf
+        for x0, y0, z0, x1, y1, z1 in boxes:
+            # np.maximum(np.maximum(lo - p, p - hi), 0.0) per axis
+            dx, dy, dz = x0 - x, y0 - y, z0 - z
+            if x - x1 > dx:
+                dx = x - x1
+            if y - y1 > dy:
+                dy = y - y1
+            if z - z1 > dz:
+                dz = z - z1
+            if dx < 0.0:
+                dx = 0.0
+            if dy < 0.0:
+                dy = 0.0
+            if dz < 0.0:
+                dz = 0.0
+            d = (dx * dx + dy * dy) + dz * dz
+            if d < best:
+                best = d
+        return math.sqrt(best) > r
+
+    def _build_far_index(self, r: float) -> tuple:
+        """The far-test index of radius r: (1 / cell side, last cell i, last cell j, cells).
+
+        cells[i * (last j + 1) + j] is (top, boxes) for the x-y cell (i, j):
+        boxes lists the (x0, y0, z0, x1, y1, z1) tuples of every building
+        whose footprint, inflated by pad = r plus a FAR_SLACK margin, meets
+        the cell, and top is the tallest of their roofs plus pad, -inf when
+        there are none.  Buildings and queries map x and y to cells with the
+        same monotone truncation, clamped to the grid, so a point whose
+        rounded distance to a box can reach r lies in a cell that lists the
+        box, and a point above top lies farther than r above every box the
+        cell lists: each of the few roundings on the way moves a value by a
+        relative 2**-53, and pad covers them with a margin of FAR_SLACK
+        times the coordinates' scale.  Equal box lists share one entry.
+        """
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"far-test radius must be finite and non-negative, got {r!r}")
+        scale = max(abs(v) for v in (self._bx0, self._by0, self._bz0,
+                                     self._bx1, self._by1, self._bz1))
+        pad = r + FAR_SLACK * (r + scale)
+        bx, by = self._bx0, self._by0
+        boxes = [b.min_corner + b.max_corner for b in self.buildings]
+        side = max(FAR_CELL_M, (self._bx1 - bx) / FAR_CELLS_MAX, (self._by1 - by) / FAR_CELLS_MAX)
+        while True:
+            inv = 1.0 / side
+            last_i = min(FAR_CELLS_MAX, max(1, math.ceil((self._bx1 - bx) * inv))) - 1
+            last_j = min(FAR_CELLS_MAX, max(1, math.ceil((self._by1 - by) * inv))) - 1
+            spans = [(max(0, min(last_i, int((box[0] - pad - bx) * inv))),
+                      min(last_i, int((box[3] + pad - bx) * inv)),
+                      max(0, min(last_j, int((box[1] - pad - by) * inv))),
+                      min(last_j, int((box[4] + pad - by) * inv))) for box in boxes]
+            refs = sum((i1 - i0 + 1) * (j1 - j0 + 1) for i0, i1, j0, j1 in spans)
+            if refs <= FAR_REFS * len(boxes) or last_i == last_j == 0:
+                break
+            side *= 2.0
+        listed = [[] for _ in range((last_i + 1) * (last_j + 1))]
+        for k, (i0, i1, j0, j1) in enumerate(spans):
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    listed[i * (last_j + 1) + j].append(k)
+        shared = {}
+        cells = []
+        for ks in listed:
+            key = tuple(ks)
+            if key not in shared:
+                shared[key] = (max((boxes[k][5] for k in ks), default=-math.inf) + pad,
+                               tuple(boxes[k] for k in ks))
+            cells.append(shared[key])
+        index = (inv, last_i, last_j, cells)
+        # replaced, never mutated: threads sharing the map each see a whole dict
+        # of at most FAR_INDEXES entries, and a lost update only costs a rebuild
+        kept = self._far_indexes if len(self._far_indexes) < FAR_INDEXES else {}
+        self._far_indexes = {**kept, r: index}
+        return index
 
     # ------------------------------------------------------------------
     # serialization

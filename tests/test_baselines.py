@@ -120,6 +120,13 @@ def test_cell_addressing_round_trip():
         grid.cell_of((12.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("p", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0), "abc"])
+def test_cell_of_rejects_points_that_are_not_three_finite_coordinates(p):
+    grid = VoxelGrid(np.zeros((4, 5, 6), dtype=bool), 2.5, origin=(1, 1, 1))
+    with pytest.raises(ValueError):
+        grid.cell_of(p)
+
+
 def test_legal_moves_respect_occupancy_and_corner_cuts():
     occ = np.zeros((2, 2, 1), dtype=bool)
     occ[0, 1, 0] = True

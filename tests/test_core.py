@@ -296,10 +296,14 @@ def test_sample_stream_matches_sample_with_bias(p_target, block):
         stream = samples(goal, p_target, lo, hi, np.random.default_rng(seed), block)
         got = [next(stream) for _ in range(3000)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+    # every goal draw is one read-only array, and the caller's goal stays its own
     stream = samples(goal, 1.0, lo, hi, np.random.default_rng(0), block)
     out = next(stream)
-    out[0] = 42.0
-    assert goal[0] == 470.0 and next(stream)[0] == 470.0
+    assert next(stream) is out and out is not goal
+    with pytest.raises(ValueError):
+        out[0] = 42.0
+    goal[0] = 1.0
+    assert out[0] == 470.0
 
 
 def test_sample_bias_returned_goal_is_a_copy():

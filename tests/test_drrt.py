@@ -88,6 +88,14 @@ def test_outcome_classification():
     assert classify_step_outcome(wall, (9.9, 5, 5), True, p) == COLLIDED
 
 
+@pytest.mark.parametrize("x_new", [(-50.0, 15.0, 10.0), (15.0, 15.0, 101.0), (np.nan, 15.0, 10.0),
+                                   np.array([15.0, np.nan, 10.0])])
+def test_outcome_classification_rejects_points_outside_the_bounds(x_new):
+    wall = CityMap([Building((30, 0, 0), (40, 10, 10))], (0, 0, 0), (100, 100, 100))
+    with pytest.raises(ValueError):
+        classify_step_outcome(wall, x_new, False, DrrtParams())
+
+
 # ----------------------------------------------------------------------
 # detours
 # ----------------------------------------------------------------------
@@ -189,6 +197,12 @@ def test_detour_matches_the_batched_detour():
     goals[:, 2] = np.where(np.arange(n) % 2, near[:, 2] + 40.0, near[:, 2] - 40.0)
     kinds = _detour_kinds_matching_the_batched_detour(lattice, near, goals, steps)
     assert kinds == {"none", "sideways", "vertical"}
+
+
+def test_detour_rejects_points_without_three_coordinates():
+    for x_near, goal in (((5, 5), (50, 50, 10)), ((5, 5, 5), (50, 50)), ((5, 5, 5, 5), (1, 1, 1))):
+        with pytest.raises(ValueError):
+            detour_extend(_empty(), x_near, goal, 5.0)
 
 
 def test_detour_returns_none_when_fully_caged():
@@ -316,9 +330,11 @@ def test_disabling_every_enhancement_reproduces_the_classic_planner():
         assert classic.explored_nodes == down.explored_nodes
 
 
-def _grow_tree_recomputing(city, req, params, seed):
-    """Reference tree loop that recomputes every draw, for params with detours on and an
-    adaptive step: success, path and explored count."""
+def _grow_tree_recomputing(city, req, params, seed, detours=None):
+    """Reference tree loop that recomputes every draw and every detour, for params with
+    detours on and an adaptive step: success, path and explored count.  Labels a free
+    extension far by the clearance oracle, and appends each detour's (near, step) to
+    detours when given."""
     step = params.step_size
     goal = req.goal
     draw = samples(goal, params.p_target, city.bounds_min, city.bounds_max,
@@ -343,11 +359,15 @@ def _grow_tree_recomputing(city, req, params, seed):
         if blocked:
             failed += 1
             node = detour_extend(city, near_pos, goal, step)
+            if detours is not None:
+                detours.append((near_pos.tobytes(), step))
         if node is not None:
             path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
             if path is not None:
                 return True, path, explored
-        step = update_step(step, classify_step_outcome(city, new, blocked, params), params)
+        outcome = COLLIDED if blocked else (
+            FAR if city.clearance(new) > params.clearance_far else NEUTRAL)
+        step = update_step(step, outcome, params)
     return False, EMPTY_PATH.copy(), explored
 
 
@@ -391,6 +411,41 @@ def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
             failures += 1
             assert len(calls) < 1000
     assert failures == 3
+
+
+# Requests 13 and 17 of the benchmark's drrt_city pool, which find a route after
+# detouring many times from the same nodes: (map seed, start, goal, seed), as above.
+ROUTED_REQUESTS = (
+    (12, (489.7472163717367, 41.00721701354806, 29.09269457822881),
+     (144.45671757549403, 136.7632735242585, 113.76671709441845), 513),
+    (13, (379.29935244821877, 30.14679262491624, 8.000593151907735),
+     (211.08054263047487, 426.67416379826676, 143.96781992248415), 517),
+)
+
+
+def test_detour_memo_reproduces_the_recomputing_loop(monkeypatch):
+    """One detour per (near, step) per plan changes no route and calls fewer detours."""
+    scenario = default_scenario()
+    maps = {11: build_city(scenario),
+            12: generate_city(12, scenario.map_params),
+            13: generate_city(13, scenario.map_params)}
+    calls = []
+    monkeypatch.setattr(
+        skynav.drrt, "detour_extend",
+        lambda city, near, goal, step: calls.append((near.tobytes(), step))
+        or detour_extend(city, near, goal, step))
+    for map_seed, start, goal, seed in TRAPPED_REQUESTS + ROUTED_REQUESTS:
+        city, req = maps[map_seed], PlanRequest(start, goal, max_failed_attempts=5000)
+        recomputed = []
+        success, path, explored = _grow_tree_recomputing(city, req, DrrtParams(), seed,
+                                                         recomputed)
+        calls.clear()
+        res = plan_drrt(city, req, DrrtParams(), seed)
+        assert (res.success, res.explored_nodes) == (success, explored)
+        assert res.path.tobytes() == path.tobytes()
+        # one detour per near position and step, where the reference repeats them
+        assert len(set(calls)) == len(calls) < len(recomputed)
+        assert set(calls) == set(recomputed)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skynav import Building, CityMap, GenParams, MapGenerationError, generate_city, load_map, save_map
-from skynav.env import as_point
+from skynav import (Building, CityMap, GenParams, MapGenerationError, build_city,
+                    default_scenario, generate_city, load_map, save_map)
+from skynav.env import FAR_INDEXES, FAR_REFS, as_point
 
 
 def _box(lo, hi):
@@ -533,6 +534,111 @@ def test_column_index_stays_bounded_on_buildings_spanning_the_whole_map():
     flags = city.segments_collide(a, b).tolist()
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
     assert 0 < sum(flags) < 200
+
+
+# ----------------------------------------------------------------------
+# far test
+# ----------------------------------------------------------------------
+
+def _far_mismatches(city, points, r):
+    """Points where clearance_exceeds disagrees with the clearance(p) > r oracle."""
+    return [tuple(p) for p in points if city.clearance_exceeds(p, r) != (city.clearance(p) > r)]
+
+
+def _points_at_distance(box, r):
+    """Points at distance r from a face, an edge, a corner and the roof of box, and one ulp
+    either side along each axis."""
+    (x0, y0, z0), (x1, y1, z1) = box.min_corner, box.max_corner
+    mx, my, mz = (x0 + x1) / 2, (y0 + y1) / 2, (z0 + z1) / 2
+    base = [
+        (x1 + r, my, mz), (x0 - r, my, mz), (mx, y0 - r, mz), (mx, y1 + r, mz),   # faces
+        (x1 + 0.6 * r, y1 + 0.8 * r, mz), (x0 - 0.8 * r, y0 - 0.6 * r, mz),       # edges
+        (x1 + 2 / 7 * r, y0 - 3 / 7 * r, z1 + 6 / 7 * r),                        # corner
+        (mx, my, z1 + r), (x0, y0, z1 + r), (x1, y1, z1 + r),                      # roof
+    ]
+    out = []
+    for p in base:
+        for k in range(3):
+            for toward in (-np.inf, np.inf):
+                q = list(p)
+                q[k] = float(np.nextafter(q[k], toward))
+                out.append(q)
+        out.append(list(p))
+    return np.array(out)
+
+
+def _benchmark_maps():
+    scenario = default_scenario()
+    return [build_city(scenario)] + [generate_city(s, scenario.map_params) for s in (12, 13)]
+
+
+def test_far_test_matches_the_clearance_oracle():
+    """clearance_exceeds equals clearance(p) > r on random points of the benchmark maps, on
+    points r from each building's face, edge, corner and roof, and one ulp off them."""
+    rng = np.random.default_rng(21)
+    for city in _benchmark_maps():
+        for r in (20.0, 5.0, 0.5):
+            random = rng.uniform(city.bounds_min, city.bounds_max, (3000, 3)) * (1.0, 1.0, 0.6)
+            assert _far_mismatches(city, random, r) == []
+            for b in city.buildings:
+                near = _points_at_distance(b, r)
+                inside = [p for p in near if city._inside(p.tolist())]
+                assert _far_mismatches(city, inside, r) == []
+    # exact distances: a face point r away is not far, one ulp farther out is
+    wall = CityMap([_box((30, 0, 0), (40, 10, 10))], (0, 0, 0), (100, 100, 100))
+    assert not wall.clearance_exceeds((20.0, 5.0, 5.0), 10.0)
+    assert wall.clearance_exceeds((math.nextafter(20.0, 0.0), 5.0, 5.0), 10.0)
+    assert not wall.clearance_exceeds((35.0, 5.0, 15.0), 5.0)
+    assert wall.clearance_exceeds((35.0, 5.0, math.nextafter(15.0, 99.0)), 5.0)
+
+
+def test_far_test_on_an_empty_map_and_buildings_touching_the_bounds():
+    rng = np.random.default_rng(22)
+    empty = CityMap((), (0, 0, 0), (100, 100, 100))
+    assert all(empty.clearance_exceeds(p, 20.0) for p in rng.uniform(0.0, 100.0, (200, 3)))
+    assert empty.clearance_exceeds((0.0, 0.0, 0.0), 0.0)
+    edge = CityMap([_box((0, 0, 0), (30, 100, 40)), _box((70, 70, 0), (100, 100, 100)),
+                    _box((40, 0, 60), (60, 20, 100))], (0, 0, 0), (100, 100, 100))
+    points = np.vstack([rng.uniform(0.0, 100.0, (2000, 3)),
+                        np.clip(rng.normal(0.0, 3.0, (500, 3)) + [100.0, 100.0, 100.0], 0, 100),
+                        np.clip(rng.normal(0.0, 3.0, (500, 3)) + [30.0, 50.0, 40.0], 0, 100)])
+    for r in (20.0, 5.0, 0.5, 0.0):
+        assert _far_mismatches(edge, points, r) == []
+        for b in edge.buildings:
+            near = [p for p in _points_at_distance(b, r) if edge._inside(p.tolist())]
+            assert _far_mismatches(edge, near, r) == []
+
+
+def test_far_test_rejects_points_outside_the_bounds_and_bad_radii():
+    city = _unit_box_map()
+    for p in ((-5.0, 1.0, 1.0), (1.0, 11.0, 1.0), (np.nan, 1.0, 1.0), np.array([1.0, 1.0, np.inf])):
+        with pytest.raises(ValueError):
+            city.clearance_exceeds(p, 2.0)
+    for r in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            city.clearance_exceeds((5.0, 5.0, 5.0), r)
+
+
+def test_far_index_stays_bounded_on_buildings_spanning_the_whole_map():
+    """2,000 overlapping full-width buildings: a bounded index, built quickly, still exact."""
+    rng = np.random.default_rng(13)
+    n, side = 2000, 1e5
+    y0 = rng.uniform(0.0, side - 50.0, n)
+    z1 = rng.uniform(1.0, 300.0, n)
+    boxes = [_box((0.0, y, 0.0), (side, y + 50.0, z)) for y, z in zip(y0, z1)]
+    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
+    t0 = time.perf_counter()
+    assert city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0)
+    assert time.perf_counter() - t0 < 0.5
+    cells = city._far_indexes[20.0][3]
+    assert len(cells) <= 64 * 64
+    assert sum(len(boxes) for _, boxes in cells) <= FAR_REFS * n
+    points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
+    assert _far_mismatches(city, points, 20.0) == []
+    # the indexes of at most FAR_INDEXES radii are kept
+    for r in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+        city.clearance_exceeds((1.0, 1.0, 499.0), r)
+        assert len(city._far_indexes) <= FAR_INDEXES
 
 
 # ----------------------------------------------------------------------

@@ -182,8 +182,8 @@ def test_enhanced_planner_validates_points_once_per_plan(monkeypatch):
 def test_fixed_step_runs_no_clearance_query_and_no_detour(monkeypatch):
     # the classic planner's step never changes, so the step controller's
     # clearance query would be pure cost on every extension; the controller
-    # calls the trusted twin of CityMap.clearance
-    clearance = _count_calls(monkeypatch, CityMap, "_clearance")
+    # asks CityMap's far test
+    clearance = _count_calls(monkeypatch, CityMap, "clearance_exceeds")
     detours = _count_calls(monkeypatch, skynav.drrt, "detour_extend")
     city = CityMap([Building((20, 20, 0), (30, 30, 40)), Building((40, 10, 0), (50, 22, 35))],
                    (0, 0, 0), (80, 80, 80))
