@@ -20,7 +20,7 @@ from .drrt import DrrtParams, plan_drrt
 from .env import CityMap, GenParams, as_point, generate_city, load_map
 from .metrics import PathMetrics, TrialRecord, summarize
 from .rrt import RrtParams, plan_rrt
-from .smoothing import smooth_path
+from .smoothing import MAX_SAMPLES_PER_SPAN, check_count, smooth_path
 
 # algorithm name -> (city, grid, request, scenario, seed) -> PlanResult
 PLANNERS = {
@@ -62,6 +62,7 @@ class Scenario:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        check_count(self.samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
         for name in ("start", "goal"):
             try:
                 as_point(getattr(self, name))

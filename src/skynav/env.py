@@ -233,15 +233,29 @@ class CityMap:
 
         The slab test.  A segment can only touch a building whose closed box
         overlaps the segment's own bounding box; only those pairs reach the
-        narrow phase, computed with one row per axis.
+        narrow phase, computed with one row per axis.  The broad phase first
+        keeps the K buildings whose box meets the whole batch's bounding box,
+        which holds every segment's box, then compares them with the segment
+        boxes axis by axis in one (K, S) mask over (3, S) rows.
         """
         hit = np.zeros(len(a), dtype=bool)
-        seg_lo = np.minimum(a, b)[:, :, None]
-        seg_hi = np.maximum(a, b)[:, :, None]
-        near = ((self._lo <= seg_hi) & (seg_lo <= self._hi)).all(axis=1)
-        seg, bld = np.nonzero(near)
-        if seg.size == 0:
+        if not len(a):
             return hit
+        at, bt = a.T.copy(), b.T.copy()
+        seg_lo, seg_hi = np.minimum(at, bt), np.maximum(at, bt)
+        batch_lo, batch_hi = seg_lo.min(axis=1)[:, None], seg_hi.max(axis=1)[:, None]
+        kept = np.flatnonzero(((self._lo <= batch_hi) & (batch_lo <= self._hi)).all(axis=0))
+        if kept.size == 0:
+            return hit
+        lo, hi = self._lo[:, kept, None], self._hi[:, kept, None]
+        near = (lo[0] <= seg_hi[0]) & (seg_lo[0] <= hi[0])
+        for k in (1, 2):
+            near &= lo[k] <= seg_hi[k]
+            near &= seg_lo[k] <= hi[k]
+        if not near.any():
+            return hit
+        bld, seg = np.nonzero(near)
+        bld = kept[bld]
         a = a[seg].T
         d = b[seg].T - a
         # axis-parallel segments never cross that axis' slab planes: either the

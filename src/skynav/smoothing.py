@@ -1,9 +1,23 @@
 """Clamped B-spline smoothing of planner paths with a collision-checked fallback."""
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .env import CityMap
+
+# Bounds of the basis memo (see _basis).  A curve may have at most
+# MAX_BASIS_TERMS basis terms, its sample count times degree + 1: 2**15
+# samples of a cubic.  A term is an int64 index and a float64 weight, so an
+# entry holds at most 2 MB and the memo of BASIS_MEMO entries at most 64 MB.
+# MAX_SAMPLES_PER_SPAN is the most samples per span that keep a one-span
+# cubic, smooth_path's curve through four waypoints, within MAX_BASIS_TERMS;
+# smooth_path and Scenario refuse more.
+MAX_BASIS_TERMS = 2**17
+BASIS_MEMO = 32
+MAX_SAMPLES_PER_SPAN = MAX_BASIS_TERMS // 4 - 1
 
 
 def clamped_knots(n_control: int, degree: int) -> np.ndarray:
@@ -16,19 +30,66 @@ def clamped_knots(n_control: int, degree: int) -> np.ndarray:
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 
 
+def check_count(value, name: str, high: int | None = None) -> int:
+    """value as a Python int from 1 to high; a bool, a float or a value out of range raises ValueError.
+
+    Runs before the memo: 8.0 hashes as 8 does, so a cache keyed on it would
+    answer for an argument that sample_curve refuses.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}") from None
+    if count < 1 or (high is not None and count > high):
+        bound = "at least 1" if high is None else f"between 1 and {high:,}"
+        raise ValueError(f"{name} must be {bound}, got {count:,}")
+    return count
+
+
 def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarray:
     """Evaluate the clamped spline at uniform parameters.
 
     The sample count is samples_per_span per knot span plus the final
     endpoint, so the polyline always starts and ends on the curve endpoints.
-    Each sample weighs only the degree+1 control points of its knot span.
-    The weights come from the Cox-de Boor recursion, run for all samples at
-    once.  0/0 terms are taken as zero, and the parameter range is closed on
-    the right: u equal to the final knot belongs to the last non-empty span,
-    so the curve interpolates the last control point exactly.
+    Each sample weighs only the degree+1 control points of its knot span,
+    with weights from _basis.  A curve of more than MAX_BASIS_TERMS basis
+    terms (samples times degree + 1) raises ValueError before any is
+    computed, as do control points that are not an (n, 3) array.  Returns a
+    fresh array.
     """
     control_points = np.asarray(control_points, dtype=float)
+    if control_points.ndim != 2 or control_points.shape[1] != 3:
+        # a flat array would broadcast each term to (samples, samples)
+        raise ValueError(f"control points must be an (n, 3) array, got shape {control_points.shape}")
     n = len(control_points)
+    degree = check_count(degree, "degree")
+    samples_per_span = check_count(samples_per_span, "samples_per_span")
+    samples = samples_per_span * (n - degree) + 1
+    if samples * (degree + 1) > MAX_BASIS_TERMS:
+        raise ValueError(f"a curve of {samples:,} samples at degree {degree} has more than "
+                         f"{MAX_BASIS_TERMS:,} basis terms; use fewer samples per span")
+    idx, weights = _basis(n, degree, samples_per_span)
+    points = np.zeros((len(idx), 3))
+    for j in range(degree + 1):
+        w = weights[:, j, None]
+        points = points + np.where(w != 0.0, w * control_points[idx[:, j]], 0.0)
+    return points
+
+
+@functools.lru_cache(maxsize=BASIS_MEMO)
+def _basis(n: int, degree: int, samples_per_span: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, weights): sample s weighs control point idx[s, j] by weights[s, j].
+
+    Both are read-only (samples, degree + 1) arrays, memoized: the knots and
+    the sample parameters, and so the basis, depend only on the arguments
+    (Piegl & Tiller, The NURBS Book, ch. 2).  The weights come from the
+    Cox-de Boor recursion, run for all samples at once.  0/0 terms are taken
+    as zero, and the parameter range is closed on the right: u equal to the
+    final knot belongs to the last non-empty span, so the curve interpolates
+    the last control point exactly.
+    """
     knots = clamped_knots(n, degree)
     spans = n - degree
     us = np.linspace(0.0, 1.0, samples_per_span * spans + 1)
@@ -53,11 +114,11 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
         right = (knots[i + q + 1] - u) / np.where(right_on, right_den, 1.0) * weights[:, 1:]
         weights = 0.0 + np.where(left_on, left, 0.0)
         weights = weights + np.where(right_on, right, 0.0)
-    points = np.zeros((len(us), 3))
-    for j in range(degree + 1):
-        w = weights[:, j, None]
-        points = points + np.where(w != 0.0, w * control_points[idx[:, j]], 0.0)
-    return points
+    # the accumulation reads only the span's own degree + 1 control points
+    idx = idx[:, : degree + 1].copy()
+    idx.flags.writeable = False
+    weights.flags.writeable = False
+    return idx, weights
 
 
 def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
@@ -66,13 +127,13 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
     The raw waypoints act as the control polygon; the degree drops to
     len(path) - 1 for very short paths.  If any segment of the smoothed
     polyline collides with the map, the raw path is returned unchanged so a
-    feasible plan never gets worse.
+    feasible plan never gets worse.  samples_per_span must be an integer from
+    1 to MAX_SAMPLES_PER_SPAN, else ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or len(path) < 2:
         raise ValueError("path must contain at least two 3D waypoints")
-    if samples_per_span < 1:
-        raise ValueError("samples_per_span must be at least 1")
+    samples_per_span = check_count(samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
     degree = min(3, len(path) - 1)
     smoothed = sample_curve(path, degree, samples_per_span)
     if city.segments_collide(smoothed[:-1], smoothed[1:]).any():

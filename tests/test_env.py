@@ -204,15 +204,15 @@ def _mixed_segments(rng, n, top):
     return a, b
 
 
-@pytest.mark.parametrize("box_count", (0, 1, 5, 40))
-def test_segments_collide_agrees_with_the_single_segment_query_and_dense_sampling(box_count):
-    rng = np.random.default_rng(box_count)
-    boxes = _random_boxes(rng, box_count)
-    city = CityMap([_box(lo, hi) for lo, hi in boxes], (0, 0, 0), (100, 100, 100))
-    top = max((hi[2] for _, hi in boxes), default=0.0)
-    a, b = _mixed_segments(rng, 400, top)
+def _batch_agrees_with_the_oracles(city, boxes, a, b):
+    """segments_collide's flags for a-b, checked against both oracles; returns (flags, checked).
+
+    Every flag must equal the single-segment query, a segment leaving the
+    bounds must be flagged, and each segment that is not near-grazing must be
+    flagged iff dense sampling finds it in a box; checked counts those.
+    """
     flags = city.segments_collide(a, b)
-    assert flags.shape == (400,) and flags.dtype == bool
+    assert flags.shape == (len(a),) and flags.dtype == bool
     assert flags.tolist() == [city.segment_collides(p, q) for p, q in zip(a, b)]
     checked = 0
     for p, q, flag in zip(a, b, flags):
@@ -225,9 +225,59 @@ def test_segments_collide_agrees_with_the_single_segment_query_and_dense_samplin
             continue   # near-grazing: the sampling oracle is unreliable
         checked += 1
         assert flag == any(oracle_hits)
+    return flags, checked
+
+
+def _boxes_meeting(boxes, a, b):
+    """How many boxes meet the bounding box of the whole batch a-b."""
+    lo, hi = np.minimum(a, b).min(axis=0), np.maximum(a, b).max(axis=0)
+    return sum(bool(np.all(blo <= hi) and np.all(lo <= bhi)) for blo, bhi in boxes)
+
+
+@pytest.mark.parametrize("box_count", (0, 1, 5, 40))
+def test_segments_collide_agrees_with_the_single_segment_query_and_dense_sampling(box_count):
+    """Random mixed batches, and batches for each way the broad phase can prune.
+
+    box_count 0 is the empty map.  The other maps also get a batch whose
+    bounding box meets no building, one whose box meets exactly one (straddling
+    the tallest roof), and batches of segments that end exactly on a face of
+    one of the first five buildings: closed boxes, so each is a hit, though too
+    close to grazing for dense sampling to say.
+    """
+    rng = np.random.default_rng(box_count)
+    boxes = _random_boxes(rng, box_count)
+    city = CityMap([_box(lo, hi) for lo, hi in boxes], (0, 0, 0), (100, 100, 100))
+    top = max((hi[2] for _, hi in boxes), default=0.0)
+    a, b = _mixed_segments(rng, 400, top)
+    flags, checked = _batch_agrees_with_the_oracles(city, boxes, a, b)
     assert checked > 200
     assert not flags[(np.arange(400) % 4 == 3) & ((a >= 0) & (a <= 100) & (b >= 0)
                                                     & (b <= 100)).all(axis=1)].any()
+    if not boxes:
+        return
+    # boxes end below 80 m on every axis
+    a, b = rng.uniform(85, 100, (2, 30, 3))
+    assert _boxes_meeting(boxes, a, b) == 0
+    flags, checked = _batch_agrees_with_the_oracles(city, boxes, a, b)
+    assert checked == 30 and not flags.any()
+    lo, hi = boxes[int(np.argmax([hi[2] for _, hi in boxes]))]
+    roof = np.array([(lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, hi[2]])
+    a, b = roof + rng.uniform(-1, 1, (2, 40, 3))
+    assert _boxes_meeting(boxes, a, b) == 1
+    flags, checked = _batch_agrees_with_the_oracles(city, boxes, a, b)
+    assert checked > 20 and flags.any() and not flags.all()
+    for lo, hi in boxes[:5]:
+        for axis, side, out in ((0, lo, -4.0), (1, hi, 4.0), (2, hi, 3.0)):
+            end = rng.uniform(lo, hi)
+            end[axis] = side[axis]
+            start = end.copy()
+            start[axis] += out
+            # one axis-parallel approach, like a detour move, and one oblique,
+            # as a batch of their own, whose box meets the building only on the face
+            starts = [start, start + np.where(np.arange(3) == axis, 0.0, rng.uniform(-3, 3, 3))]
+            flags, _ = _batch_agrees_with_the_oracles(city, boxes, np.array(starts),
+                                                      np.array([end, end]))
+            assert flags.all()
 
 
 def test_segments_collide_handles_empty_batches_and_rejects_bad_input():

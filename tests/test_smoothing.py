@@ -1,14 +1,17 @@
 """Spline basis and path smoothing tests against an independent de Boor oracle."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from spline_reference import basis, evaluate
 
-from skynav import CityMap, Building, clamped_knots, sample_curve, smooth_path
+from skynav import CityMap, Building, Scenario, clamped_knots, sample_curve, smooth_path
 from skynav.metrics import turn_angles, SHARP_TURN_DEG
+from skynav.smoothing import MAX_BASIS_TERMS, MAX_SAMPLES_PER_SPAN, _basis
 
 
 def _de_boor_oracle(control, degree, knots, u):
@@ -86,6 +89,92 @@ def test_sample_curve_equals_the_evaluate_loop_bit_for_bit(degree, n_extra, samp
     curve = sample_curve(control, degree, samples_per_span)
     assert curve.shape == reference.shape
     assert curve.tobytes() == reference.tobytes()
+
+
+def test_memoized_basis_equals_the_evaluate_loop_bit_for_bit_cold_and_warm():
+    """Every n from 2 to 120 at degrees 1-3: a fresh basis, then the memo's copy."""
+    rng = np.random.default_rng(16)
+    for degree in (1, 2, 3):
+        for n in range(max(2, degree + 1), 121):
+            samples_per_span = 1 + n % 5
+            control = rng.uniform(-500, 500, (n, 3))
+            knots = clamped_knots(n, degree)
+            us = np.linspace(0.0, 1.0, samples_per_span * (n - degree) + 1)
+            reference = np.array([evaluate(control, degree, knots, u) for u in us]).tobytes()
+            _basis.cache_clear()
+            assert sample_curve(control, degree, samples_per_span).tobytes() == reference
+            hits = _basis.cache_info().hits
+            assert sample_curve(control, degree, samples_per_span).tobytes() == reference
+            assert _basis.cache_info().hits == hits + 1
+
+
+def test_memo_arrays_are_read_only_and_curves_are_fresh():
+    control = np.random.default_rng(4).uniform(0, 50, (9, 3))
+    idx, weights = _basis(9, 3, 8)
+    assert idx.shape == weights.shape == (8 * 6 + 1, 4)
+    for memo in (idx, weights):
+        with pytest.raises(ValueError):
+            memo[0, 0] = 1
+    first = sample_curve(control, 3, 8)
+    expected = first.copy()
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = 123.0
+    second = sample_curve(control, 3, 8)
+    assert second is not first and second.tobytes() == expected.tobytes()
+    assert _basis(9, 3, 8)[1] is weights
+
+
+def test_non_integer_degree_and_samples_per_span_raise_value_error():
+    control = np.random.default_rng(6).uniform(0, 50, (6, 3))
+    city = CityMap((), (0, 0, 0), (100, 100, 100))
+    sample_curve(control, 3, 8)   # 8.0 hashes as 8: a warm memo must still refuse it
+    for degree, samples_per_span in ((3.0, 8), (3, 8.0), (True, 8), (3, True), (3, "8"), (3, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_curve(control, degree, samples_per_span)
+    for samples_per_span in (8.0, True, np.float64(8)):
+        with pytest.raises(ValueError, match="samples_per_span must be an integer"):
+            smooth_path(control, city, samples_per_span)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            sample_curve(control, degree, 8)
+    # numpy integers are integers
+    assert sample_curve(control, np.int64(3), np.int32(8)).tobytes() == \
+        sample_curve(control, 3, 8).tobytes()
+
+
+def test_curves_over_the_cap_and_flat_control_points_raise_before_allocating():
+    control = np.random.default_rng(7).uniform(0, 50, (6, 3))
+    city = CityMap((), (0, 0, 0), (100, 100, 100))
+    tracemalloc.start()
+    try:
+        for call in (lambda: smooth_path(control, city, samples_per_span=10**9),
+                     lambda: smooth_path(control, city, MAX_SAMPLES_PER_SPAN + 1),
+                     lambda: sample_curve(control, 3, 10**12),
+                     lambda: sample_curve(control[:4], 3, MAX_SAMPLES_PER_SPAN + 1),
+                     lambda: sample_curve(control, 2, MAX_BASIS_TERMS // 3),
+                     # flat control points once broadcast to (samples, samples)
+                     lambda: sample_curve(np.arange(400.0), 3, 8)):
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    # a one-span cubic takes the most samples per span that Scenario allows
+    curve = sample_curve(control[:4], 3, MAX_SAMPLES_PER_SPAN)
+    assert len(curve) * 4 == MAX_BASIS_TERMS
+    _basis.cache_clear()
+
+
+def test_scenario_refuses_a_bad_samples_per_span_when_parsed():
+    for bad in (0, -3, MAX_SAMPLES_PER_SPAN + 1, 10**12):
+        with pytest.raises(ValueError, match="samples_per_span must be between 1 and"):
+            Scenario.from_dict({"samples_per_span": bad})
+    for bad in (8.0, True):
+        with pytest.raises(ValueError, match="samples_per_span"):
+            Scenario(samples_per_span=bad)
+    assert Scenario.from_dict({"samples_per_span": MAX_SAMPLES_PER_SPAN}).samples_per_span == \
+        MAX_SAMPLES_PER_SPAN
 
 
 def test_endpoint_interpolation_is_exact():
