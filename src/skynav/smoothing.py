@@ -8,16 +8,19 @@ import numpy as np
 
 from .env import CityMap
 
-# Bounds of the basis memo (see _basis).  A curve may have at most
-# MAX_BASIS_TERMS basis terms, its sample count times degree + 1: 2**15
-# samples of a cubic.  A term is an int64 index and a float64 weight, so an
-# entry holds at most 2 MB and the memo of BASIS_MEMO entries at most 64 MB.
-# MAX_SAMPLES_PER_SPAN is the most samples per span that keep a one-span
-# cubic, smooth_path's curve through four waypoints, within MAX_BASIS_TERMS;
-# smooth_path and Scenario refuse more.
-MAX_BASIS_TERMS = 2**17
-BASIS_MEMO = 32
-MAX_SAMPLES_PER_SPAN = MAX_BASIS_TERMS // 4 - 1
+# Bounds of sample_curve and of the basis memo (see _basis).  A curve may
+# have at most MAX_CURVE_SAMPLES samples: computing its basis peaks near
+# 550 B a sample at degree 3, about 150 MB at the cap.  smooth_path returns a
+# route whose curve would be longer unsmoothed, and refuses a samples_per_span
+# above MAX_SAMPLES_PER_SPAN, which no route, not even a one-span line, could
+# be smoothed at.  Only curves of at most MEMO_MAX_SAMPLES samples are
+# memoized; an entry holds an int64 index and a float64 weight per sample and
+# control point of its span, at most 256 kB at degree 3, so the memo of
+# BASIS_MEMO entries holds at most 64 MB.
+MAX_CURVE_SAMPLES = 2**18
+MAX_SAMPLES_PER_SPAN = MAX_CURVE_SAMPLES - 1
+MEMO_MAX_SAMPLES = 2**12
+BASIS_MEMO = 256
 
 
 def clamped_knots(n_control: int, degree: int) -> np.ndarray:
@@ -54,10 +57,10 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
     The sample count is samples_per_span per knot span plus the final
     endpoint, so the polyline always starts and ends on the curve endpoints.
     Each sample weighs only the degree+1 control points of its knot span,
-    with weights from _basis.  A curve of more than MAX_BASIS_TERMS basis
-    terms (samples times degree + 1) raises ValueError before any is
-    computed, as do control points that are not an (n, 3) array.  Returns a
-    fresh array.
+    with weights from _basis, memoized for curves of at most
+    MEMO_MAX_SAMPLES samples.  A curve of more than MAX_CURVE_SAMPLES samples
+    raises ValueError before any is computed, as do control points that are
+    not an (n, 3) array.  Returns a fresh array.
     """
     control_points = np.asarray(control_points, dtype=float)
     if control_points.ndim != 2 or control_points.shape[1] != 3:
@@ -67,10 +70,11 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
     degree = check_count(degree, "degree")
     samples_per_span = check_count(samples_per_span, "samples_per_span")
     samples = samples_per_span * (n - degree) + 1
-    if samples * (degree + 1) > MAX_BASIS_TERMS:
-        raise ValueError(f"a curve of {samples:,} samples at degree {degree} has more than "
-                         f"{MAX_BASIS_TERMS:,} basis terms; use fewer samples per span")
-    idx, weights = _basis(n, degree, samples_per_span)
+    if samples > MAX_CURVE_SAMPLES:
+        raise ValueError(f"a curve of {samples:,} samples is longer than "
+                         f"{MAX_CURVE_SAMPLES:,}; use fewer samples per span")
+    basis = _basis if samples <= MEMO_MAX_SAMPLES else _basis.__wrapped__
+    idx, weights = basis(n, degree, samples_per_span)
     points = np.zeros((len(idx), 3))
     for j in range(degree + 1):
         w = weights[:, j, None]
@@ -84,11 +88,13 @@ def _basis(n: int, degree: int, samples_per_span: int) -> tuple[np.ndarray, np.n
 
     Both are read-only (samples, degree + 1) arrays, memoized: the knots and
     the sample parameters, and so the basis, depend only on the arguments
-    (Piegl & Tiller, The NURBS Book, ch. 2).  The weights come from the
-    Cox-de Boor recursion, run for all samples at once.  0/0 terms are taken
-    as zero, and the parameter range is closed on the right: u equal to the
-    final knot belongs to the last non-empty span, so the curve interpolates
-    the last control point exactly.
+    (Piegl & Tiller, The NURBS Book, ch. 2).  sample_curve memoizes only
+    curves of at most MEMO_MAX_SAMPLES samples, so the BASIS_MEMO entries
+    hold at most 64 MB; _basis.__wrapped__ computes longer ones.  The
+    weights come from the Cox-de Boor recursion, run for all samples at
+    once.  0/0 terms are taken as zero, and the parameter range is closed on
+    the right: u equal to the final knot belongs to the last non-empty span,
+    so the curve interpolates the last control point exactly.
     """
     knots = clamped_knots(n, degree)
     spans = n - degree
@@ -127,14 +133,17 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
     The raw waypoints act as the control polygon; the degree drops to
     len(path) - 1 for very short paths.  If any segment of the smoothed
     polyline collides with the map, the raw path is returned unchanged so a
-    feasible plan never gets worse.  samples_per_span must be an integer from
-    1 to MAX_SAMPLES_PER_SPAN, else ValueError.
+    feasible plan never gets worse; so is a route whose curve would have
+    more than MAX_CURVE_SAMPLES samples.  samples_per_span must be an integer
+    from 1 to MAX_SAMPLES_PER_SPAN, else ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or len(path) < 2:
         raise ValueError("path must contain at least two 3D waypoints")
     samples_per_span = check_count(samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
     degree = min(3, len(path) - 1)
+    if samples_per_span * (len(path) - degree) + 1 > MAX_CURVE_SAMPLES:
+        return path.copy()
     smoothed = sample_curve(path, degree, samples_per_span)
     if city.segments_collide(smoothed[:-1], smoothed[1:]).any():
         return path.copy()

@@ -11,7 +11,7 @@ from spline_reference import basis, evaluate
 
 from skynav import CityMap, Building, Scenario, clamped_knots, sample_curve, smooth_path
 from skynav.metrics import turn_angles, SHARP_TURN_DEG
-from skynav.smoothing import MAX_BASIS_TERMS, MAX_SAMPLES_PER_SPAN, _basis
+from skynav.smoothing import MAX_CURVE_SAMPLES, MAX_SAMPLES_PER_SPAN, MEMO_MAX_SAMPLES, _basis
 
 
 def _de_boor_oracle(control, degree, knots, u):
@@ -150,8 +150,8 @@ def test_curves_over_the_cap_and_flat_control_points_raise_before_allocating():
         for call in (lambda: smooth_path(control, city, samples_per_span=10**9),
                      lambda: smooth_path(control, city, MAX_SAMPLES_PER_SPAN + 1),
                      lambda: sample_curve(control, 3, 10**12),
-                     lambda: sample_curve(control[:4], 3, MAX_SAMPLES_PER_SPAN + 1),
-                     lambda: sample_curve(control, 2, MAX_BASIS_TERMS // 3),
+                     lambda: sample_curve(control[:2], 1, MAX_SAMPLES_PER_SPAN + 1),
+                     lambda: sample_curve(control, 3, MAX_CURVE_SAMPLES // 3 + 1),
                      # flat control points once broadcast to (samples, samples)
                      lambda: sample_curve(np.arange(400.0), 3, 8)):
             tracemalloc.reset_peak()
@@ -160,10 +160,39 @@ def test_curves_over_the_cap_and_flat_control_points_raise_before_allocating():
             assert tracemalloc.get_traced_memory()[1] < 100_000
     finally:
         tracemalloc.stop()
-    # a one-span cubic takes the most samples per span that Scenario allows
-    curve = sample_curve(control[:4], 3, MAX_SAMPLES_PER_SPAN)
-    assert len(curve) * 4 == MAX_BASIS_TERMS
-    _basis.cache_clear()
+
+
+def test_long_routes_are_smoothed_past_the_memo_and_returned_raw_past_the_cap():
+    rng = np.random.default_rng(17)
+    city = CityMap((), (-1e5, -1e5, -1e5), (1e5, 1e5, 1e5))
+    # a cubic route of n waypoints has 8 * (n - 3) + 1 samples at the default
+    # samples per span: 515 is the fewest the memo does not keep
+    for n in (514, 515):
+        control = np.cumsum(rng.uniform(-5, 5, (n, 3)), axis=0)
+        knots = clamped_knots(n, 3)
+        us = np.linspace(0.0, 1.0, 8 * (n - 3) + 1)
+        reference = np.array([evaluate(control, 3, knots, u) for u in us]).tobytes()
+        _basis.cache_clear()
+        assert smooth_path(control, city).tobytes() == reference
+        assert _basis.cache_info().currsize == (len(us) <= MEMO_MAX_SAMPLES)
+    route = np.cumsum(rng.uniform(-5, 5, (5000, 3)), axis=0)
+    smoothed = smooth_path(route, city)
+    assert smoothed.shape == (8 * 4997 + 1, 3)
+    assert smoothed[[0, -1]].tobytes() == route[[0, -1]].tobytes()
+    assert _basis.cache_info().currsize == 0
+    # a curve longer than the cap: the raw route, with nothing allocated for it
+    short = route[:40]
+    tracemalloc.start()
+    try:
+        raw = smooth_path(short, city, MAX_SAMPLES_PER_SPAN // 2)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    assert raw is not short and raw.tobytes() == short.tobytes()
+    # the most samples per span that Scenario allows still smooth a one-span line
+    line = smooth_path(route[:2], city, MAX_SAMPLES_PER_SPAN)
+    assert len(line) == MAX_CURVE_SAMPLES
+    assert _basis.cache_info().currsize == 0
 
 
 def test_scenario_refuses_a_bad_samples_per_span_when_parsed():
