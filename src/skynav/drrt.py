@@ -141,9 +141,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     whose goal draws are all one read-only copy of the goal, told apart by
     identity (a uniform point equal to the goal by value counts as one too).
     Straight extensions and detour moves alike are single-segment queries,
-    answered in Python floats over the map's column index.  The step
-    controller asks CityMap.clearance_exceeds, which answers from a cell
-    index of the map that is built once per clearance_far.
+    answered in Python floats from the map's segment cell index.  The step
+    controller asks CityMap.clearance_exceeds, which answers from the same
+    kind of index, built once per clearance_far.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same

@@ -16,27 +16,23 @@ from typing import Sequence
 import numpy as np
 
 
-# Column index (see CityMap._build_columns).  Columns cut the x extent into
-# strips COLUMN_M wide, and wider on a map that would otherwise need more than
-# COLUMN_MAX of them, so the index holds at most COLUMN_MAX references per
-# building.  A segment whose x-range spans up to COLUMN_WINDOW columns is
-# checked box by box in Python floats; a wider one, never a tree step of at
-# most 15 m, goes to the batched slab test.
-COLUMN_M = 10.0
-COLUMN_MAX = 256
-COLUMN_WINDOW = 3
 # smallest normal float64; the slab tests treat a smaller move as none
 TINY = sys.float_info.min
-# Far-test index (see CityMap._build_far_index).  Cells are FAR_CELL_M square,
-# or wider on a map that would otherwise need more than FAR_CELLS_MAX of them
-# a side, or hold more than FAR_REFS box references per building; a map keeps
-# the indexes of at most FAR_INDEXES radii.  FAR_SLACK widens the radius by a
-# relative margin far above the rounding of the clearance arithmetic.
-FAR_CELL_M = 10.0
-FAR_CELLS_MAX = 64
-FAR_REFS = 256
+# Cell index (see CityMap._build_cell_index).  Cells are CELL_M square, or
+# wider on a map that would otherwise need more than CELLS_MAX of them a side,
+# or hold more than CELL_REFS box references per building.  Single-segment
+# queries use one index at radius SEGMENT_REACH: half the default 15 m
+# step_max, and a hair more, so a 15 m step whose extent rounds up still takes
+# one cell lookup; a segment wider than 2 * SEGMENT_REACH on x or y goes to the
+# batched slab test.  The far test keeps the indexes of at most FAR_INDEXES
+# radii.  CELL_SLACK widens the radius by a relative margin far above the
+# rounding of the queries' arithmetic.
+CELL_M = 10.0
+CELLS_MAX = 64
+CELL_REFS = 256
+CELL_SLACK = 1e-9
+SEGMENT_REACH = 7.5001
 FAR_INDEXES = 4
-FAR_SLACK = 1e-9
 
 
 class MapGenerationError(RuntimeError):
@@ -100,8 +96,10 @@ class CityMap:
                  seed: int | None = None):
         self.bounds_min = as_point(bounds_min)
         self.bounds_max = as_point(bounds_max)
-        if not np.all(self.bounds_min < self.bounds_max):
-            raise ValueError("map bounds must have positive extent on every axis")
+        # a finite extent keeps every difference of two coordinates finite
+        if not all(0.0 < hi - lo < math.inf for lo, hi in zip(self.bounds_min.tolist(),
+                                                               self.bounds_max.tolist())):
+            raise ValueError("map bounds must have a positive, finite extent on every axis")
         self.buildings = tuple(buildings)
         self.seed = seed
         # building boxes as contiguous (3, N) arrays, one row per axis, for
@@ -117,43 +115,10 @@ class CityMap:
         # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
-        self._build_columns()
-        # far-test indexes by radius, built on first use (see clearance_exceeds)
+        # cell indexes, built on first use: one for single segments (see
+        # _segment_collides) and one per far-test radius (see clearance_exceeds)
+        self._segment_index = None
         self._far_indexes = {}
-
-    def _build_columns(self) -> None:
-        """Per x-column of the bounds, the boxes of the buildings that reach into it.
-
-        self._columns[i] lists the (x0, y0, z0, x1, y1, z1) float tuples of
-        every building whose closed x-range meets column i.  Columns are
-        COLUMN_M wide, or wider on a map whose x extent would need more than
-        COLUMN_MAX of them.  Buildings and queries map x to a column with the
-        one monotone _column_span, so a point shared by a segment's x-range
-        and a building's falls in a column of both: a segment touches only
-        buildings listed in the columns its x-range spans.
-        """
-        wx = self._bx1 - self._bx0
-        self._inv_col = 1.0 / max(COLUMN_M, wx / COLUMN_MAX)
-        self._last_col = min(COLUMN_MAX, max(1, math.ceil(wx * self._inv_col))) - 1
-        self._columns = [[] for _ in range(self._last_col + 1)]
-        for b in self.buildings:
-            box = b.min_corner + b.max_corner
-            i0, i1 = self._column_span(box[0], box[3])
-            for i in range(i0, i1 + 1):
-                self._columns[i].append(box)
-
-    def _column_span(self, x0: float, x1: float) -> tuple[int, int]:
-        """Columns (i0, i1) of the x-range [x0, x1] inside the bounds; needs x0 <= x1.
-
-        Truncates, then clamps to the last column, which a coordinate on the
-        high bound can overrun; inside the bounds no index is negative.
-        """
-        inv, bx = self._inv_col, self._bx0
-        i0, i1 = int((x0 - bx) * inv), int((x1 - bx) * inv)
-        if i1 > self._last_col:
-            i1 = self._last_col
-            i0 = min(i0, i1)
-        return i0, i1
 
     # ------------------------------------------------------------------
     # collision queries
@@ -180,33 +145,48 @@ class CityMap:
         """True iff segment a-b touches any building or leaves the bounds.
 
         The one-segment case of segments_collide, answered in Python floats
-        over the column index: for one segment against a few boxes, numpy's
-        per-call overhead costs more than the arithmetic.
+        from the map's cell index: for one segment against a few boxes,
+        numpy's per-call overhead costs more than the arithmetic.
         """
         return self._segment_collides(as_point(a), as_point(b))
 
     def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
         """segment_collides for two float64 points the caller has validated.
 
-        Scans the boxes listed in the columns the segment's x-range spans,
-        with the closed box-overlap test and then _slab; a segment spanning
-        more than COLUMN_WINDOW columns goes to the batched slab test.
+        A segment at most 2 * SEGMENT_REACH wide on x and on y lies within
+        SEGMENT_REACH of its midpoint on both, so the midpoint's cell in the
+        index of that radius (see _build_cell_index, built on first use)
+        lists every building the segment can touch.  A segment whose lowest z
+        is above the cell's top is free; otherwise the cell's boxes are
+        scanned with the closed box-overlap test and then _slab.  A wider
+        segment goes to the batched slab test.
         """
         pa, pb = a.tolist(), b.tolist()
         if not self._inside(pa) or not self._inside(pb):
             return True
         (ax, ay, az), (bx, by, bz) = pa, pb
-        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
-        i0, i1 = self._column_span(x0, x1)
-        if i1 - i0 >= COLUMN_WINDOW:
+        dx, dy, w = bx - ax, by - ay, 2.0 * SEGMENT_REACH
+        if not (-w <= dx <= w and -w <= dy <= w):
             return bool(self._touch_buildings(a[None], b[None])[0])
-        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        index = self._segment_index
+        if index is None:
+            # kept apart from the far indexes, so no far-test radius evicts it
+            index = self._segment_index = self._build_cell_index(SEGMENT_REACH)
+        inv, last_i, last_j, cells = index
+        # ax + dx / 2 cannot overflow, and lies between ax and bx
+        i = int((ax + dx * 0.5 - self._bx0) * inv)
+        j = int((ay + dy * 0.5 - self._by0) * inv)
+        top, boxes = cells[(i if i < last_i else last_i) * (last_j + 1)
+                           + (j if j < last_j else last_j)]
         z0, z1 = (az, bz) if az <= bz else (bz, az)
-        for column in self._columns[i0:i1 + 1]:
-            for box in column:
-                if (box[0] <= x1 and x0 <= box[3] and box[1] <= y1 and y0 <= box[4]
-                        and box[2] <= z1 and z0 <= box[5] and _slab(pa, pb, box)):
-                    return True
+        if z0 > top:
+            return False
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        for box in boxes:
+            if (box[0] <= x1 and x0 <= box[3] and box[1] <= y1 and y0 <= box[4]
+                    and box[2] <= z1 and z0 <= box[5] and _slab(pa, pb, box)):
+                return True
         return False
 
     def segments_collide(self, starts, ends) -> np.ndarray:
@@ -298,8 +278,9 @@ class CityMap:
 
         p is an (x, y, z) float sequence or float64 array inside the bounds;
         a point outside them, or with a NaN coordinate, raises ValueError.
-        Looks up p's cell in the map's index for r (see _build_far_index): a
-        point above the cell's top is farther than r from every building.
+        Looks up p's cell in the map's cell index of radius r (see
+        _build_cell_index): a point above the cell's top is farther than r
+        from every building.
         Otherwise the distance to each box the cell lists is computed in
         Python floats with clearance's operations in its order, and the root
         of the smallest is compared with r.  A box the cell does not list lies
@@ -311,7 +292,15 @@ class CityMap:
         x, y, z = p
         if not self._inside(p):
             raise ValueError(f"far test queried outside map bounds: {(x, y, z)}")
-        inv, last_i, last_j, cells = self._far_indexes.get(r) or self._build_far_index(r)
+        index = self._far_indexes.get(r)
+        if index is None:
+            index = self._build_cell_index(r)
+            # replaced, never mutated: threads sharing the map each see a whole
+            # dict of at most FAR_INDEXES entries, and a lost update only costs
+            # a rebuild
+            kept = self._far_indexes if len(self._far_indexes) < FAR_INDEXES else {}
+            self._far_indexes = {**kept, r: index}
+        inv, last_i, last_j, cells = index
         i = int((x - self._bx0) * inv)
         j = int((y - self._by0) * inv)
         top, boxes = cells[(i if i < last_i else last_i) * (last_j + 1)
@@ -339,39 +328,44 @@ class CityMap:
                 best = d
         return math.sqrt(best) > r
 
-    def _build_far_index(self, r: float) -> tuple:
-        """The far-test index of radius r: (1 / cell side, last cell i, last cell j, cells).
+    def _build_cell_index(self, r: float) -> tuple:
+        """The cell index of radius r: (1 / cell side, last cell i, last cell j, cells).
 
         cells[i * (last j + 1) + j] is (top, boxes) for the x-y cell (i, j):
         boxes lists the (x0, y0, z0, x1, y1, z1) tuples of every building
-        whose footprint, inflated by pad = r plus a FAR_SLACK margin, meets
+        whose footprint, inflated by pad = r plus a CELL_SLACK margin, meets
         the cell, and top is the tallest of their roofs plus pad, -inf when
         there are none.  Buildings and queries map x and y to cells with the
-        same monotone truncation, clamped to the grid, so a point whose
-        rounded distance to a box can reach r lies in a cell that lists the
-        box, and a point above top lies farther than r above every box the
-        cell lists: each of the few roundings on the way moves a value by a
-        relative 2**-53, and pad covers them with a margin of FAR_SLACK
-        times the coordinates' scale.  Equal box lists share one entry.
+        same monotone truncation, clamped to the grid, so a query point
+        within r of a box on x and on y, up to rounding, lies in a cell that
+        lists the box, and a point above top lies farther than r above every
+        box the cell lists.  The roundings on the way each move a value by a
+        relative 2**-53: in clearance_exceeds' distances, and in
+        _segment_collides' extent test (a segment that passes it may be
+        wider than 2r by a relative 2**-53) and its midpoint ax + dx / 2
+        (off the exact midpoint by at most 2**-53 times half the width plus
+        the coordinates' scale).  pad covers them with a margin of
+        CELL_SLACK times the radius plus the coordinates' scale.  Equal box
+        lists share one entry.
         """
         if not 0.0 <= r < math.inf:
             raise ValueError(f"far-test radius must be finite and non-negative, got {r!r}")
         scale = max(abs(v) for v in (self._bx0, self._by0, self._bz0,
                                      self._bx1, self._by1, self._bz1))
-        pad = r + FAR_SLACK * (r + scale)
+        pad = r + CELL_SLACK * (r + scale)
         bx, by = self._bx0, self._by0
         boxes = [b.min_corner + b.max_corner for b in self.buildings]
-        side = max(FAR_CELL_M, (self._bx1 - bx) / FAR_CELLS_MAX, (self._by1 - by) / FAR_CELLS_MAX)
+        side = max(CELL_M, (self._bx1 - bx) / CELLS_MAX, (self._by1 - by) / CELLS_MAX)
         while True:
             inv = 1.0 / side
-            last_i = min(FAR_CELLS_MAX, max(1, math.ceil((self._bx1 - bx) * inv))) - 1
-            last_j = min(FAR_CELLS_MAX, max(1, math.ceil((self._by1 - by) * inv))) - 1
+            last_i = min(CELLS_MAX, max(1, math.ceil((self._bx1 - bx) * inv))) - 1
+            last_j = min(CELLS_MAX, max(1, math.ceil((self._by1 - by) * inv))) - 1
             spans = [(max(0, min(last_i, int((box[0] - pad - bx) * inv))),
                       min(last_i, int((box[3] + pad - bx) * inv)),
                       max(0, min(last_j, int((box[1] - pad - by) * inv))),
                       min(last_j, int((box[4] + pad - by) * inv))) for box in boxes]
             refs = sum((i1 - i0 + 1) * (j1 - j0 + 1) for i0, i1, j0, j1 in spans)
-            if refs <= FAR_REFS * len(boxes) or last_i == last_j == 0:
+            if refs <= CELL_REFS * len(boxes) or last_i == last_j == 0:
                 break
             side *= 2.0
         listed = [[] for _ in range((last_i + 1) * (last_j + 1))]
@@ -387,12 +381,7 @@ class CityMap:
                 shared[key] = (max((boxes[k][5] for k in ks), default=-math.inf) + pad,
                                tuple(boxes[k] for k in ks))
             cells.append(shared[key])
-        index = (inv, last_i, last_j, cells)
-        # replaced, never mutated: threads sharing the map each see a whole dict
-        # of at most FAR_INDEXES entries, and a lost update only costs a rebuild
-        kept = self._far_indexes if len(self._far_indexes) < FAR_INDEXES else {}
-        self._far_indexes = {**kept, r: index}
-        return index
+        return inv, last_i, last_j, cells
 
     # ------------------------------------------------------------------
     # serialization

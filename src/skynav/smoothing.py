@@ -24,11 +24,20 @@ BASIS_MEMO = 256
 
 
 def clamped_knots(n_control: int, degree: int) -> np.ndarray:
-    """Clamped uniform knot vector on [0, 1] with degree+1 repeats at each end."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    """Clamped uniform knot vector on [0, 1] with degree+1 repeats at each end.
+
+    degree must be an integer from 1 to MAX_SAMPLES_PER_SPAN, and n_control
+    an integer that exceeds it by 1 to MAX_SAMPLES_PER_SPAN, the most knot
+    spans a curve of MAX_CURVE_SAMPLES samples can have; else ValueError,
+    raised before anything is allocated.
+    """
+    n_control = check_count(n_control, "n_control")
+    degree = check_count(degree, "degree", MAX_SAMPLES_PER_SPAN)
     if n_control <= degree:
         raise ValueError("need more control points than the degree")
+    if n_control - degree > MAX_SAMPLES_PER_SPAN:
+        raise ValueError(f"{n_control - degree:,} knot spans are more than a curve of "
+                         f"{MAX_CURVE_SAMPLES:,} samples can have")
     interior = np.linspace(0.0, 1.0, n_control - degree + 1)[1:-1]
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 

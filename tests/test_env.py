@@ -12,7 +12,7 @@ import pytest
 
 from skynav import (Building, CityMap, GenParams, MapGenerationError, build_city,
                     default_scenario, generate_city, load_map, save_map)
-from skynav.env import FAR_INDEXES, FAR_REFS, as_point
+from skynav.env import CELL_REFS, CELLS_MAX, FAR_INDEXES, SEGMENT_REACH, as_point
 
 
 def _box(lo, hi):
@@ -47,6 +47,8 @@ def test_building_validates_corner_order():
         _box((5, 5, 5), (4, 6, 6))
     with pytest.raises(ValueError, match="beyond the map bounds"):
         CityMap([_box((8, 8, 0), (12, 9, 1))], (0, 0, 0), (10, 10, 10))
+    with pytest.raises(ValueError, match="finite extent"):
+        CityMap((), (-1e308, 0, 0), (1e308, 10, 10))
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +315,7 @@ def test_segment_above_all_roofs_is_free():
 
 
 # ----------------------------------------------------------------------
-# column index
+# cell index of single-segment queries
 # ----------------------------------------------------------------------
 
 def _corners(city):
@@ -343,7 +345,7 @@ def _aligned_city(origin):
     """Buildings whose faces sit on 10 m boundaries, one flush with the bounds.
 
     Returns the map and, per axis, the coordinates a query should hit
-    exactly: column boundaries, faces and roofs, the floats next to them and
+    exactly: cell boundaries, faces and roofs, the floats next to them and
     the bounds.
     """
     ox, oy, oz = origin
@@ -383,7 +385,7 @@ def _adversarial_segments(rng, special, n):
 def _check_against_oracle(city, a, b):
     expected = [_oracle_collides(city, p, q) for p, q in zip(a, b)]
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
-    # single segments are answered in Python floats over the column index,
+    # single segments are answered in Python floats from the cell index,
     # batches by the numpy slab test: one large batch and batches of five
     assert city.segments_collide(a, b).tolist() == expected
     small = np.concatenate([city.segments_collide(a[k:k + 5], b[k:k + 5])
@@ -396,7 +398,7 @@ def _check_against_oracle(city, a, b):
 
 @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-37.3, 1234.567, 15.25)])
 def test_roof_grid_is_exact_on_adversarial_segments(origin):
-    """Column boundaries, z exactly on a roof, many-column spans, a nonzero origin, flush buildings."""
+    """Cell boundaries, z exactly on a roof, many-cell spans, a nonzero origin, flush buildings."""
     city, special = _aligned_city(origin)
     rng = np.random.default_rng(8)
     a, b = _adversarial_segments(rng, special, 1500)
@@ -416,13 +418,13 @@ def test_roof_grid_is_exact_on_adversarial_segments(origin):
     assert sum(expected) > 100 and len(expected) - sum(expected) > 100
 
 
-def test_column_index_is_exact_on_random_segments_and_empty_maps():
+def test_cell_index_is_exact_on_random_segments_and_empty_maps():
     rng = np.random.default_rng(21)
     boxes = _random_boxes(rng, 12)
     origin = np.array([-512.75, 33.1, -4.0])
     city = CityMap([_box(lo + origin, hi + origin) for lo, hi in boxes], origin, origin + 100.0)
     a = rng.uniform(origin, origin + 100.0, (400, 3))
-    # short steps like a tree's, and long ones across many columns
+    # short steps like a tree's, and long ones across many cells
     b = np.clip(a + rng.normal(0.0, 1.0, (400, 3)) * np.where(np.arange(400) % 2, 6.0, 60.0)[:, None],
                 origin, origin + 100.0)
     # skip near-grazing segments, where a sampling oracle is unreliable
@@ -441,10 +443,12 @@ def test_column_index_is_exact_on_random_segments_and_empty_maps():
                                                            for v in origin]
     a, b = _adversarial_segments(rng, special, 100)
     assert not any(_check_against_oracle(empty, a, b))
-    assert len(empty._columns) == 10 and not any(empty._columns)
+    inv, last_i, last_j, cells = empty._segment_index
+    assert (last_i, last_j) == (9, 9) and len(cells) == 100
+    assert all(top == -math.inf and boxes == () for top, boxes in cells)
 
 
-def test_column_index_answers_every_short_segment_on_a_generated_map(monkeypatch):
+def test_cell_index_answers_every_short_segment_on_a_generated_map(monkeypatch):
     """No short single segment reaches the batched slab test, and all agree with it."""
     city = generate_city(11)
     touch_buildings = CityMap._touch_buildings
@@ -464,21 +468,22 @@ def test_column_index_answers_every_short_segment_on_a_generated_map(monkeypatch
     assert 0 < flags.sum() < 400
 
 
-def test_huge_bounds_build_a_bounded_column_index_quickly():
-    """Bounds of 1e7 m widen the columns instead of allocating a huge index."""
+def test_huge_bounds_build_a_bounded_cell_index_quickly():
+    """Bounds of 1e7 m widen the cells instead of allocating a huge index; the first query builds it."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
         city = CityMap([_box((0, 0, 0), (30, 30, 50)), _box((9.9e6, 5e6, 0), (1e7, 5.1e6, 70))],
                        (0, 0, 0), (1e7, 1e7, 1e7))
+        assert city._segment_index is None
+        assert city.segment_collides((10, 10, 1), (10, 10, 60))
         elapsed = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 2_000_000
-    assert len(city._columns) == 256
-    assert city.segment_collides((10, 10, 1), (10, 10, 60))
+    assert len(city._segment_index[3]) == CELLS_MAX * CELLS_MAX
     assert not city.segment_collides((10, 10, 51), (5e6, 5e6, 51))
     assert city.segment_collides((9.95e6, 4e6, 10), (9.95e6, 6e6, 10))
     assert not city.point_free((9.95e6, 5.05e6, 70))
@@ -567,23 +572,172 @@ def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
     assert [city.segment_collides(p, q) for p, q in zip(seg_a, seg_b)] == flags
 
 
-def test_column_index_stays_bounded_on_buildings_spanning_the_whole_map():
+def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
     """2,000 overlapping buildings across the full x extent: a bounded index, built quickly."""
     rng = np.random.default_rng(13)
     n, side = 2000, 1e5
     y0 = rng.uniform(0.0, side - 50.0, n)
     z1 = rng.uniform(1.0, 300.0, n)
     boxes = [_box((0.0, y, 0.0), (side, y + 50.0, z)) for y, z in zip(y0, z1)]
-    t0 = time.perf_counter()
-    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
-    assert time.perf_counter() - t0 < 0.5
-    assert len(city._columns) == 256
-    assert sum(len(c) for c in city._columns) <= 256 * n
     a = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (200, 3))
     b = np.clip(a + rng.uniform(-15.0, 15.0, (200, 3)), 0.0, (side, side, 500.0))
+    t0 = time.perf_counter()
+    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
+    city.segment_collides(a[0], b[0])
+    assert time.perf_counter() - t0 < 0.5
+    cells = city._segment_index[3]
+    assert len(cells) <= CELLS_MAX * CELLS_MAX
+    assert sum(len(c) for _, c in cells) <= CELL_REFS * n
     flags = city.segments_collide(a, b).tolist()
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
     assert 0 < sum(flags) < 200
+
+
+def _edge_floats(city, axis, edge):
+    """The two adjacent floats either side of the computed cell edge within 1 m of edge, and edge."""
+    inv, origin = city._segment_index[0], (city._bx0, city._by0)[axis]
+    lo, hi = edge - 1.0, edge + 1.0
+    upper = int((hi - origin) * inv)
+    assert int((lo - origin) * inv) == upper - 1
+    while math.nextafter(lo, math.inf) != hi:
+        mid = min(max(lo + (hi - lo) * 0.5, math.nextafter(lo, math.inf)), math.nextafter(hi, -math.inf))
+        if int((mid - origin) * inv) == upper:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, edge
+
+
+def test_cell_index_is_exact_at_cell_edges_and_the_width_limit(monkeypatch):
+    """Midpoints one ulp either side of a cell edge, and widths of exactly 2h and one ulp over.
+
+    On 10 m cells from -50 m, h = SEGMENT_REACH, each test edge gets two
+    buildings: one whose low face is where a segment 2h wide centred on the
+    last float below the computed edge ends, and one whose high face is
+    where such a segment centred on the first float above it starts.
+    Segments run along x or y, 2h wide, centred on those two floats and on
+    the edge, so each end lands on or next to a face; they fly at heights
+    inside the buildings, on their roof and one ulp above it.  Every answer
+    must equal segments_collide, the batched slab test, which uses no index;
+    a segment exactly 2h wide must take the cell lookup, and one a float
+    wider the batched test.
+    """
+    h, w = SEGMENT_REACH, 2.0 * SEGMENT_REACH
+    edges = (-30.0, 0.0, 20.0)
+    probe = CityMap((), (-50.0, -50.0, 0.0), (50.0, 50.0, 50.0))
+    probe.point_free((0.0, 0.0, 45.0))   # builds the index
+    boxes = []
+    for axis, band in ((0, (-45.0, -35.0)), (1, (25.0, 45.0))):
+        for e in edges:
+            below, above, _ = _edge_floats(probe, axis, e)
+            for lo, hi in ((below + h, below + h + 5.0), (above - h - 5.0, above - h)):
+                corner_lo, corner_hi = [band[0]] * 2 + [0.0], [band[1]] * 2 + [30.0]
+                corner_lo[axis], corner_hi[axis] = lo, hi
+                boxes.append(_box(corner_lo, corner_hi))
+    city = CityMap(boxes, probe.bounds_min, probe.bounds_max)
+    city.point_free((0.0, 0.0, 45.0))
+    mid, exact, over = [], [], []
+    for axis, other in ((0, -40.0), (1, 35.0)):
+        for e in edges:
+            for m in _edge_floats(city, axis, e):
+                for z in (5.0, 15.0, 30.0, math.nextafter(30.0, math.inf)):
+                    start, end = [other, other, z], [other, other, z]
+                    start[axis], end[axis] = m - h, m + h
+                    width = end[axis] - start[axis]
+                    if width <= w and start[axis] + width * 0.5 == m:
+                        mid.append((tuple(start), tuple(end)))
+                    for s0 in (m - h, m + h - w):
+                        s1 = s0 + w
+                        while s1 - s0 > w:
+                            s1 = math.nextafter(s1, -math.inf)
+                        while s1 - s0 < w:
+                            s1 = math.nextafter(s1, math.inf)
+                        if s1 - s0 != w:
+                            continue
+                        start[axis], end[axis] = s0, s1
+                        exact.append((tuple(start), tuple(end)))
+                        while end[axis] - s0 <= w:
+                            end[axis] = math.nextafter(end[axis], math.inf)
+                        over.append((tuple(start), tuple(end)))
+    assert len(mid) > 20 and len(exact) > 20
+    touch_buildings = CityMap._touch_buildings
+    for segments in (mid, exact, over):
+        a, b = (np.array(v) for v in zip(*segments))
+        expected = city.segments_collide(a, b).tolist()
+        assert 0 < sum(expected) < len(expected)
+        calls = []
+        monkeypatch.setattr(CityMap, "_touch_buildings",
+                            lambda self, p, q: calls.append(len(p)) or touch_buildings(self, p, q))
+        # both directions: the midpoint is computed from the first end
+        assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
+        assert [city.segment_collides(q, p) for p, q in zip(a, b)] == expected
+        monkeypatch.setattr(CityMap, "_touch_buildings", touch_buildings)
+        assert len(calls) == (2 * len(a) if segments is over else 0)
+
+
+def _floats_around(v, n):
+    """The 2n + 1 floats nearest v, v in the middle."""
+    down, up = [v], [v]
+    for _ in range(n):
+        down.append(math.nextafter(down[-1], -math.inf))
+        up.append(math.nextafter(up[-1], math.inf))
+    return down[:0:-1] + up
+
+
+def test_cell_index_margin_covers_the_midpoint_and_width_rounding(monkeypatch):
+    """Segments that touch a face farther than h from their rounded midpoint, across a cell edge.
+
+    Such a segment passes the width test, as its width rounds down to at
+    most 2h, and its rounded midpoint falls in the cell before (or after)
+    the one that its far end, less (or plus) h, maps to: without the pad's
+    margin the midpoint's cell would not list the building it ends on.  The
+    search runs over ends and starts within 40 floats of the extreme case
+    at every cell edge of a 100 m map with 10 m cells from -50 m.
+    """
+    h, w = SEGMENT_REACH, 2.0 * SEGMENT_REACH
+    origin, inv = -50.0, 0.1
+
+    def cell(v):
+        return int((v - origin) * inv)
+
+    found = []   # (start, end, face): the segment ends on the face
+    for e in np.arange(-40.0, 50.0, 10.0).tolist():
+        for sign in (1.0, -1.0):
+            for end in _floats_around(e + sign * h, 40):
+                for start in _floats_around(end - sign * w, 40):
+                    d = end - start
+                    if abs(d) <= w and (cell(start + d * 0.5) - cell(end - sign * h)) * sign < 0:
+                        found.append((start, end, sign))
+    assert 0 < len(found) <= 20
+    # one building per segment, each in a 2 m band of y of its own
+    boxes = [_box((min(end, end + 5.0 * sign), -45.0 + 4 * k, 0.0),
+                  (max(end, end + 5.0 * sign), -43.0 + 4 * k, 30.0))
+             for k, (_, end, sign) in enumerate(found)]
+    city = CityMap(boxes, (origin, origin, 0.0), (50.0, 50.0, 50.0))
+    a = np.array([(start, -44.0 + 4 * k, 10.0) for k, (start, _, _) in enumerate(found)])
+    b = np.array([(end, -44.0 + 4 * k, 10.0) for k, (_, end, _) in enumerate(found)])
+    assert city.segments_collide(a, b).all()
+    calls = []
+    touch_buildings = CityMap._touch_buildings
+    monkeypatch.setattr(CityMap, "_touch_buildings",
+                        lambda self, p, q: calls.append(len(p)) or touch_buildings(self, p, q))
+    assert all(city.segment_collides(p, q) for p, q in zip(a, b))
+    assert calls == [] and city._segment_index[:3] == (inv, 9, 9)
+
+
+def test_far_queries_at_many_radii_do_not_evict_the_segment_index(monkeypatch):
+    city = generate_city(11)
+    assert city.segment_collides((10.0, 10.0, 1.0), (20.0, 15.0, 3.0)) is False
+    index = city._segment_index
+    builds = []
+    build = CityMap._build_cell_index
+    monkeypatch.setattr(CityMap, "_build_cell_index", lambda self, r: builds.append(r) or build(self, r))
+    radii = [1.0 + k for k in range(FAR_INDEXES + 3)]
+    for r in radii:
+        city.clearance_exceeds((250.0, 250.0, 400.0), r)
+        city.segment_collides((100.0, 100.0, 5.0), (110.0, 105.0, 8.0))
+        assert city._segment_index is index
+    assert builds == radii and len(city._far_indexes) <= FAR_INDEXES
 
 
 # ----------------------------------------------------------------------
@@ -681,8 +835,8 @@ def test_far_index_stays_bounded_on_buildings_spanning_the_whole_map():
     assert city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0)
     assert time.perf_counter() - t0 < 0.5
     cells = city._far_indexes[20.0][3]
-    assert len(cells) <= 64 * 64
-    assert sum(len(boxes) for _, boxes in cells) <= FAR_REFS * n
+    assert len(cells) <= CELLS_MAX * CELLS_MAX
+    assert sum(len(boxes) for _, boxes in cells) <= CELL_REFS * n
     points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
     assert _far_mismatches(city, points, 20.0) == []
     # the indexes of at most FAR_INDEXES radii are kept

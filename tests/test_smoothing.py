@@ -45,6 +45,22 @@ def test_clamped_knots_shape_and_end_repeats():
         clamped_knots(5, 0)
 
 
+def test_clamped_knots_rejects_bad_and_huge_counts_before_allocating():
+    # the most spans a curve under the sample cap can have is accepted
+    assert len(clamped_knots(MAX_SAMPLES_PER_SPAN + 1, 1)) == MAX_SAMPLES_PER_SPAN + 3
+    tracemalloc.start()
+    try:
+        for n_control, degree in ((10**9, 3), (10**9, 10**9 - 1), (MAX_SAMPLES_PER_SPAN + 4, 3),
+                                  (6.0, 3), (6, 3.0), (True, 1), (6, True), ("6", 3),
+                                  (6, None), (0, 3), (-5, 3), (3, 3), (6, 0), (6, -1)):
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError):
+                clamped_knots(n_control, degree)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
 def test_degree_zero_basis_is_a_span_indicator():
     knots = clamped_knots(5, 1)   # [0, 0, .25, .5, .75, 1, 1]
     u = 0.3
