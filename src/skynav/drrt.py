@@ -89,15 +89,14 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None
     candidate is blocked or out of bounds.
 
     Each move is one single-segment CityMap._segment_collides query from
-    x_near, which is checked against the bounds first.  x_near and goal must
-    hold three coordinates each, else ValueError.
+    x_near.  That query counts a segment with an endpoint outside the bounds,
+    or with a NaN coordinate, as blocked, so such an x_near gives None.
+    x_near and goal must hold three coordinates each, else ValueError.
     """
     x_near = np.asarray(x_near, dtype=float)
     goal = np.asarray(goal, dtype=float)
     if x_near.shape != (3,) or goal.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got shapes {x_near.shape} and {goal.shape}")
-    if not city._inside(x_near.tolist()):
-        return None
     dz = step if goal[2] > x_near[2] else -step
     cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
                                (0.0, -step, 0.0), (0.0, 0.0, dz)))
@@ -139,11 +138,10 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     CityMap._segment_collides) on float64 arrays it built itself, and takes
     sample_with_bias's points from the block-built core.samples stream,
     whose goal draws are all one read-only copy of the goal, told apart by
-    identity (a uniform point equal to the goal by value counts as one too).
-    Straight extensions and detour moves alike are single-segment queries,
-    answered in Python floats from the map's segment cell index.  The step
-    controller asks CityMap.clearance_exceeds, which answers from the same
-    kind of index, built once per clearance_far.
+    identity.  Straight extensions and detour moves alike are single-segment
+    queries, answered in Python floats from the map's segment cell index.
+    The step controller asks CityMap.clearance_exceeds, which answers from
+    the same kind of index at radius clearance_far.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same
@@ -159,7 +157,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     - a blocked extension from a (near, step) pair whose detour already ran
       counts as failed and calls no detour.
 
-    The goal's nearest node is reused while the tree has not grown.
+    The goal's nearest node is reused while the tree has not grown.  Both
+    caches key on pure functions of (near, step), so a uniform draw equal to
+    the goal by value, recomputed in full, gives what they would.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
@@ -178,7 +178,6 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         if path is not None:
             return PlanResult(True, path, explored, perf_counter() - t0)
 
-    goal_l = goal.tolist()
     # (near, step) pairs of goal draws whose straight extension was blocked,
     # and of blocked extensions whose detour ran; the tree size and nearest
     # node of the last goal draw
@@ -189,7 +188,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     while failed < req.max_failed_attempts:
         sample = draw()
         explored += 1
-        to_goal = sample is goal or sample.tolist() == goal_l
+        to_goal = sample is goal
         if to_goal:
             if goal_size != tree._n:
                 goal_size, goal_near = tree._n, tree._nearest(sample)

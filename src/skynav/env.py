@@ -24,15 +24,14 @@ TINY = sys.float_info.min
 # queries use one index at radius SEGMENT_REACH: half the default 15 m
 # step_max, and a hair more, so a 15 m step whose extent rounds up still takes
 # one cell lookup; a segment wider than 2 * SEGMENT_REACH on x or y goes to the
-# batched slab test.  The far test keeps the indexes of at most FAR_INDEXES
-# radii.  CELL_SLACK widens the radius by a relative margin far above the
-# rounding of the queries' arithmetic.
+# batched slab test.  The far test keeps one index, of the last radius asked.
+# CELL_SLACK widens the radius by a relative margin far above the rounding of
+# the queries' arithmetic.
 CELL_M = 10.0
 CELLS_MAX = 64
 CELL_REFS = 256
 CELL_SLACK = 1e-9
 SEGMENT_REACH = 7.5001
-FAR_INDEXES = 4
 
 
 class MapGenerationError(RuntimeError):
@@ -115,10 +114,10 @@ class CityMap:
         # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
-        # cell indexes, built on first use: one for single segments (see
-        # _segment_collides) and one per far-test radius (see clearance_exceeds)
+        # cell indexes, built on first use: _segment_collides' index and
+        # clearance_exceeds' (radius, index)
         self._segment_index = None
-        self._far_indexes = {}
+        self._far_index = (None, None)
 
     # ------------------------------------------------------------------
     # collision queries
@@ -170,7 +169,7 @@ class CityMap:
             return bool(self._touch_buildings(a[None], b[None])[0])
         index = self._segment_index
         if index is None:
-            # kept apart from the far indexes, so no far-test radius evicts it
+            # kept apart from the far index, so no far-test radius replaces it
             index = self._segment_index = self._build_cell_index(SEGMENT_REACH)
         inv, last_i, last_j, cells = index
         # ax + dx / 2 cannot overflow, and lies between ax and bx
@@ -279,8 +278,9 @@ class CityMap:
         p is an (x, y, z) float sequence or float64 array inside the bounds;
         a point outside them, or with a NaN coordinate, raises ValueError.
         Looks up p's cell in the map's cell index of radius r (see
-        _build_cell_index): a point above the cell's top is farther than r
-        from every building.
+        _build_cell_index), kept for the last radius asked and rebuilt for a
+        new one: a point above the cell's top is farther than r from every
+        building.
         Otherwise the distance to each box the cell lists is computed in
         Python floats with clearance's operations in its order, and the root
         of the smallest is compared with r.  A box the cell does not list lies
@@ -292,14 +292,12 @@ class CityMap:
         x, y, z = p
         if not self._inside(p):
             raise ValueError(f"far test queried outside map bounds: {(x, y, z)}")
-        index = self._far_indexes.get(r)
-        if index is None:
+        radius, index = self._far_index
+        if radius != r:
             index = self._build_cell_index(r)
-            # replaced, never mutated: threads sharing the map each see a whole
-            # dict of at most FAR_INDEXES entries, and a lost update only costs
-            # a rebuild
-            kept = self._far_indexes if len(self._far_indexes) < FAR_INDEXES else {}
-            self._far_indexes = {**kept, r: index}
+            # replaced whole: threads sharing the map each see a matching
+            # radius and index, and a lost update only costs a rebuild
+            self._far_index = (r, index)
         inv, last_i, last_j, cells = index
         i = int((x - self._bx0) * inv)
         j = int((y - self._by0) * inv)

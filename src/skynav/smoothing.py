@@ -8,15 +8,17 @@ import numpy as np
 
 from .env import CityMap
 
-# Bounds of sample_curve and of the basis memo (see _basis).  A curve may
-# have at most MAX_CURVE_SAMPLES samples: computing its basis peaks near
-# 550 B a sample at degree 3, about 150 MB at the cap.  smooth_path returns a
-# route whose curve would be longer unsmoothed, and refuses a samples_per_span
-# above MAX_SAMPLES_PER_SPAN, which no route, not even a one-span line, could
-# be smoothed at.  Only curves of at most MEMO_MAX_SAMPLES samples are
-# memoized; an entry holds an int64 index and a float64 weight per sample and
-# control point of its span, at most 256 kB at degree 3, so the memo of
-# BASIS_MEMO entries holds at most 64 MB.
+# Bounds of sample_curve and of the basis memo (see _basis).  The degree is
+# at most MAX_DEGREE, the paper's cubic; the basis takes time quadratic in
+# it.  A curve may have at most MAX_CURVE_SAMPLES samples: computing its
+# basis peaks near 550 B a sample at degree 3, about 150 MB at the cap.
+# smooth_path returns a route whose curve would be longer unsmoothed, and
+# refuses a samples_per_span above MAX_SAMPLES_PER_SPAN, which no route, not
+# even a one-span line, could be smoothed at.  Only curves of at most
+# MEMO_MAX_SAMPLES samples are memoized; an entry holds an int64 index and a
+# float64 weight per sample and control point of its span, at most 256 kB at
+# degree 3, so the memo of BASIS_MEMO entries holds at most 64 MB.
+MAX_DEGREE = 3
 MAX_CURVE_SAMPLES = 2**18
 MAX_SAMPLES_PER_SPAN = MAX_CURVE_SAMPLES - 1
 MEMO_MAX_SAMPLES = 2**12
@@ -26,13 +28,13 @@ BASIS_MEMO = 256
 def clamped_knots(n_control: int, degree: int) -> np.ndarray:
     """Clamped uniform knot vector on [0, 1] with degree+1 repeats at each end.
 
-    degree must be an integer from 1 to MAX_SAMPLES_PER_SPAN, and n_control
-    an integer that exceeds it by 1 to MAX_SAMPLES_PER_SPAN, the most knot
+    degree must be an integer from 1 to MAX_DEGREE, and n_control an
+    integer that exceeds it by 1 to MAX_SAMPLES_PER_SPAN, the most knot
     spans a curve of MAX_CURVE_SAMPLES samples can have; else ValueError,
     raised before anything is allocated.
     """
     n_control = check_count(n_control, "n_control")
-    degree = check_count(degree, "degree", MAX_SAMPLES_PER_SPAN)
+    degree = check_count(degree, "degree", MAX_DEGREE)
     if n_control <= degree:
         raise ValueError("need more control points than the degree")
     if n_control - degree > MAX_SAMPLES_PER_SPAN:
@@ -68,15 +70,16 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
     Each sample weighs only the degree+1 control points of its knot span,
     with weights from _basis, memoized for curves of at most
     MEMO_MAX_SAMPLES samples.  A curve of more than MAX_CURVE_SAMPLES samples
-    raises ValueError before any is computed, as do control points that are
-    not an (n, 3) array.  Returns a fresh array.
+    raises ValueError before any is computed, as do a degree that is not an
+    integer from 1 to MAX_DEGREE and control points that are not an (n, 3)
+    array.  Returns a fresh array.
     """
     control_points = np.asarray(control_points, dtype=float)
     if control_points.ndim != 2 or control_points.shape[1] != 3:
         # a flat array would broadcast each term to (samples, samples)
         raise ValueError(f"control points must be an (n, 3) array, got shape {control_points.shape}")
     n = len(control_points)
-    degree = check_count(degree, "degree")
+    degree = check_count(degree, "degree", MAX_DEGREE)
     samples_per_span = check_count(samples_per_span, "samples_per_span")
     samples = samples_per_span * (n - degree) + 1
     if samples > MAX_CURVE_SAMPLES:
@@ -150,7 +153,7 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
     if path.ndim != 2 or path.shape[1] != 3 or len(path) < 2:
         raise ValueError("path must contain at least two 3D waypoints")
     samples_per_span = check_count(samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
-    degree = min(3, len(path) - 1)
+    degree = min(MAX_DEGREE, len(path) - 1)
     if samples_per_span * (len(path) - degree) + 1 > MAX_CURVE_SAMPLES:
         return path.copy()
     smoothed = sample_curve(path, degree, samples_per_span)

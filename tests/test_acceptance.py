@@ -15,14 +15,14 @@ import pytest
 from spline_reference import basis, evaluate
 
 from skynav import (AcoParams, Building, CityMap, DrrtParams, GenParams,
-                    PlanRequest, RrtParams, Scenario, VoxelGrid, clamped_knots,
-                    generate_city, plan_astar, plan_drrt, plan_rrt, run_benchmark,
-                    sample_curve, smooth_path)
+                    PlanRequest, RrtParams, Scenario, VoxelGrid, generate_city,
+                    plan_astar, plan_drrt, plan_rrt, run_benchmark, smooth_path)
 from skynav.bench import PLANNERS, build_city, build_grid, default_scenario
 from skynav.core import SearchTree
 from skynav.drrt import COLLIDED, FAR, NEUTRAL, update_step
 from skynav.env import MapGenerationError
 from skynav.metrics import dedupe, path_length
+from skynav.smoothing import clamped_knots, sample_curve
 
 
 def _criterion(capsys, num: int, label: str, ok: bool, detail: str) -> None:

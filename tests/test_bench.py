@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skynav import (AcoParams, GenParams, PathMetrics, Scenario, TrialRecord,
-                    aggregate, build_city, default_scenario, run_benchmark, run_trial)
-from skynav.bench import ALGORITHMS, CSV_COLUMNS
+from skynav import (AcoParams, GenParams, PathMetrics, Scenario, build_city,
+                    default_scenario, run_benchmark)
+from skynav.bench import ALGORITHMS, CSV_COLUMNS, aggregate, run_trial
+from skynav.metrics import TrialRecord
 
 DATA = Path(__file__).parent / "data"
 

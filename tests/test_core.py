@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from skynav import CityMap, PlanRequest, SearchTree, sample_with_bias, steer
-from skynav.core import BLOCK, samples, uniforms
+from skynav import CityMap, PlanRequest
+from skynav.core import BLOCK, SearchTree, sample_with_bias, samples, steer, uniforms
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,11 @@ import pytest
 from test_env import _segment_hits_box_oracle
 
 import skynav.drrt
-from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, SearchTree,
-                    build_city, classify_step_outcome, default_scenario, detour_extend,
-                    generate_city, plan_drrt, plan_rrt, update_step)
-from skynav.core import EMPTY_PATH, _steer, samples
-from skynav.drrt import COLLIDED, FAR, NEUTRAL
+from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, build_city,
+                    default_scenario, generate_city, plan_drrt, plan_rrt)
+from skynav.core import EMPTY_PATH, SearchTree, _steer, samples
+from skynav.drrt import (COLLIDED, FAR, NEUTRAL, classify_step_outcome, detour_extend,
+                         update_step)
 from skynav.rrt import check_endpoints, try_finish
 
 
@@ -197,6 +197,21 @@ def test_detour_matches_the_batched_detour():
     goals[:, 2] = np.where(np.arange(n) % 2, near[:, 2] + 40.0, near[:, 2] - 40.0)
     kinds = _detour_kinds_matching_the_batched_detour(lattice, near, goals, steps)
     assert kinds == {"none", "sideways", "vertical"}
+
+
+def test_detour_gives_none_from_near_points_outside_the_bounds_or_with_a_nan():
+    """Every move from such a point leaves the bounds, as the single-segment query sees
+    it, even where the move ends inside them; the batched copy checks the bounds itself."""
+    city = build_city(default_scenario())
+    below = math.nextafter(0.0, -1.0)
+    above = math.nextafter(500.0, 501.0)
+    for x in ((below, 250.0, 10.0), (-3.0, 250.0, 10.0), (250.0, above, 10.0),
+              (250.0, 250.0, -1.0), (250.0, 250.0, 600.0), (math.nan, 250.0, 10.0),
+              (250.0, math.nan, 10.0), (250.0, 250.0, math.nan), (math.inf, 250.0, 10.0)):
+        for goal in ((400.0, 250.0, 10.0), (250.0, 250.0, 300.0), (0.0, 0.0, 0.0)):
+            for step in (1.0, 5.0, 15.0):
+                assert detour_extend(city, x, goal, step) is None
+                assert _batched_detour_extend(city, x, goal, step) is None
 
 
 def test_detour_rejects_points_without_three_coordinates():
@@ -411,6 +426,42 @@ def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
             failures += 1
             assert len(calls) < 1000
     assert failures == 3
+
+
+def test_goal_draws_are_told_apart_by_identity_alone(monkeypatch):
+    """A goal draw that comes back as a fresh, writable copy of the goal is planned as a
+    uniform draw, recomputed in full: with every fifth goal draw copied, a request that
+    ends with no route and one that is routed give the same path and explored count."""
+    city = build_city(default_scenario())
+    requests = (
+        # request 15 of the benchmark's drrt_city pool: no route within its budget
+        (PlanRequest((326.2632534236794, 439.32729575876397, 1.0742850576485523),
+                     (479.57220425761955, 41.36563078542839, 15.231952680131952),
+                     max_failed_attempts=5000), 515),
+        # request 0: the canonical request
+        (PlanRequest((10.0, 10.0, 1.0), (470.0, 420.0, 50.0)), 500),
+    )
+    expected = [plan_drrt(city, req, DrrtParams(), seed) for req, seed in requests]
+    assert [res.success for res in expected] == [False, True]
+    copies = []
+
+    def copying_samples(goal, *args):
+        goal_draws = 0
+        for sample in samples(goal, *args):
+            if sample is goal:
+                goal_draws += 1
+                if goal_draws % 5 == 0:
+                    sample = goal.copy()
+                    copies.append(sample)
+            yield sample
+
+    monkeypatch.setattr(skynav.drrt, "samples", copying_samples)
+    for (req, seed), want in zip(requests, expected):
+        copies.clear()
+        got = plan_drrt(city, req, DrrtParams(), seed)
+        assert copies and all(c.flags.writeable for c in copies)
+        assert (got.success, got.explored_nodes) == (want.success, want.explored_nodes)
+        assert got.path.tobytes() == want.path.tobytes()
 
 
 # Requests 13 and 17 of the benchmark's drrt_city pool, which find a route after

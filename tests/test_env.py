@@ -12,7 +12,7 @@ import pytest
 
 from skynav import (Building, CityMap, GenParams, MapGenerationError, build_city,
                     default_scenario, generate_city, load_map, save_map)
-from skynav.env import CELL_REFS, CELLS_MAX, FAR_INDEXES, SEGMENT_REACH, as_point
+from skynav.env import CELL_REFS, CELLS_MAX, SEGMENT_REACH, as_point
 
 
 def _box(lo, hi):
@@ -732,12 +732,20 @@ def test_far_queries_at_many_radii_do_not_evict_the_segment_index(monkeypatch):
     builds = []
     build = CityMap._build_cell_index
     monkeypatch.setattr(CityMap, "_build_cell_index", lambda self, r: builds.append(r) or build(self, r))
-    radii = [1.0 + k for k in range(FAR_INDEXES + 3)]
+    radii = [1.0 + k for k in range(7)]
     for r in radii:
         city.clearance_exceeds((250.0, 250.0, 400.0), r)
         city.segment_collides((100.0, 100.0, 5.0), (110.0, 105.0, 8.0))
         assert city._segment_index is index
-    assert builds == radii and len(city._far_indexes) <= FAR_INDEXES
+    assert builds == radii and city._far_index[0] == radii[-1]
+    # radii a, b, a: the one far index is rebuilt at each change of radius, not for
+    # repeats, and every answer equals the clearance(p) > r oracle
+    points = np.random.default_rng(23).uniform(0.0, 500.0, (500, 3)) * (1.0, 1.0, 0.6)
+    for r in (20.0, 5.0, 20.0):
+        builds.clear()
+        assert _far_mismatches(city, points, r) == []
+        assert builds == [r] and city._far_index[0] == r
+        assert city._segment_index is index
 
 
 # ----------------------------------------------------------------------
@@ -834,15 +842,16 @@ def test_far_index_stays_bounded_on_buildings_spanning_the_whole_map():
     t0 = time.perf_counter()
     assert city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0)
     assert time.perf_counter() - t0 < 0.5
-    cells = city._far_indexes[20.0][3]
+    radius, (_, _, _, cells) = city._far_index
+    assert radius == 20.0
     assert len(cells) <= CELLS_MAX * CELLS_MAX
     assert sum(len(boxes) for _, boxes in cells) <= CELL_REFS * n
     points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
     assert _far_mismatches(city, points, 20.0) == []
-    # the indexes of at most FAR_INDEXES radii are kept
+    # one index is kept, of the last radius asked
     for r in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
         city.clearance_exceeds((1.0, 1.0, 499.0), r)
-        assert len(city._far_indexes) <= FAR_INDEXES
+        assert city._far_index[0] == r
 
 
 # ----------------------------------------------------------------------

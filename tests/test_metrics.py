@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from skynav import PathMetrics, dedupe, path_length, summarize, turn_angles
+from skynav import PathMetrics, summarize
+from skynav.metrics import dedupe, path_length, turn_angles
 
 
 def test_length_of_a_3_4_5_leg():

@@ -1,6 +1,7 @@
 """Spline basis and path smoothing tests against an independent de Boor oracle."""
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,10 @@ from scipy.spatial import ConvexHull
 
 from spline_reference import basis, evaluate
 
-from skynav import CityMap, Building, Scenario, clamped_knots, sample_curve, smooth_path
+from skynav import CityMap, Building, Scenario, smooth_path
 from skynav.metrics import turn_angles, SHARP_TURN_DEG
-from skynav.smoothing import MAX_CURVE_SAMPLES, MAX_SAMPLES_PER_SPAN, MEMO_MAX_SAMPLES, _basis
+from skynav.smoothing import (MAX_CURVE_SAMPLES, MAX_SAMPLES_PER_SPAN, MEMO_MAX_SAMPLES, _basis,
+                              clamped_knots, sample_curve)
 
 
 def _de_boor_oracle(control, degree, knots, u):
@@ -48,14 +50,24 @@ def test_clamped_knots_shape_and_end_repeats():
 def test_clamped_knots_rejects_bad_and_huge_counts_before_allocating():
     # the most spans a curve under the sample cap can have is accepted
     assert len(clamped_knots(MAX_SAMPLES_PER_SPAN + 1, 1)) == MAX_SAMPLES_PER_SPAN + 3
+    # degrees above the cubic: the basis takes time quadratic in the degree, 0.7 s at
+    # 2,000 and hours near MAX_SAMPLES_PER_SPAN
+    high = [4, 2000, MAX_SAMPLES_PER_SPAN]
+    controls = {d: np.zeros((d + 2, 3)) for d in high}
+    calls = [lambda n=n, d=d: clamped_knots(n, d)
+             for n, d in ((10**9, 3), (10**9, 10**9 - 1), (MAX_SAMPLES_PER_SPAN + 4, 3),
+                          (6.0, 3), (6, 3.0), (True, 1), (6, True), ("6", 3),
+                          (6, None), (0, 3), (-5, 3), (3, 3), (6, 0), (6, -1))]
+    calls += [lambda d=d: clamped_knots(d + 2, d) for d in high]
+    calls += [lambda d=d: sample_curve(controls[d], d, 1) for d in high]
     tracemalloc.start()
     try:
-        for n_control, degree in ((10**9, 3), (10**9, 10**9 - 1), (MAX_SAMPLES_PER_SPAN + 4, 3),
-                                  (6.0, 3), (6, 3.0), (True, 1), (6, True), ("6", 3),
-                                  (6, None), (0, 3), (-5, 3), (3, 3), (6, 0), (6, -1)):
+        for call in calls:
             tracemalloc.reset_peak()
+            t0 = time.perf_counter()
             with pytest.raises(ValueError):
-                clamped_knots(n_control, degree)
+                call()
+            assert time.perf_counter() - t0 < 0.05
             assert tracemalloc.get_traced_memory()[1] < 100_000
     finally:
         tracemalloc.stop()
@@ -151,7 +163,7 @@ def test_non_integer_degree_and_samples_per_span_raise_value_error():
         with pytest.raises(ValueError, match="samples_per_span must be an integer"):
             smooth_path(control, city, samples_per_span)
     for degree in (0, -1):
-        with pytest.raises(ValueError, match="degree must be at least 1"):
+        with pytest.raises(ValueError, match="degree must be between 1 and 3"):
             sample_curve(control, degree, 8)
     # numpy integers are integers
     assert sample_curve(control, np.int64(3), np.int32(8)).tobytes() == \
