@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from .core import EMPTY_PATH, PlanRequest, PlanResult, uniforms
-from .env import CityMap, as_point
+from .env import CityMap, as_point, check_count
 
 # all 26 neighbour offsets, lexicographic for deterministic tie handling
 NEIGHBOR_OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
@@ -246,10 +246,10 @@ class AcoParams:
     q0: float = 0.6
 
     def __post_init__(self):
-        if self.ants < 1 or self.iterations < 1:
-            raise ValueError("ants and iterations must be at least 1")
-        if self.alpha <= 0 or self.beta <= 0 or self.q <= 0:
-            raise ValueError("alpha, beta and q must be positive")
+        check_count(self.ants, "ants")
+        check_count(self.iterations, "iterations")
+        if not all(0.0 < v < inf for v in (self.alpha, self.beta, self.q)):
+            raise ValueError("alpha, beta and q must be positive and finite")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
         if not 0.0 <= self.q0 < 1.0:

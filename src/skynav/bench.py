@@ -17,10 +17,10 @@ import numpy as np
 from .baselines import AcoParams, VoxelGrid, plan_aco, plan_astar, voxelize
 from .core import PlanRequest, PlanResult
 from .drrt import DrrtParams, plan_drrt
-from .env import CityMap, GenParams, as_point, generate_city, load_map
+from .env import CityMap, GenParams, as_point, check_count, generate_city, load_map
 from .metrics import PathMetrics, TrialRecord, summarize
 from .rrt import RrtParams, plan_rrt
-from .smoothing import MAX_SAMPLES_PER_SPAN, check_count, smooth_path
+from .smoothing import MAX_SAMPLES_PER_SPAN, smooth_path
 
 # algorithm name -> (city, grid, request, scenario, seed) -> PlanResult
 PLANNERS = {
@@ -60,8 +60,7 @@ class Scenario:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        check_count(self.trials, "trials")
         check_count(self.samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
         for name in ("start", "goal"):
             try:

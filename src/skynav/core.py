@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import as_point
+from .env import as_point, check_count
 
 
 @dataclass
@@ -27,10 +27,9 @@ class PlanRequest:
     def __post_init__(self):
         self.start = as_point(self.start)
         self.goal = as_point(self.goal)
-        if self.goal_threshold <= 0:
-            raise ValueError("goal_threshold must be positive")
-        if self.max_failed_attempts <= 0:
-            raise ValueError("max_failed_attempts must be positive")
+        if not 0.0 < self.goal_threshold < math.inf:
+            raise ValueError("goal_threshold must be positive and finite")
+        check_count(self.max_failed_attempts, "max_failed_attempts")
 
 
 @dataclass

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, _steer, samples
 from .env import CityMap
-from .rrt import check_endpoints, try_finish
 
 # step-outcome labels used by classify_step_outcome / update_step
 FAR = "far"
@@ -43,12 +42,12 @@ class DrrtParams:
     def __post_init__(self):
         if not 0.0 <= self.p_target <= 1.0:
             raise ValueError("p_target must lie in [0, 1]")
-        if not 0 < self.step_min <= self.step_size <= self.step_max:
-            raise ValueError("need 0 < step_min <= step_size <= step_max")
-        if self.e <= 1.0:
-            raise ValueError("step growth factor e must exceed 1")
-        if self.clearance_far <= 0:
-            raise ValueError("clearance_far must be positive")
+        if not 0 < self.step_min <= self.step_size <= self.step_max < math.inf:
+            raise ValueError("need 0 < step_min <= step_size <= step_max < inf")
+        if not 1.0 < self.e < math.inf:
+            raise ValueError("step growth factor e must be finite and exceed 1")
+        if not 0.0 < self.clearance_far < math.inf:
+            raise ValueError("clearance_far must be positive and finite")
 
 
 def classify_step_outcome(city: CityMap, x_new, extension_collided: bool,
@@ -127,6 +126,36 @@ def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams()
     return _grow_tree(city, req, params, seed)
 
 
+def check_endpoints(city: CityMap, req: PlanRequest) -> None:
+    """Planners require collision-free endpoints."""
+    if not city.point_free(req.start):
+        raise ValueError(f"start is not collision-free: {tuple(req.start)}")
+    if not city.point_free(req.goal):
+        raise ValueError(f"goal is not collision-free: {tuple(req.goal)}")
+
+
+def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: float,
+               step: float) -> np.ndarray | None:
+    """Terminating path through ``node`` if the search can stop here, else None.
+
+    A node inside the goal region ends the search; the goal point itself is
+    appended when the connecting segment is free.  A node within one step of
+    the goal connects directly when that segment is free.  goal is a finite
+    float64 array of shape (3,), as PlanRequest holds it.
+    """
+    pos = tree._pos[node]
+    d = math.dist(pos.tolist(), goal.tolist())
+    if d <= threshold:
+        path = tree.extract_path(node)
+        if d > 0 and not city._segment_collides(pos, goal):
+            path = np.vstack([path, goal])
+        return path
+    if d <= step and not city._segment_collides(pos, goal):
+        leaf = tree._add(goal, node)
+        return tree.extract_path(leaf)
+    return None
+
+
 def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -> PlanResult:
     """plan_drrt's loop; plan_rrt runs it with p_target 0, no detour and a pinned step.
 
@@ -139,9 +168,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     sample_with_bias's points from the block-built core.samples stream,
     whose goal draws are all one read-only copy of the goal, told apart by
     identity.  Straight extensions and detour moves alike are single-segment
-    queries, answered in Python floats from the map's segment cell index.
-    The step controller asks CityMap.clearance_exceeds, which answers from
-    the same kind of index at radius clearance_far.
+    queries, answered in Python floats from the map's cell index.  The step
+    controller asks CityMap.clearance_exceeds, which answers from the same
+    index.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same

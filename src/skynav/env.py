@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,20 +19,15 @@ import numpy as np
 
 # smallest normal float64; the slab tests treat a smaller move as none
 TINY = sys.float_info.min
-# Cell index (see CityMap._build_cell_index).  Cells are CELL_M square, or
-# wider on a map that would otherwise need more than CELLS_MAX of them a side,
-# or hold more than CELL_REFS box references per building.  Single-segment
-# queries use one index at radius SEGMENT_REACH: half the default 15 m
-# step_max, and a hair more, so a 15 m step whose extent rounds up still takes
-# one cell lookup; a segment wider than 2 * SEGMENT_REACH on x or y goes to the
-# batched slab test.  The far test keeps one index, of the last radius asked.
-# CELL_SLACK widens the radius by a relative margin far above the rounding of
-# the queries' arithmetic.
+# The cell index (see CityMap._build_cell_index): CELL_M square cells, wider
+# on a map that would need more than CELLS_MAX a side or CELL_REFS box
+# references per building, each listing the boxes within CELL_REACH, the
+# default clearance_far, plus a relative CELL_SLACK margin.
 CELL_M = 10.0
 CELLS_MAX = 64
 CELL_REFS = 256
 CELL_SLACK = 1e-9
-SEGMENT_REACH = 7.5001
+CELL_REACH = 20.0
 
 
 class MapGenerationError(RuntimeError):
@@ -49,6 +45,24 @@ def as_point(p) -> np.ndarray:
     if not (math.isfinite(a[0]) and math.isfinite(a[1]) and math.isfinite(a[2])):
         raise ValueError(f"point has non-finite coordinates: {p!r}")
     return a
+
+
+def check_count(value, name: str, high: int | None = None, low: int = 1) -> int:
+    """value as a Python int from low to high; a bool, a float or a value out of range raises ValueError.
+
+    A float is refused even when integral: 8.0 hashes as 8 does, so a cache
+    keyed on the value would answer for an argument the check refuses.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}") from None
+    if count < low or (high is not None and count > high):
+        bound = f"at least {low}" if high is None else f"between {low} and {high:,}"
+        raise ValueError(f"{name} must be {bound}, got {count:,}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,10 @@ class GenParams:
     keep_clear: tuple[tuple[float, float, float], ...] = ()
     clear_radius: float = 5.0
     max_draws_per_building: int = 1000
+
+    def __post_init__(self):
+        check_count(self.count, "building count", low=0)
+        check_count(self.max_draws_per_building, "max_draws_per_building", low=0)
 
 
 class CityMap:
@@ -114,10 +132,7 @@ class CityMap:
         # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
-        # cell indexes, built on first use: _segment_collides' index and
-        # clearance_exceeds' (radius, index)
-        self._segment_index = None
-        self._far_index = (None, None)
+        self._cell_index = None
 
     # ------------------------------------------------------------------
     # collision queries
@@ -152,31 +167,20 @@ class CityMap:
     def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
         """segment_collides for two float64 points the caller has validated.
 
-        A segment at most 2 * SEGMENT_REACH wide on x and on y lies within
-        SEGMENT_REACH of its midpoint on both, so the midpoint's cell in the
-        index of that radius (see _build_cell_index, built on first use)
-        lists every building the segment can touch.  A segment whose lowest z
-        is above the cell's top is free; otherwise the cell's boxes are
-        scanned with the closed box-overlap test and then _slab.  A wider
-        segment goes to the batched slab test.
+        A segment at most 2 * CELL_REACH wide on x and on y is answered from
+        its midpoint's cell (see _build_cell_index): free above the cell's
+        top, else by the closed box-overlap test and _slab on its boxes.  A
+        wider segment goes to the batched slab test.
         """
         pa, pb = a.tolist(), b.tolist()
         if not self._inside(pa) or not self._inside(pb):
             return True
         (ax, ay, az), (bx, by, bz) = pa, pb
-        dx, dy, w = bx - ax, by - ay, 2.0 * SEGMENT_REACH
+        dx, dy, w = bx - ax, by - ay, 2.0 * CELL_REACH
         if not (-w <= dx <= w and -w <= dy <= w):
             return bool(self._touch_buildings(a[None], b[None])[0])
-        index = self._segment_index
-        if index is None:
-            # kept apart from the far index, so no far-test radius replaces it
-            index = self._segment_index = self._build_cell_index(SEGMENT_REACH)
-        inv, last_i, last_j, cells = index
         # ax + dx / 2 cannot overflow, and lies between ax and bx
-        i = int((ax + dx * 0.5 - self._bx0) * inv)
-        j = int((ay + dy * 0.5 - self._by0) * inv)
-        top, boxes = cells[(i if i < last_i else last_i) * (last_j + 1)
-                           + (j if j < last_j else last_j)]
+        top, boxes = self._cell(ax + dx * 0.5, ay + dy * 0.5)
         z0, z1 = (az, bz) if az <= bz else (bz, az)
         if z0 > top:
             return False
@@ -275,34 +279,25 @@ class CityMap:
     def clearance_exceeds(self, p, r: float) -> bool:
         """True iff clearance(p) > r, computed exactly as clearance computes it, for r >= 0.
 
-        p is an (x, y, z) float sequence or float64 array inside the bounds;
-        a point outside them, or with a NaN coordinate, raises ValueError.
-        Looks up p's cell in the map's cell index of radius r (see
-        _build_cell_index), kept for the last radius asked and rebuilt for a
-        new one: a point above the cell's top is farther than r from every
-        building.
-        Otherwise the distance to each box the cell lists is computed in
-        Python floats with clearance's operations in its order, and the root
-        of the smallest is compared with r.  A box the cell does not list lies
-        farther than r from p even after rounding, so it cannot decide the
-        comparison, though it may hold clearance's minimum.
+        p is an (x, y, z) float sequence or float64 array inside the bounds,
+        and r is finite and at least 0; else ValueError.  An r above
+        CELL_REACH is answered by clearance, a smaller one from p's cell: a
+        point above its top is far, else the root of the smallest distance
+        to its boxes, computed in Python floats with clearance's operations
+        in its order, is compared with r.  A box the cell does not list lies
+        farther than CELL_REACH from p even after rounding, so it cannot
+        decide the comparison, though it may hold clearance's minimum.
         """
         if isinstance(p, np.ndarray):
             p = p.tolist()
         x, y, z = p
         if not self._inside(p):
             raise ValueError(f"far test queried outside map bounds: {(x, y, z)}")
-        radius, index = self._far_index
-        if radius != r:
-            index = self._build_cell_index(r)
-            # replaced whole: threads sharing the map each see a matching
-            # radius and index, and a lost update only costs a rebuild
-            self._far_index = (r, index)
-        inv, last_i, last_j, cells = index
-        i = int((x - self._bx0) * inv)
-        j = int((y - self._by0) * inv)
-        top, boxes = cells[(i if i < last_i else last_i) * (last_j + 1)
-                           + (j if j < last_j else last_j)]
+        if not 0.0 <= r <= CELL_REACH:
+            if not 0.0 <= r < math.inf:
+                raise ValueError(f"far-test radius must be finite and non-negative, got {r!r}")
+            return self.clearance(p) > r
+        top, boxes = self._cell(x, y)
         if z > top:
             return True
         best = math.inf
@@ -326,31 +321,43 @@ class CityMap:
                 best = d
         return math.sqrt(best) > r
 
-    def _build_cell_index(self, r: float) -> tuple:
-        """The cell index of radius r: (1 / cell side, last cell i, last cell j, cells).
+    def _cell(self, x: float, y: float) -> tuple:
+        """(top, boxes) of the cell holding (x, y); the index is built on first use and
+        assigned whole, so threads sharing the map at worst each build it."""
+        index = self._cell_index
+        if index is None:
+            index = self._cell_index = self._build_cell_index()
+        inv, last_i, last_j, cells = index
+        i = int((x - self._bx0) * inv)
+        j = int((y - self._by0) * inv)
+        return cells[(i if i < last_i else last_i) * (last_j + 1)
+                     + (j if j < last_j else last_j)]
+
+    def _build_cell_index(self) -> tuple:
+        """The cell index: (1 / cell side, last cell i, last cell j, cells).
 
         cells[i * (last j + 1) + j] is (top, boxes) for the x-y cell (i, j):
         boxes lists the (x0, y0, z0, x1, y1, z1) tuples of every building
-        whose footprint, inflated by pad = r plus a CELL_SLACK margin, meets
-        the cell, and top is the tallest of their roofs plus pad, -inf when
-        there are none.  Buildings and queries map x and y to cells with the
-        same monotone truncation, clamped to the grid, so a query point
-        within r of a box on x and on y, up to rounding, lies in a cell that
-        lists the box, and a point above top lies farther than r above every
-        box the cell lists.  The roundings on the way each move a value by a
-        relative 2**-53: in clearance_exceeds' distances, and in
-        _segment_collides' extent test (a segment that passes it may be
-        wider than 2r by a relative 2**-53) and its midpoint ax + dx / 2
-        (off the exact midpoint by at most 2**-53 times half the width plus
-        the coordinates' scale).  pad covers them with a margin of
-        CELL_SLACK times the radius plus the coordinates' scale.  Equal box
-        lists share one entry.
+        whose footprint, inflated by pad = CELL_REACH plus a CELL_SLACK
+        margin, meets the cell, and top is the tallest of their roofs plus
+        pad, -inf when there are none; equal box lists share one entry.
+        Buildings and queries map x and y to cells with the same monotone
+        truncation, clamped to the grid, so a point within CELL_REACH of a
+        box on x and on y, up to rounding, lies in a cell that lists the box,
+        as does the midpoint of a segment that touches the box and is at most
+        2 * CELL_REACH wide on x and on y; and a point above top lies farther
+        than CELL_REACH above every box the cell lists.  The roundings on the way
+        each move a value by a relative 2**-53: in clearance_exceeds'
+        distances, and in _segment_collides' extent test (a segment that
+        passes it may be wider than 2 * CELL_REACH by a relative 2**-53) and
+        its midpoint ax + dx / 2 (off the exact midpoint by at most 2**-53
+        times half the width plus the coordinates' scale).  pad covers them
+        with a margin of CELL_SLACK times the radius plus the coordinates'
+        scale.
         """
-        if not 0.0 <= r < math.inf:
-            raise ValueError(f"far-test radius must be finite and non-negative, got {r!r}")
         scale = max(abs(v) for v in (self._bx0, self._by0, self._bz0,
                                      self._bx1, self._by1, self._bz1))
-        pad = r + CELL_SLACK * (r + scale)
+        pad = CELL_REACH + CELL_SLACK * (CELL_REACH + scale)
         bx, by = self._bx0, self._by0
         boxes = [b.min_corner + b.max_corner for b in self.buildings]
         side = max(CELL_M, (self._bx1 - bx) / CELLS_MAX, (self._by1 - by) / CELLS_MAX)
@@ -372,14 +379,11 @@ class CityMap:
                 for j in range(j0, j1 + 1):
                     listed[i * (last_j + 1) + j].append(k)
         shared = {}
-        cells = []
-        for ks in listed:
-            key = tuple(ks)
-            if key not in shared:
-                shared[key] = (max((boxes[k][5] for k in ks), default=-math.inf) + pad,
-                               tuple(boxes[k] for k in ks))
-            cells.append(shared[key])
-        return inv, last_i, last_j, cells
+        for ks in map(tuple, listed):
+            if ks not in shared:
+                shared[ks] = (max((boxes[k][5] for k in ks), default=-math.inf) + pad,
+                              tuple(boxes[k] for k in ks))
+        return inv, last_i, last_j, [shared[tuple(ks)] for ks in listed]
 
     # ------------------------------------------------------------------
     # serialization
@@ -463,8 +467,6 @@ def generate_city(seed: int, params: GenParams = GenParams()) -> CityMap:
     MapGenerationError if a building cannot be placed within
     ``max_draws_per_building`` draws.
     """
-    if params.count < 0:
-        raise ValueError("building count must be non-negative")
     lo_fp, hi_fp = params.footprint_range
     lo_h, hi_h = params.height_range
     if not (0 < lo_fp <= hi_fp) or not (0 < lo_h <= hi_h):
@@ -493,10 +495,7 @@ def generate_city(seed: int, params: GenParams = GenParams()) -> CityMap:
             y0 = rng.uniform(bmin[1], bmax[1] - sy)
             lo = np.array([x0, y0, bmin[2]])
             hi = np.array([x0 + sx, y0 + sy, bmin[2] + h])
-            blocked = any(
-                np.all(lo - r <= p) and np.all(p <= hi + r) for p in keep
-            )
-            if not blocked:
+            if not any(np.all(lo - r <= p) and np.all(p <= hi + r) for p in keep):
                 buildings.append(Building(tuple(lo), tuple(hi)))
                 break
         else:

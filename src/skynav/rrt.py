@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import PlanRequest, PlanResult, SearchTree
+from .core import PlanRequest, PlanResult
+# plan_rrt runs drrt's tree loop; its endpoint check and finishing step are
+# named here too, as parts of the classic planner
+from .drrt import DrrtParams, _grow_tree, check_endpoints, try_finish
 from .env import CityMap
 
 
@@ -15,38 +16,8 @@ class RrtParams:
     step_size: float = 10.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-def check_endpoints(city: CityMap, req: PlanRequest) -> None:
-    """Planners require collision-free endpoints."""
-    if not city.point_free(req.start):
-        raise ValueError(f"start is not collision-free: {tuple(req.start)}")
-    if not city.point_free(req.goal):
-        raise ValueError(f"goal is not collision-free: {tuple(req.goal)}")
-
-
-def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: float,
-               step: float) -> np.ndarray | None:
-    """Terminating path through ``node`` if the search can stop here, else None.
-
-    A node inside the goal region ends the search; the goal point itself is
-    appended when the connecting segment is free.  A node within one step of
-    the goal connects directly when that segment is free.  goal is a finite
-    float64 array of shape (3,), as PlanRequest holds it.
-    """
-    pos = tree._pos[node]
-    d = math.dist(pos.tolist(), goal.tolist())
-    if d <= threshold:
-        path = tree.extract_path(node)
-        if d > 0 and not city._segment_collides(pos, goal):
-            path = np.vstack([path, goal])
-        return path
-    if d <= step and not city._segment_collides(pos, goal):
-        leaf = tree._add(goal, node)
-        return tree.extract_path(leaf)
-    return None
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
 
 
 def plan_rrt(city: CityMap, req: PlanRequest, params: RrtParams = RrtParams(),
@@ -58,7 +29,6 @@ def plan_rrt(city: CityMap, req: PlanRequest, params: RrtParams = RrtParams(),
     that adds no node counts against the request's failed-attempt budget;
     explored_nodes reports all extension attempts.
     """
-    from .drrt import DrrtParams, _grow_tree  # drrt imports this module
     s = params.step_size
     return _grow_tree(city, req, DrrtParams(step_size=s, p_target=0.0, step_min=s,
                                             step_max=s, use_detour=False), seed)

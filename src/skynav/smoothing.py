@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
-from .env import CityMap
+from .env import CityMap, check_count
 
 # Bounds of sample_curve and of the basis memo (see _basis).  The degree is
 # at most MAX_DEGREE, the paper's cubic; the basis takes time quadratic in
@@ -42,24 +41,6 @@ def clamped_knots(n_control: int, degree: int) -> np.ndarray:
                          f"{MAX_CURVE_SAMPLES:,} samples can have")
     interior = np.linspace(0.0, 1.0, n_control - degree + 1)[1:-1]
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-
-
-def check_count(value, name: str, high: int | None = None) -> int:
-    """value as a Python int from 1 to high; a bool, a float or a value out of range raises ValueError.
-
-    Runs before the memo: 8.0 hashes as 8 does, so a cache keyed on it would
-    answer for an argument that sample_curve refuses.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r:.40}") from None
-    if count < 1 or (high is not None and count > high):
-        bound = "at least 1" if high is None else f"between 1 and {high:,}"
-        raise ValueError(f"{name} must be {bound}, got {count:,}")
-    return count
 
 
 def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarray:

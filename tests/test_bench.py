@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skynav import (AcoParams, GenParams, PathMetrics, Scenario, build_city,
-                    default_scenario, run_benchmark)
+from skynav import (AcoParams, DrrtParams, GenParams, PathMetrics, PlanRequest, RrtParams,
+                    Scenario, build_city, default_scenario, run_benchmark)
 from skynav.bench import ALGORITHMS, CSV_COLUMNS, aggregate, run_trial
 from skynav.metrics import TrialRecord
 
@@ -142,6 +142,35 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
     # an int stands for a float, and a scenario may leave every key out
     assert Scenario.from_dict({"grid_resolution": 5}).grid_resolution == 5
     assert Scenario.from_dict({}) == Scenario()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DrrtParams(clearance_far=NAN),
+    lambda: DrrtParams(clearance_far=INF),
+    lambda: DrrtParams(e=NAN),
+    lambda: DrrtParams(e=INF),
+    lambda: DrrtParams(step_max=INF),
+    lambda: RrtParams(step_size=NAN),
+    lambda: RrtParams(step_size=INF),
+    lambda: PlanRequest((1, 1, 1), (9, 9, 9), goal_threshold=NAN),
+    lambda: PlanRequest((1, 1, 1), (9, 9, 9), goal_threshold=INF),
+    lambda: PlanRequest((1, 1, 1), (9, 9, 9), max_failed_attempts=2.5),
+    lambda: AcoParams(ants=1.5),
+    lambda: AcoParams(iterations=2.5),
+    lambda: AcoParams(alpha=NAN),
+    lambda: AcoParams(q=INF),
+    lambda: Scenario(trials=2.5),
+    lambda: GenParams(count=2.5),
+    lambda: GenParams(count=-1),
+    lambda: GenParams(max_draws_per_building=2.5),
+])
+def test_non_finite_and_non_integer_parameters_fail_at_construction(make):
+    """Each used to pass construction and fail, or plan silently, later."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_build_city_always_keeps_the_endpoints_clear():

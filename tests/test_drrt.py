@@ -15,9 +15,8 @@ import skynav.drrt
 from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, build_city,
                     default_scenario, generate_city, plan_drrt, plan_rrt)
 from skynav.core import EMPTY_PATH, SearchTree, _steer, samples
-from skynav.drrt import (COLLIDED, FAR, NEUTRAL, classify_step_outcome, detour_extend,
-                         update_step)
-from skynav.rrt import check_endpoints, try_finish
+from skynav.drrt import (COLLIDED, FAR, NEUTRAL, check_endpoints, classify_step_outcome,
+                         detour_extend, try_finish, update_step)
 
 
 def _empty(side=500.0):

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skynav import (Building, CityMap, GenParams, MapGenerationError, build_city,
+from skynav import (Building, CityMap, DrrtParams, GenParams, MapGenerationError, build_city,
                     default_scenario, generate_city, load_map, save_map)
-from skynav.env import CELL_REFS, CELLS_MAX, SEGMENT_REACH, as_point
+from skynav.env import CELL_REACH, CELL_REFS, CELLS_MAX, as_point
 
 
 def _box(lo, hi):
@@ -443,7 +443,7 @@ def test_cell_index_is_exact_on_random_segments_and_empty_maps():
                                                            for v in origin]
     a, b = _adversarial_segments(rng, special, 100)
     assert not any(_check_against_oracle(empty, a, b))
-    inv, last_i, last_j, cells = empty._segment_index
+    inv, last_i, last_j, cells = empty._cell_index
     assert (last_i, last_j) == (9, 9) and len(cells) == 100
     assert all(top == -math.inf and boxes == () for top, boxes in cells)
 
@@ -475,7 +475,7 @@ def test_huge_bounds_build_a_bounded_cell_index_quickly():
         t0 = time.perf_counter()
         city = CityMap([_box((0, 0, 0), (30, 30, 50)), _box((9.9e6, 5e6, 0), (1e7, 5.1e6, 70))],
                        (0, 0, 0), (1e7, 1e7, 1e7))
-        assert city._segment_index is None
+        assert city._cell_index is None
         assert city.segment_collides((10, 10, 1), (10, 10, 60))
         elapsed = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
@@ -483,7 +483,7 @@ def test_huge_bounds_build_a_bounded_cell_index_quickly():
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 2_000_000
-    assert len(city._segment_index[3]) == CELLS_MAX * CELLS_MAX
+    assert len(city._cell_index[3]) == CELLS_MAX * CELLS_MAX
     assert not city.segment_collides((10, 10, 51), (5e6, 5e6, 51))
     assert city.segment_collides((9.95e6, 4e6, 10), (9.95e6, 6e6, 10))
     assert not city.point_free((9.95e6, 5.05e6, 70))
@@ -573,7 +573,8 @@ def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
 
 
 def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
-    """2,000 overlapping buildings across the full x extent: a bounded index, built quickly."""
+    """2,000 overlapping buildings across the full x extent: a bounded index, built quickly
+    by a segment query or by a far test, and exact for both."""
     rng = np.random.default_rng(13)
     n, side = 2000, 1e5
     y0 = rng.uniform(0.0, side - 50.0, n)
@@ -581,21 +582,26 @@ def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
     boxes = [_box((0.0, y, 0.0), (side, y + 50.0, z)) for y, z in zip(y0, z1)]
     a = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (200, 3))
     b = np.clip(a + rng.uniform(-15.0, 15.0, (200, 3)), 0.0, (side, side, 500.0))
-    t0 = time.perf_counter()
-    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
-    city.segment_collides(a[0], b[0])
-    assert time.perf_counter() - t0 < 0.5
-    cells = city._segment_index[3]
-    assert len(cells) <= CELLS_MAX * CELLS_MAX
-    assert sum(len(c) for _, c in cells) <= CELL_REFS * n
-    flags = city.segments_collide(a, b).tolist()
-    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
-    assert 0 < sum(flags) < 200
+    points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
+    first_queries = (lambda city: city.segment_collides(a[0], b[0]),
+                     lambda city: city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0))
+    for first in first_queries:
+        t0 = time.perf_counter()
+        city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
+        first(city)
+        assert time.perf_counter() - t0 < 0.5
+        cells = city._cell_index[3]
+        assert len(cells) <= CELLS_MAX * CELLS_MAX
+        assert sum(len(c) for _, c in cells) <= CELL_REFS * n
+        flags = city.segments_collide(a, b).tolist()
+        assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+        assert 0 < sum(flags) < 200
+        assert _far_mismatches(city, points, 20.0) == []
 
 
 def _edge_floats(city, axis, edge):
     """The two adjacent floats either side of the computed cell edge within 1 m of edge, and edge."""
-    inv, origin = city._segment_index[0], (city._bx0, city._by0)[axis]
+    inv, origin = city._cell_index[0], (city._bx0, city._by0)[axis]
     lo, hi = edge - 1.0, edge + 1.0
     upper = int((hi - origin) * inv)
     assert int((lo - origin) * inv) == upper - 1
@@ -611,7 +617,7 @@ def _edge_floats(city, axis, edge):
 def test_cell_index_is_exact_at_cell_edges_and_the_width_limit(monkeypatch):
     """Midpoints one ulp either side of a cell edge, and widths of exactly 2h and one ulp over.
 
-    On 10 m cells from -50 m, h = SEGMENT_REACH, each test edge gets two
+    On 10 m cells from -100 m, h = CELL_REACH, each test edge gets two
     buildings: one whose low face is where a segment 2h wide centred on the
     last float below the computed edge ends, and one whose high face is
     where such a segment centred on the first float above it starts.
@@ -622,9 +628,9 @@ def test_cell_index_is_exact_at_cell_edges_and_the_width_limit(monkeypatch):
     a segment exactly 2h wide must take the cell lookup, and one a float
     wider the batched test.
     """
-    h, w = SEGMENT_REACH, 2.0 * SEGMENT_REACH
+    h, w = CELL_REACH, 2.0 * CELL_REACH
     edges = (-30.0, 0.0, 20.0)
-    probe = CityMap((), (-50.0, -50.0, 0.0), (50.0, 50.0, 50.0))
+    probe = CityMap((), (-100.0, -100.0, 0.0), (100.0, 100.0, 50.0))
     probe.point_free((0.0, 0.0, 45.0))   # builds the index
     boxes = []
     for axis, band in ((0, (-45.0, -35.0)), (1, (25.0, 45.0))):
@@ -692,16 +698,17 @@ def test_cell_index_margin_covers_the_midpoint_and_width_rounding(monkeypatch):
     the one that its far end, less (or plus) h, maps to: without the pad's
     margin the midpoint's cell would not list the building it ends on.  The
     search runs over ends and starts within 40 floats of the extreme case
-    at every cell edge of a 100 m map with 10 m cells from -50 m.
+    at every cell edge from -70 m to 70 m of a 200 m map with 10 m cells
+    from -100 m.
     """
-    h, w = SEGMENT_REACH, 2.0 * SEGMENT_REACH
-    origin, inv = -50.0, 0.1
+    h, w = CELL_REACH, 2.0 * CELL_REACH
+    origin, inv = -100.0, 0.1
 
     def cell(v):
         return int((v - origin) * inv)
 
     found = []   # (start, end, face): the segment ends on the face
-    for e in np.arange(-40.0, 50.0, 10.0).tolist():
+    for e in np.arange(-70.0, 80.0, 10.0).tolist():
         for sign in (1.0, -1.0):
             for end in _floats_around(e + sign * h, 40):
                 for start in _floats_around(end - sign * w, 40):
@@ -710,42 +717,19 @@ def test_cell_index_margin_covers_the_midpoint_and_width_rounding(monkeypatch):
                         found.append((start, end, sign))
     assert 0 < len(found) <= 20
     # one building per segment, each in a 2 m band of y of its own
-    boxes = [_box((min(end, end + 5.0 * sign), -45.0 + 4 * k, 0.0),
-                  (max(end, end + 5.0 * sign), -43.0 + 4 * k, 30.0))
+    boxes = [_box((min(end, end + 5.0 * sign), -95.0 + 4 * k, 0.0),
+                  (max(end, end + 5.0 * sign), -93.0 + 4 * k, 30.0))
              for k, (_, end, sign) in enumerate(found)]
-    city = CityMap(boxes, (origin, origin, 0.0), (50.0, 50.0, 50.0))
-    a = np.array([(start, -44.0 + 4 * k, 10.0) for k, (start, _, _) in enumerate(found)])
-    b = np.array([(end, -44.0 + 4 * k, 10.0) for k, (_, end, _) in enumerate(found)])
+    city = CityMap(boxes, (origin, origin, 0.0), (100.0, 100.0, 50.0))
+    a = np.array([(start, -94.0 + 4 * k, 10.0) for k, (start, _, _) in enumerate(found)])
+    b = np.array([(end, -94.0 + 4 * k, 10.0) for k, (_, end, _) in enumerate(found)])
     assert city.segments_collide(a, b).all()
     calls = []
     touch_buildings = CityMap._touch_buildings
     monkeypatch.setattr(CityMap, "_touch_buildings",
                         lambda self, p, q: calls.append(len(p)) or touch_buildings(self, p, q))
     assert all(city.segment_collides(p, q) for p, q in zip(a, b))
-    assert calls == [] and city._segment_index[:3] == (inv, 9, 9)
-
-
-def test_far_queries_at_many_radii_do_not_evict_the_segment_index(monkeypatch):
-    city = generate_city(11)
-    assert city.segment_collides((10.0, 10.0, 1.0), (20.0, 15.0, 3.0)) is False
-    index = city._segment_index
-    builds = []
-    build = CityMap._build_cell_index
-    monkeypatch.setattr(CityMap, "_build_cell_index", lambda self, r: builds.append(r) or build(self, r))
-    radii = [1.0 + k for k in range(7)]
-    for r in radii:
-        city.clearance_exceeds((250.0, 250.0, 400.0), r)
-        city.segment_collides((100.0, 100.0, 5.0), (110.0, 105.0, 8.0))
-        assert city._segment_index is index
-    assert builds == radii and city._far_index[0] == radii[-1]
-    # radii a, b, a: the one far index is rebuilt at each change of radius, not for
-    # repeats, and every answer equals the clearance(p) > r oracle
-    points = np.random.default_rng(23).uniform(0.0, 500.0, (500, 3)) * (1.0, 1.0, 0.6)
-    for r in (20.0, 5.0, 20.0):
-        builds.clear()
-        assert _far_mismatches(city, points, r) == []
-        assert builds == [r] and city._far_index[0] == r
-        assert city._segment_index is index
+    assert calls == [] and city._cell_index[:3] == (inv, 19, 19)
 
 
 # ----------------------------------------------------------------------
@@ -831,27 +815,31 @@ def test_far_test_rejects_points_outside_the_bounds_and_bad_radii():
             city.clearance_exceeds((5.0, 5.0, 5.0), r)
 
 
-def test_far_index_stays_bounded_on_buildings_spanning_the_whole_map():
-    """2,000 overlapping full-width buildings: a bounded index, built quickly, still exact."""
-    rng = np.random.default_rng(13)
-    n, side = 2000, 1e5
-    y0 = rng.uniform(0.0, side - 50.0, n)
-    z1 = rng.uniform(1.0, 300.0, n)
-    boxes = [_box((0.0, y, 0.0), (side, y + 50.0, z)) for y, z in zip(y0, z1)]
-    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
-    t0 = time.perf_counter()
-    assert city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0)
-    assert time.perf_counter() - t0 < 0.5
-    radius, (_, _, _, cells) = city._far_index
-    assert radius == 20.0
-    assert len(cells) <= CELLS_MAX * CELLS_MAX
-    assert sum(len(boxes) for _, boxes in cells) <= CELL_REFS * n
-    points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
-    assert _far_mismatches(city, points, 20.0) == []
-    # one index is kept, of the last radius asked
-    for r in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-        city.clearance_exceeds((1.0, 1.0, 499.0), r)
-        assert city._far_index[0] == r
+def test_far_test_above_the_cell_reach_matches_the_clearance_oracle():
+    """Radii above CELL_REACH are answered by clearance, on the same points as the test of
+    radii below it; one cell index serves both queries at every radius."""
+    rng = np.random.default_rng(24)
+    for city in _benchmark_maps():
+        for r in (25.0, 60.0, 1000.0):
+            random = rng.uniform(city.bounds_min, city.bounds_max, (1000, 3)) * (1.0, 1.0, 0.6)
+            assert _far_mismatches(city, random, r) == []
+            for b in city.buildings:
+                near = _points_at_distance(b, r)
+                inside = [p for p in near if city._inside(p.tolist())]
+                assert _far_mismatches(city, inside, r) == []
+    city = generate_city(11)
+    city.point_free((250.0, 250.0, 400.0))
+    index = city._cell_index
+    for r in (0.0, 5.0, CELL_REACH, math.nextafter(CELL_REACH, math.inf), 60.0, 1.0):
+        assert city.clearance_exceeds((250.0, 250.0, 400.0), r)
+        city.segment_collides((100.0, 100.0, 5.0), (130.0, 90.0, 8.0))
+        assert city._cell_index is index
+
+
+def test_drrt_defaults_stay_within_the_cell_reach():
+    """The default far test and steps take the cell lookup, not clearance or the slab test."""
+    assert DrrtParams().clearance_far <= CELL_REACH
+    assert DrrtParams().step_max <= 2 * CELL_REACH
 
 
 # ----------------------------------------------------------------------
