@@ -572,9 +572,9 @@ def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
     assert [city.segment_collides(p, q) for p, q in zip(seg_a, seg_b)] == flags
 
 
-def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
-    """2,000 overlapping buildings across the full x extent: a bounded index, built quickly
-    by a segment query or by a far test, and exact for both."""
+def _check_spanning_map_index(first):
+    """2,000 overlapping buildings across the full x extent: the first query, first(city, a, b,
+    side), builds a bounded index quickly, and segment queries and far tests are then exact."""
     rng = np.random.default_rng(13)
     n, side = 2000, 1e5
     y0 = rng.uniform(0.0, side - 50.0, n)
@@ -583,20 +583,33 @@ def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
     a = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (200, 3))
     b = np.clip(a + rng.uniform(-15.0, 15.0, (200, 3)), 0.0, (side, side, 500.0))
     points = rng.uniform((0.0, 0.0, 0.0), (side, side, 500.0), (300, 3)) * (1.0, 1.0, 0.7)
-    first_queries = (lambda city: city.segment_collides(a[0], b[0]),
-                     lambda city: city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0))
-    for first in first_queries:
-        t0 = time.perf_counter()
-        city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
-        first(city)
-        assert time.perf_counter() - t0 < 0.5
-        cells = city._cell_index[3]
-        assert len(cells) <= CELLS_MAX * CELLS_MAX
-        assert sum(len(c) for _, c in cells) <= CELL_REFS * n
-        flags = city.segments_collide(a, b).tolist()
-        assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
-        assert 0 < sum(flags) < 200
-        assert _far_mismatches(city, points, 20.0) == []
+    t0 = time.perf_counter()
+    city = CityMap(boxes, (0, 0, 0), (side, side, 500.0))
+    first(city, a, b, side)
+    assert time.perf_counter() - t0 < 0.5
+    cells = city._cell_index[3]
+    assert len(cells) <= CELLS_MAX * CELLS_MAX
+    assert sum(len(c) for _, c in cells) <= CELL_REFS * n
+    flags = city.segments_collide(a, b).tolist()
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags
+    assert 0 < sum(flags) < 200
+    assert _far_mismatches(city, points, 20.0) == []
+
+
+def test_cell_index_stays_bounded_on_buildings_spanning_the_whole_map():
+    """Built by a segment query, the index stays bounded and exact."""
+    _check_spanning_map_index(lambda city, a, b, side: city.segment_collides(a[0], b[0]))
+
+
+def test_far_index_stays_bounded_on_buildings_spanning_the_whole_map():
+    """Built by a far test, the shared index stays bounded and exact, and later radii reuse it."""
+    def first(city, a, b, side):
+        assert city.clearance_exceeds((side / 2, side / 2, 499.0), 20.0)
+        index = city._cell_index
+        for r in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            city.clearance_exceeds((1.0, 1.0, 499.0), r)
+            assert city._cell_index is index
+    _check_spanning_map_index(first)
 
 
 def _edge_floats(city, axis, edge):
