@@ -61,8 +61,8 @@ class VoxelGrid:
     """
 
     def __init__(self, occupancy: np.ndarray, resolution: float, origin=(0.0, 0.0, 0.0)):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < resolution < inf:
+            raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
         occupancy = np.asarray(occupancy, dtype=bool)
         if occupancy.ndim != 3:
             raise ValueError("occupancy must be a 3D boolean array")
@@ -134,8 +134,8 @@ class VoxelGrid:
 
 def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
     """Rasterize a map: a cell is occupied iff its closed box touches a building."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     extent = city.bounds_max - city.bounds_min
     dims = tuple(int(n) for n in np.ceil(extent / resolution - 1e-9))
     dims = tuple(max(n, 1) for n in dims)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -68,6 +69,9 @@ class Scenario:
             except ValueError as exc:
                 raise ValueError(f"scenario.{name}: {exc}") from None
         self.request()   # refuses a bad goal_threshold or max_failed_attempts
+        if not 0.0 < self.grid_resolution < math.inf:
+            raise ValueError("grid_resolution must be positive and finite, "
+                             f"got {self.grid_resolution!r}")
         if self.map_file is not None and not isinstance(self.map_file, str):
             raise ValueError(f"map_file must be a path string, got {self.map_file!r}")
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 
-# smallest normal float64; the slab tests treat a smaller move as none
+# smallest normal float64; the slab test treats a smaller move as none
 TINY = sys.float_info.min
 # The cell index (see CityMap._build_cell_index): CELL_M square cells, wider
 # on a map that would need more than CELLS_MAX a side or CELL_REFS box
@@ -97,6 +97,9 @@ class GenParams:
     def __post_init__(self):
         check_count(self.count, "building count", low=0)
         check_count(self.max_draws_per_building, "max_draws_per_building", low=0)
+        if not 0.0 <= self.clear_radius < math.inf:
+            raise ValueError("clear_radius must be finite and non-negative, "
+                             f"got {self.clear_radius!r}")
 
 
 class CityMap:
@@ -132,6 +135,8 @@ class CityMap:
         # and scalar compares beat tiny-array reductions
         self._bx0, self._by0, self._bz0 = (float(v) for v in self.bounds_min)
         self._bx1, self._by1, self._bz1 = (float(v) for v in self.bounds_max)
+        # one (x0, y0, z0, x1, y1, z1) tuple per building, for _slab and the cell index
+        self._boxes = tuple(b.min_corner + b.max_corner for b in self.buildings)
         self._cell_index = None
 
     # ------------------------------------------------------------------
@@ -214,12 +219,12 @@ class CityMap:
     def _touch_buildings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per segment a[k]-b[k] of an (S, 3) pair of float64 arrays: True iff it touches a building.
 
-        The slab test.  A segment can only touch a building whose closed box
-        overlaps the segment's own bounding box; only those pairs reach the
-        narrow phase, computed with one row per axis.  The broad phase first
-        keeps the K buildings whose box meets the whole batch's bounding box,
-        which holds every segment's box, then compares them with the segment
-        boxes axis by axis in one (K, S) mask over (3, S) rows.
+        A segment can only touch a building whose closed box overlaps the
+        segment's own bounding box; only those pairs reach the narrow phase,
+        _slab, until the segment hits.  The broad phase first keeps the K
+        buildings whose box meets the whole batch's bounding box, which holds
+        every segment's box, then compares them with the segment boxes axis by
+        axis in one (K, S) mask over (3, S) rows.
         """
         hit = np.zeros(len(a), dtype=bool)
         if not len(a):
@@ -237,26 +242,9 @@ class CityMap:
             near &= seg_lo[k] <= hi[k]
         if not near.any():
             return hit
-        bld, seg = np.nonzero(near)
-        bld = kept[bld]
-        a = a[seg].T
-        d = b[seg].T - a
-        # axis-parallel segments never cross that axis' slab planes: either the
-        # whole line is inside the slab or it misses the box outright.  The
-        # broad phase kept only pairs whose boxes overlap on every axis, which
-        # on a parallel axis means the line lies inside the slab.  A subnormal
-        # move counts as parallel too: its reciprocal can overflow, and a zero
-        # times inf is a NaN parameter that would miss the box; as parallel it
-        # errs toward a hit by less than the smallest normal float.
-        parallel = np.abs(d) < TINY
-        inv = 1.0 / np.where(parallel, 1.0, d)
-        t1 = (self._lo[:, bld] - a) * inv
-        t2 = (self._hi[:, bld] - a) * inv
-        lo = np.where(parallel, -np.inf, np.minimum(t1, t2))
-        hi = np.where(parallel, np.inf, np.maximum(t1, t2))
-        tmin = np.maximum(lo.max(axis=0), 0.0)
-        tmax = np.minimum(hi.min(axis=0), 1.0)
-        hit[seg[tmin <= tmax]] = True
+        for bld, seg in zip(*np.nonzero(near)):
+            if not hit[seg] and _slab(a[seg].tolist(), b[seg].tolist(), self._boxes[kept[bld]]):
+                hit[seg] = True
         return hit
 
     def clearance(self, p) -> float:
@@ -359,7 +347,7 @@ class CityMap:
                                      self._bx1, self._by1, self._bz1))
         pad = CELL_REACH + CELL_SLACK * (CELL_REACH + scale)
         bx, by = self._bx0, self._by0
-        boxes = [b.min_corner + b.max_corner for b in self.buildings]
+        boxes = self._boxes
         side = max(CELL_M, (self._bx1 - bx) / CELLS_MAX, (self._by1 - by) / CELLS_MAX)
         while True:
             inv = 1.0 / side
@@ -417,12 +405,13 @@ class CityMap:
 def _slab(a: list, b: list, box: tuple) -> bool:
     """True iff segment a-b meets the closed box (x0, y0, z0, x1, y1, z1): the slab test.
 
-    A scalar copy of CityMap._touch_buildings' narrow phase for one pair
-    whose boxes overlap: the same IEEE operations in the same order, which
-    Python floats round as float64 ufuncs do, so the two answers match bit
-    for bit.  An axis the segment does not move along, or moves along by less
-    than the smallest normal float, is skipped, as it is there, and a NaN
-    parameter misses, as it does in numpy.
+    The narrow phase of every segment query, for one pair whose closed boxes
+    overlap, with the intersection parameter clipped to [0, 1].  An axis the
+    segment does not move along is skipped: the box-overlap test already put
+    the whole line inside that axis' slab.  A move shorter than the smallest
+    normal float counts as none, because its reciprocal can overflow and a
+    zero times inf is a NaN parameter; skipping it errs toward a hit by less
+    than that float.  A NaN parameter misses.
     """
     tmin, tmax = 0.0, 1.0
     for k in range(3):

@@ -3,7 +3,7 @@
 sample_curve runs this recursion for all samples at once with the same
 operations in the same order, so each of its samples equals ``evaluate`` at
 that parameter bit for bit.  The tests compare the two, and check both against
-an independent triangular de Boor recursion.
+``de_boor``, an independent triangular de Boor recursion.
 """
 from __future__ import annotations
 
@@ -44,3 +44,19 @@ def evaluate(control_points: np.ndarray, degree: int, knots: np.ndarray, u: floa
         if w != 0.0:
             point = point + w * control_points[i]
     return point
+
+
+def de_boor(control, degree, knots, u):
+    """Triangular de Boor recursion, independent of the basis-sum evaluator."""
+    control = np.asarray(control, dtype=float)
+    n = len(control)
+    k = int(np.searchsorted(knots, u, side="right")) - 1
+    k = min(max(k, degree), n - 1)
+    d = [control[j + k - degree].copy() for j in range(degree + 1)]
+    for r in range(1, degree + 1):
+        for j in range(degree, r - 1, -1):
+            i = j + k - degree
+            den = knots[i + degree - r + 1] - knots[i]
+            alpha = 0.0 if den == 0.0 else (u - knots[i]) / den
+            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
+    return d[degree]

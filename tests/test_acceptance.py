@@ -7,12 +7,12 @@ reads as a checklist even mid-run.
 """
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 import pytest
-from spline_reference import basis, evaluate
+from grid_reference import dijkstra_cost
+from spline_reference import basis, de_boor, evaluate
 
 from skynav import (AcoParams, Building, CityMap, DrrtParams, GenParams,
                     PlanRequest, RrtParams, Scenario, VoxelGrid, generate_city,
@@ -197,46 +197,6 @@ def test_criterion_08_collision_free_paths(scenario, city, paired_runs, capsys):
                f"{sum(successes.values())} successes, zero violations")
 
 
-def _dijkstra_cost(grid, s, g):
-    legal = grid.legal_moves
-    offs = grid.flat_offsets.tolist()
-    costs = grid.move_costs.tolist()
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    done = set()
-    while heap:
-        d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        if cur == g:
-            return d
-        for k in range(26):
-            if not (legal[cur] >> k) & 1:
-                continue
-            nb = cur + offs[k]
-            nd = d + costs[k]
-            if nd < dist.get(nb, math.inf):
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return math.inf
-
-
-def _de_boor(control, degree, knots, u):
-    control = np.asarray(control, dtype=float)
-    n = len(control)
-    k = int(np.searchsorted(knots, u, side="right")) - 1
-    k = min(max(k, degree), n - 1)
-    d = [control[j + k - degree].copy() for j in range(degree + 1)]
-    for r in range(1, degree + 1):
-        for j in range(degree, r - 1, -1):
-            i = j + k - degree
-            den = knots[i + degree - r + 1] - knots[i]
-            alpha = 0.0 if den == 0.0 else (u - knots[i]) / den
-            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
-    return d[degree]
-
-
 def test_criterion_09_oracle_equivalence(capsys):
     # nearest neighbour against a plain linear scan
     rng = np.random.default_rng(71)
@@ -258,7 +218,7 @@ def test_criterion_09_oracle_equivalence(capsys):
         g = VoxelGrid(occ, 2.0)
         req = PlanRequest(g.center_of((0, 0, 0)), g.center_of((4, 4, 2)),
                           goal_threshold=0.5)
-        oracle = _dijkstra_cost(g, g.flat((0, 0, 0)), g.flat((4, 4, 2)))
+        oracle = dijkstra_cost(g, g.flat((0, 0, 0)), g.flat((4, 4, 2)))
         res = plan_astar(g, req)
         if math.isinf(oracle):
             assert not res.success
@@ -277,7 +237,7 @@ def test_criterion_09_oracle_equivalence(capsys):
         knots = clamped_knots(n, degree)
         u = float(rng.uniform(0.0, 1.0))
         assert np.allclose(evaluate(control, degree, knots, u),
-                           _de_boor(control, degree, knots, u), atol=1e-10)
+                           de_boor(control, degree, knots, u), atol=1e-10)
 
     # segment collision against dense sampling, skipping tangent cases
     boxes = [Building((20, 20, 0), (45, 40, 60)), Building((60, 55, 0), (80, 85, 35))]

@@ -1,8 +1,7 @@
-"""Voxel grid, A* and ant colony tests, including a Dijkstra cost oracle."""
+"""Voxel grid, A* and ant colony tests; A* is checked against a Dijkstra cost oracle."""
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import tracemalloc
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from grid_reference import dijkstra_cost
 
 from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid,
                     generate_city, plan_aco, plan_astar, voxelize)
@@ -21,32 +21,6 @@ from skynav.metrics import dedupe, path_length
 
 def _center_request(grid, s_cell, g_cell):
     return PlanRequest(grid.center_of(s_cell), grid.center_of(g_cell), goal_threshold=0.5)
-
-
-def _dijkstra_cost(grid, s, g):
-    """Uniform-cost search over the same move table; inf when unreachable."""
-    legal = grid.legal_moves
-    offs = grid.flat_offsets.tolist()
-    costs = grid.move_costs.tolist()
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    done = set()
-    while heap:
-        d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        if cur == g:
-            return d
-        for k in range(26):
-            if not (legal[cur] >> k) & 1:
-                continue
-            nb = cur + offs[k]
-            nd = d + costs[k]
-            if nd < dist.get(nb, math.inf):
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return math.inf
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +46,14 @@ def test_voxelize_rejects_grids_over_the_cell_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000   # the 1 m grid alone would be 125 MB of occupancy
+
+
+@pytest.mark.parametrize("resolution", (0.0, -5.0, math.nan, math.inf))
+def test_voxelize_and_the_grid_refuse_a_resolution_that_is_not_positive_and_finite(resolution):
+    with pytest.raises(ValueError, match="positive and finite"):
+        voxelize(CityMap(), resolution)
+    with pytest.raises(ValueError, match="positive and finite"):
+        VoxelGrid(np.zeros((2, 2, 2), dtype=bool), resolution)
 
 
 def test_voxelize_marks_every_touched_cell():
@@ -247,7 +229,7 @@ def test_astar_cost_matches_dijkstra_on_random_grids():
         occ[4, 4, 2] = False
         grid = VoxelGrid(occ, 2.0)
         s, g = grid.flat((0, 0, 0)), grid.flat((4, 4, 2))
-        oracle = _dijkstra_cost(grid, s, g)
+        oracle = dijkstra_cost(grid, s, g)
         res = plan_astar(grid, _center_request(grid, (0, 0, 0), (4, 4, 2)))
         if math.isinf(oracle):
             assert not res.success
@@ -419,6 +401,7 @@ def _frozen_outputs() -> dict:
     return out
 
 
+@pytest.mark.exact
 def test_grid_planners_reproduce_the_frozen_outputs():
     # recorded from the earlier dense (ncells, 26) boolean move table implementation
     assert _frozen_outputs() == json.loads(FROZEN.read_text())

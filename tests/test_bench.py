@@ -166,6 +166,11 @@ NAN, INF = float("nan"), float("inf")
     lambda: GenParams(count=2.5),
     lambda: GenParams(count=-1),
     lambda: GenParams(max_draws_per_building=2.5),
+    lambda: GenParams(clear_radius=NAN),
+    lambda: GenParams(clear_radius=-1.0),
+    lambda: GenParams(clear_radius=INF),
+    lambda: Scenario(grid_resolution=NAN),
+    lambda: Scenario(grid_resolution=INF),
 ])
 def test_non_finite_and_non_integer_parameters_fail_at_construction(make):
     """Each used to pass construction and fail, or plan silently, later."""
@@ -222,6 +227,7 @@ def test_rerun_reports_are_identical():
     assert a == b
 
 
+@pytest.mark.exact
 def test_report_matches_the_frozen_golden_file():
     report = run_benchmark(_small_scenario())
     golden = (DATA / "small_report.json").read_text()

@@ -158,6 +158,17 @@ def test_bench_writes_all_three_reports(tmp_path, capsys):
         assert summary.split()[::2] == columns
 
 
+@pytest.mark.parametrize("radius", ("nan", "-100", "inf"))
+def test_genmap_refuses_a_bad_clear_radius_and_writes_no_file(radius, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    rc = main(["genmap", "--clear-radius", radius, "--keep-clear", "250,250,10",
+               "--count", "200", "--seed", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("skynav: error: clear_radius") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_coordinate_syntax_is_rejected():
     with pytest.raises(SystemExit):
         main(["plan", "--start", "1,2"])

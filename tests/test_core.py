@@ -95,6 +95,7 @@ def test_tree_nearest_matches_linear_scan_oracle():
         assert tree.nearest(q) == best
 
 
+@pytest.mark.exact
 def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
     # the tree scores with one matvec per block of stored rows (-2x, |x|^2)
     # and query (p, 1); the same scores unscaled are dot(x, p) * -2 + |x|^2,

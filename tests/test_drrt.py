@@ -403,6 +403,7 @@ TRAPPED_REQUESTS = (
 )
 
 
+@pytest.mark.exact
 def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
     """Replaying a repeated blocked goal draw changes no route, and skips its detour."""
     scenario = default_scenario()
@@ -473,6 +474,7 @@ ROUTED_REQUESTS = (
 )
 
 
+@pytest.mark.exact
 def test_detour_memo_reproduces_the_recomputing_loop(monkeypatch):
     """One detour per (near, step) per plan changes no route and calls fewer detours."""
     scenario = default_scenario()
@@ -528,6 +530,7 @@ def _tree_frozen_outputs() -> dict:
     return out
 
 
+@pytest.mark.exact
 def test_tree_planners_reproduce_the_frozen_outputs():
     # recorded before the tree loop moved to block draws and trusted twins
     assert _tree_frozen_outputs() == json.loads(TREE_FROZEN.read_text())

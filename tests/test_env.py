@@ -12,6 +12,7 @@ import pytest
 
 from skynav import (Building, CityMap, DrrtParams, GenParams, MapGenerationError, build_city,
                     default_scenario, generate_city, load_map, save_map)
+from skynav import env
 from skynav.env import CELL_REACH, CELL_REFS, CELLS_MAX, as_point
 
 
@@ -236,6 +237,7 @@ def _boxes_meeting(boxes, a, b):
     return sum(bool(np.all(blo <= hi) and np.all(lo <= bhi)) for blo, bhi in boxes)
 
 
+@pytest.mark.exact
 @pytest.mark.parametrize("box_count", (0, 1, 5, 40))
 def test_segments_collide_agrees_with_the_single_segment_query_and_dense_sampling(box_count):
     """Random mixed batches, and batches for each way the broad phase can prune.
@@ -418,6 +420,7 @@ def test_roof_grid_is_exact_on_adversarial_segments(origin):
     assert sum(expected) > 100 and len(expected) - sum(expected) > 100
 
 
+@pytest.mark.exact
 def test_cell_index_is_exact_on_random_segments_and_empty_maps():
     rng = np.random.default_rng(21)
     boxes = _random_boxes(rng, 12)
@@ -490,6 +493,38 @@ def test_huge_bounds_build_a_bounded_cell_index_quickly():
     assert city.point_free((9.95e6, 5.05e6, 70.5))
 
 
+def test_batched_check_runs_slab_only_on_the_pairs_its_broad_phase_keeps(monkeypatch):
+    """segments_collide's narrow phase is _slab, on no more pairs than the broad phase keeps."""
+    slab, calls = env._slab, []
+
+    def counting_slab(a, b, box):
+        calls.append(box)
+        return slab(a, b, box)
+
+    monkeypatch.setattr(env, "_slab", counting_slab)
+    city = CityMap([_box((100, 100, 0), (150, 150, 80)), _box((300, 300, 0), (350, 350, 120))])
+    # no building box meets the batch's box
+    assert not city.segments_collide([(10, 10, 10), (20, 20, 10)],
+                                     [(40, 40, 20), (50, 60, 30)]).any()
+    assert calls == []
+    # the batch's box meets the first building, but no segment's box does
+    assert not city.segments_collide([(10, 10, 10), (10, 180, 10)],
+                                     [(200, 20, 10), (20, 200, 10)]).any()
+    assert calls == []
+
+    city = generate_city(11)
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.0, 500.0, (300, 3)) * (1.0, 1.0, 0.5)
+    b = np.clip(a + rng.uniform(-40.0, 40.0, (300, 3)), 0.0, 500.0)
+    flags = city.segments_collide(a, b)
+    seg_lo, seg_hi = np.minimum(a, b), np.maximum(a, b)
+    pairs = sum(bool(np.all(bld.min_corner <= hi) and np.all(lo <= bld.max_corner))
+                for lo, hi in zip(seg_lo, seg_hi) for bld in city.buildings)
+    assert 0 < flags.sum() <= len(calls) <= pairs
+    calls.clear()
+    assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags.tolist()
+
+
 # lengths d whose rounded reciprocal gives d * (1 / d) == 1 - 2**-53, and two
 # whose product is exactly 1
 INEXACT_LENGTHS = (49.0, 98.0, 103.0, 107.0, 161.0)
@@ -499,7 +534,8 @@ EXACT_LENGTHS = (50.0, 100.0)
 def test_scalar_slab_matches_the_batched_slab_on_segments_ending_on_a_face():
     """Axis-parallel and diagonal segments with an endpoint exactly on the building's surface.
 
-    Every axis a segment moves along spans one of the lengths above, toward
+    Checks the batch and single-segment broad phases end to end, each in
+    front of the one narrow phase, _slab.  Every axis a segment moves along spans one of the lengths above, toward
     or away from the box, so the slab parameters round to just below 1 or to
     exactly 1 and the answer at the contact point rests on the last bit.
     """
@@ -528,11 +564,13 @@ def test_scalar_slab_matches_the_batched_slab_on_segments_ending_on_a_face():
 
 @pytest.mark.filterwarnings("error")
 def test_scalar_slab_matches_the_batched_slab_on_subnormal_lengths():
-    """A move shorter than the smallest normal float counts as none in both slab tests.
+    """A move shorter than the smallest normal float counts as none, batched or single.
 
     Its reciprocal can overflow, and a zero times inf is a NaN parameter that
-    used to miss the box, so a segment inside a building read as free.  Runs
-    with warnings as errors: no RuntimeWarning on the way.
+    used to miss the box, so a segment inside a building read as free.  Checks
+    the batch and single-segment broad phases end to end, each in front of
+    the one narrow phase, _slab.  Runs with warnings as errors: no
+    RuntimeWarning on the way.
     """
     probe = CityMap([_box((0, 0, 0), (10, 10, 10))], (0, 0, 0), (100, 100, 100))
     tiny = 5e-324
@@ -627,6 +665,7 @@ def _edge_floats(city, axis, edge):
     return lo, hi, edge
 
 
+@pytest.mark.exact
 def test_cell_index_is_exact_at_cell_edges_and_the_width_limit(monkeypatch):
     """Midpoints one ulp either side of a cell edge, and widths of exactly 2h and one ulp over.
 
@@ -703,6 +742,7 @@ def _floats_around(v, n):
     return down[:0:-1] + up
 
 
+@pytest.mark.exact
 def test_cell_index_margin_covers_the_midpoint_and_width_rounding(monkeypatch):
     """Segments that touch a face farther than h from their rounded midpoint, across a cell edge.
 
@@ -781,6 +821,7 @@ def _benchmark_maps():
     return [build_city(scenario)] + [generate_city(s, scenario.map_params) for s in (12, 13)]
 
 
+@pytest.mark.exact
 def test_far_test_matches_the_clearance_oracle():
     """clearance_exceeds equals clearance(p) > r on random points of the benchmark maps, on
     points r from each building's face, edge, corner and roof, and one ulp off them."""
@@ -828,6 +869,7 @@ def test_far_test_rejects_points_outside_the_bounds_and_bad_radii():
             city.clearance_exceeds((5.0, 5.0, 5.0), r)
 
 
+@pytest.mark.exact
 def test_far_test_above_the_cell_reach_matches_the_clearance_oracle():
     """Radii above CELL_REACH are answered by clearance, on the same points as the test of
     radii below it; one cell index serves both queries at every radius."""

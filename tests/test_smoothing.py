@@ -8,28 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from spline_reference import basis, evaluate
+from spline_reference import basis, de_boor, evaluate
 
 from skynav import CityMap, Building, Scenario, smooth_path
 from skynav.metrics import turn_angles, SHARP_TURN_DEG
 from skynav.smoothing import (MAX_CURVE_SAMPLES, MAX_SAMPLES_PER_SPAN, MEMO_MAX_SAMPLES, _basis,
                               clamped_knots, sample_curve)
-
-
-def _de_boor_oracle(control, degree, knots, u):
-    """Triangular de Boor recursion, independent of the basis-sum evaluator."""
-    control = np.asarray(control, dtype=float)
-    n = len(control)
-    k = int(np.searchsorted(knots, u, side="right")) - 1
-    k = min(max(k, degree), n - 1)
-    d = [control[j + k - degree].copy() for j in range(degree + 1)]
-    for r in range(1, degree + 1):
-        for j in range(degree, r - 1, -1):
-            i = j + k - degree
-            den = knots[i + degree - r + 1] - knots[i]
-            alpha = 0.0 if den == 0.0 else (u - knots[i]) / den
-            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
-    return d[degree]
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +85,7 @@ def test_evaluate_matches_de_boor_oracle():
         knots = clamped_knots(n, degree)
         u = float(rng.uniform(0.0, 1.0))
         ours = evaluate(control, degree, knots, u)
-        oracle = _de_boor_oracle(control, degree, knots, u)
+        oracle = de_boor(control, degree, knots, u)
         assert np.allclose(ours, oracle, atol=1e-10)
 
 
@@ -119,6 +103,7 @@ def test_sample_curve_equals_the_evaluate_loop_bit_for_bit(degree, n_extra, samp
     assert curve.tobytes() == reference.tobytes()
 
 
+@pytest.mark.exact
 def test_memoized_basis_equals_the_evaluate_loop_bit_for_bit_cold_and_warm():
     """Every n from 2 to 120 at degrees 1-3: a fresh basis, then the memo's copy."""
     rng = np.random.default_rng(16)
