@@ -137,13 +137,14 @@ def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
     if not 0.0 < resolution < inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     extent = city.bounds_max - city.bounds_min
-    dims = tuple(int(n) for n in np.ceil(extent / resolution - 1e-9))
-    dims = tuple(max(n, 1) for n in dims)
-    ncells = dims[0] * dims[1] * dims[2]
+    with np.errstate(over="ignore"):   # a tiny resolution counts inf cells, refused below
+        counts = np.maximum(np.ceil(extent / resolution - 1e-9), 1.0)
+    ncells = counts.prod()
     if ncells > MAX_GRID_CELLS:
         raise ValueError(
-            f"a {resolution:g} m grid needs {ncells:,} cells, over the budget of "
+            f"a {resolution:g} m grid needs {ncells:,.0f} cells, over the budget of "
             f"{MAX_GRID_CELLS:,}; use a coarser resolution")
+    dims = tuple(int(n) for n in counts)
     occ = np.zeros(dims, dtype=bool)
     for b in city.buildings:
         lo = (np.asarray(b.min_corner) - city.bounds_min) / resolution

@@ -58,47 +58,34 @@ def uniforms(rng: np.random.Generator, block: int = 1024):
 
 # SearchTree scores nodes in blocks of BLOCK columns, one BLAS matvec each: too
 # few for BLAS to split a block across threads, whose chunk tails would round on
-# another path.  Unused columns of the last block hold FILLER (score +inf).
+# another path.  Unused columns of the last block hold FILLER (score +inf).  A
+# new tree holds FIRST_BLOCKS blocks (1,024 nodes) and doubles them when full.
 BLOCK = 256
 FILLER = np.array([[0.0], [0.0], [0.0], [np.inf]])
+FIRST_BLOCKS = 4
 
 
 class SearchTree:
     """Growable tree of 3D nodes with parent links and exact nearest lookup.
 
-    The public methods validate their arguments; the tree planners' loop calls
-    the private twins (_add, _nearest) with float64 arrays it built itself.
+    The root is checked once; add and nearest trust the tree loop's float64
+    arrays of shape (3,) and check nothing.
     """
 
-    def __init__(self, root, capacity: int = 1024):
-        blocks = -(-max(capacity, 1) // BLOCK)
-        self._pos = np.empty((blocks * BLOCK, 3), dtype=float)
+    def __init__(self, root):
+        self._pos = np.empty((FIRST_BLOCKS * BLOCK, 3), dtype=float)
         # rows[b, :, c] is (-2x, -2y, -2z, |x|^2) of node b * BLOCK + c, scored by (p, 1)
-        self._rows = np.empty((blocks, 4, BLOCK))
+        self._rows = np.empty((FIRST_BLOCKS, 4, BLOCK))
         self._q = np.ones(4)
         self._parents: list[int] = []
         self._n = 0
-        self._add(as_point(root), -1)
+        self.add(as_point(root), -1)
 
     def __len__(self) -> int:
         return self._n
 
-    @property
-    def positions(self) -> np.ndarray:
-        """View of all node positions, shape (len(tree), 3). Do not mutate."""
-        return self._pos[: self._n]
-
-    def parent(self, index: int) -> int:
-        """Parent index of a node; -1 for the root."""
-        return self._parents[index]
-
-    def add(self, position, parent: int) -> int:
+    def add(self, p: np.ndarray, parent: int) -> int:
         """Append a node and return its index."""
-        if not 0 <= parent < self._n:
-            raise ValueError(f"parent index {parent} not in tree")
-        return self._add(as_point(position), parent)
-
-    def _add(self, p: np.ndarray, parent: int) -> int:
         n = self._n
         if n == len(self._pos):
             # one at a time, larger first, for a lower peak; new blocks stay unset
@@ -118,15 +105,12 @@ class SearchTree:
         self._n = n + 1
         return n
 
-    def nearest(self, p) -> int:
+    def nearest(self, p: np.ndarray) -> int:
         """Index of the node closest to p; ties resolve to the lowest index.
 
         Ranks by |x|^2 - 2 x.p (same ordering as distance, constant |p|^2
         dropped), which needs no per-node differencing.
         """
-        return self._nearest(as_point(p))
-
-    def _nearest(self, p: np.ndarray) -> int:
         return int(self._scores(p).argmin())
 
     def _scores(self, p: np.ndarray) -> np.ndarray:
@@ -143,22 +127,14 @@ class SearchTree:
         while i != -1:
             chain.append(i)
             i = self._parents[i]
-        chain.reverse()
-        return self._pos[chain].copy()
+        return self._pos[chain[::-1]]   # fancy indexing copies
 
 
-def steer(from_point, to_point, step: float) -> np.ndarray:
-    """Move from from_point toward to_point by at most step meters.
+def steer(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
+    """Point step meters from a toward b, or a copy of b when it is within step.
 
-    Returns to_point itself when it is within step; a zero-length request
-    returns from_point unchanged.
+    Takes float64 arrays of shape (3,) and a positive step, and checks nothing.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return _steer(as_point(from_point), as_point(to_point), step)
-
-
-def _steer(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     v = b - a
     # a numpy dot, not a Python sum of squares: the two can round differently
     dist = math.sqrt(v.dot(v))

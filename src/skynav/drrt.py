@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, _steer, samples
+from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, samples, steer
 from .env import CityMap
 
 # step-outcome labels used by classify_step_outcome / update_step
@@ -151,8 +151,7 @@ def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: floa
             path = np.vstack([path, goal])
         return path
     if d <= step and not city._segment_collides(pos, goal):
-        leaf = tree._add(goal, node)
-        return tree.extract_path(leaf)
+        return tree.extract_path(tree.add(goal, node))
     return None
 
 
@@ -163,14 +162,13 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     controller and its far test are skipped.
 
     PlanRequest and check_endpoints validate the endpoints once; the loop
-    then calls the trusted twins (SearchTree._nearest and _add, _steer,
-    CityMap._segment_collides) on float64 arrays it built itself, and takes
-    sample_with_bias's points from the block-built core.samples stream,
-    whose goal draws are all one read-only copy of the goal, told apart by
-    identity.  Straight extensions and detour moves alike are single-segment
-    queries, answered in Python floats from the map's cell index.  The step
-    controller asks CityMap.clearance_exceeds, which answers from the same
-    index.
+    then runs on float64 arrays it built itself.  SearchTree.nearest and add
+    and steer check nothing; CityMap._segment_collides is the trusted twin
+    of the public segment query, answered in Python floats from the map's
+    cell index for straight extensions and detour moves alike, as is the
+    step controller's CityMap.clearance_exceeds.  sample_with_bias's points
+    come from the block-built core.samples stream, whose goal draws are all
+    one read-only copy of the goal, told apart by identity.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same
@@ -220,7 +218,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         to_goal = sample is goal
         if to_goal:
             if goal_size != tree._n:
-                goal_size, goal_near = tree._n, tree._nearest(sample)
+                goal_size, goal_near = tree._n, tree.nearest(sample)
             near = goal_near
             if (near, step) in trapped:
                 # an exact repeat: it would block as before, adding at most a
@@ -230,9 +228,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
                     step = update_step(step, COLLIDED, params)
                 continue
         else:
-            near = tree._nearest(sample)
+            near = tree.nearest(sample)
         near_pos = tree._pos[near]
-        new = _steer(near_pos, sample, step)
+        new = steer(near_pos, sample, step)
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
         blocked = degenerate or city._segment_collides(near_pos, new)
         node = new
@@ -248,7 +246,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
                 detoured.add(key)
                 node = detour_extend(city, near_pos, goal, step)
         if node is not None:
-            path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
+            path = try_finish(city, tree, tree.add(node, near), goal, req.goal_threshold, step)
             if path is not None:
                 return PlanResult(True, path, explored, perf_counter() - t0)
         if adapt_step:

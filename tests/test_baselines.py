@@ -34,12 +34,14 @@ def test_voxelize_empty_map_is_all_free():
     assert not grid.occupancy.any()
 
 
+@pytest.mark.filterwarnings("error")
 def test_voxelize_rejects_grids_over_the_cell_budget_before_allocating():
     city = CityMap((), (0, 0, 0), (500, 500, 500))
     assert (500 // 5) ** 3 <= MAX_GRID_CELLS < (500 // 1) ** 3
     tracemalloc.start()
     try:
-        for resolution in (1.0, 1e-3):
+        # 500 m over the last two overflows a float64 cell count to inf
+        for resolution in (1.0, 1e-3, 1e-310, 5e-324):
             with pytest.raises(ValueError, match="budget"):
                 voxelize(city, resolution)
         _, peak = tracemalloc.get_traced_memory()

@@ -175,13 +175,15 @@ def test_bad_coordinate_syntax_is_rejected():
 
 
 def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
-    # a 1 m grid over the 500 m cube is over the voxel cell budget
-    rc = main(["plan", "--algo", "astar", "--resolution", "1", "--count", "5",
-               "--start", "10,10,1", "--goal", "470,420,50"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("skynav: error:") and "budget" in err
-    assert "Traceback" not in err and err.count("\n") == 1
+    # a 1 m grid over the 500 m cube is over the voxel cell budget, and a
+    # 1e-310 m grid's cell count overflows a float
+    for resolution in ("1", "1e-310"):
+        rc = main(["plan", "--algo", "astar", "--resolution", resolution, "--count", "5",
+                   "--start", "10,10,1", "--goal", "470,420,50"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("skynav: error:") and "budget" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     scn_file = tmp_path / "scenario.json"
     for scenario, named in (({"trials": 1, "trails": 3}, "trails"),

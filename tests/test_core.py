@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import skynav.core
 from skynav import CityMap, PlanRequest
 from skynav.core import BLOCK, SearchTree, sample_with_bias, samples, steer, uniforms
 
@@ -28,59 +29,56 @@ def test_plan_request_coerces_and_validates():
 # search tree
 # ----------------------------------------------------------------------
 
+def _p(*xyz) -> np.ndarray:
+    """A point as the tree loop passes it: a float64 array of shape (3,)."""
+    return np.array(xyz, dtype=float)
+
+
 def test_tree_root_and_parent_links():
     tree = SearchTree((1, 2, 3))
     assert len(tree) == 1
-    assert tree.parent(0) == -1
-    assert np.array_equal(tree.positions[0], [1, 2, 3])
-    i = tree.add((4, 5, 6), 0)
-    j = tree.add((7, 8, 9), i)
+    assert np.array_equal(tree.extract_path(0), [[1, 2, 3]])
+    i = tree.add(_p(4, 5, 6), 0)
+    j = tree.add(_p(7, 8, 9), i)
     assert (i, j) == (1, 2)
-    assert tree.parent(j) == i and tree.parent(i) == 0
-    with pytest.raises(ValueError):
-        tree.add((0, 0, 0), 99)
+    assert np.array_equal(tree.extract_path(j), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     with pytest.raises(IndexError):
         tree.extract_path(99)
 
 
 def test_public_queries_validate_before_their_trusted_twins():
-    tree = SearchTree((0, 0, 0))
     city = CityMap((), (0, 0, 0), (10, 10, 10))
     for bad in ((1, 2), (1.0, np.nan, 0.0), (np.inf, 0.0, 0.0)):
         with pytest.raises(ValueError):
-            tree.add(bad, 0)
-        with pytest.raises(ValueError):
-            tree.nearest(bad)
-        with pytest.raises(ValueError):
-            steer((0, 0, 0), bad, 1.0)
+            SearchTree(bad)
         with pytest.raises(ValueError):
             city.segment_collides((1, 1, 1), bad)
-    assert len(tree) == 1
 
 
 def test_tree_single_node_nearest():
     tree = SearchTree((0, 0, 0))
-    assert tree.nearest((40, 2, 7)) == 0
+    assert tree.nearest(_p(40, 2, 7)) == 0
 
 
 def test_tree_nearest_two_nodes():
     tree = SearchTree((0, 0, 0))
-    tree.add((10, 0, 0), 0)
-    assert tree.nearest((4, 0, 0)) == 0
-    assert tree.nearest((6.001, 0, 0)) == 1
+    tree.add(_p(10, 0, 0), 0)
+    assert tree.nearest(_p(4, 0, 0)) == 0
+    assert tree.nearest(_p(6.001, 0, 0)) == 1
 
 
 def test_tree_nearest_prefers_lowest_index_on_duplicates():
     tree = SearchTree((5, 5, 5))
-    tree.add((5, 5, 5), 0)
-    tree.add((5, 5, 5), 1)
-    assert tree.nearest((5.2, 5, 5)) == 0
+    tree.add(_p(5, 5, 5), 0)
+    tree.add(_p(5, 5, 5), 1)
+    assert tree.nearest(_p(5.2, 5, 5)) == 0
 
 
-def test_tree_nearest_matches_linear_scan_oracle():
+def test_tree_nearest_matches_linear_scan_oracle(monkeypatch):
+    monkeypatch.setattr(skynav.core, "FIRST_BLOCKS", 1)   # force a regrowth
     rng = np.random.default_rng(17)
-    tree = SearchTree(rng.uniform(0, 500, 3), capacity=1)   # force several regrowths
-    pts = [tree.positions[0].copy()]
+    pts = [rng.uniform(0, 500, 3)]
+    tree = SearchTree(pts[0])
     for _ in range(499):
         p = rng.uniform(0, 500, 3)
         tree.add(p, rng.integers(0, len(tree)))
@@ -111,7 +109,7 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
         pts = rng.uniform(-100, 550, (n, 3))
         dup = rng.integers(0, n, n // 4)
         pts[dup] = pts[rng.integers(0, n, dup.size)]
-        tree = SearchTree(pts[0], capacity=2)
+        tree = SearchTree(pts[0])
         for i in range(1, n):
             tree.add(pts[i], int(rng.integers(0, i)))
         sqn = np.array([p @ p for p in pts])
@@ -141,11 +139,12 @@ def test_tree_nearest_duplicates_across_the_block_tail_take_the_lowest_index(n, 
         assert tree.nearest(q) == first
 
 
-@pytest.mark.parametrize("capacity", [1, 2])
-def test_tree_nearest_stays_exact_across_capacity_doubling(capacity):
-    rng = np.random.default_rng(capacity)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_nearest_stays_exact_across_capacity_doubling(monkeypatch, seed):
+    monkeypatch.setattr(skynav.core, "FIRST_BLOCKS", 1)
+    rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 500, (2 * BLOCK + 50, 3))   # the tree doubles twice
-    tree = SearchTree(pts[0], capacity=capacity)
+    tree = SearchTree(pts[0])
     for n in range(1, len(pts)):
         q = rng.uniform(0, 500, 3)
         d = ((pts[:n] - q) ** 2).sum(axis=1)
@@ -154,20 +153,23 @@ def test_tree_nearest_stays_exact_across_capacity_doubling(capacity):
         tree.add(pts[n], 0)
 
 
-def test_tree_positions_survive_capacity_growth():
+def test_tree_positions_survive_capacity_growth(monkeypatch):
+    monkeypatch.setattr(skynav.core, "FIRST_BLOCKS", 1)
     rng = np.random.default_rng(4)
-    pts = rng.uniform(-50, 50, (200, 3))
-    tree = SearchTree(pts[0], capacity=2)
+    pts = rng.uniform(-50, 50, (2 * BLOCK + 50, 3))   # the tree doubles twice
+    tree = SearchTree(pts[0])
     for p in pts[1:]:
         tree.add(p, 0)
-    assert np.array_equal(tree.positions, pts)
+    assert len(tree._rows) == 4
+    for k in range(1, len(pts)):
+        assert np.array_equal(tree.extract_path(k), pts[[0, k]])
 
 
 def test_tree_extract_path_follows_parent_chain():
     tree = SearchTree((0, 0, 0))
-    a = tree.add((1, 0, 0), 0)
-    b = tree.add((2, 0, 0), a)
-    tree.add((9, 9, 9), 0)   # unrelated branch
+    a = tree.add(_p(1, 0, 0), 0)
+    b = tree.add(_p(2, 0, 0), a)
+    tree.add(_p(9, 9, 9), 0)   # unrelated branch
     path = tree.extract_path(b)
     assert np.array_equal(path, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
     assert np.array_equal(tree.extract_path(0), [[0, 0, 0]])
@@ -175,11 +177,13 @@ def test_tree_extract_path_follows_parent_chain():
 
 def test_tree_extract_path_matches_parent_walk_oracle():
     rng = np.random.default_rng(23)
-    tree = SearchTree(rng.uniform(0, 10, 3))
+    pts = [rng.uniform(0, 10, 3)]
+    tree = SearchTree(pts[0])
     parents = [-1]
     for _ in range(99):
         parent = int(rng.integers(0, len(tree)))
-        tree.add(rng.uniform(0, 10, 3), parent)
+        pts.append(rng.uniform(0, 10, 3))
+        tree.add(pts[-1], parent)
         parents.append(parent)
     leaf = len(tree) - 1
     chain = []
@@ -187,7 +191,7 @@ def test_tree_extract_path_matches_parent_walk_oracle():
     while i != -1:
         chain.append(i)
         i = parents[i]
-    expected = np.array([tree.positions[k].copy() for k in reversed(chain)])
+    expected = np.array([pts[k] for k in reversed(chain)])
     assert np.array_equal(tree.extract_path(leaf), expected)
 
 
@@ -196,25 +200,23 @@ def test_tree_extract_path_matches_parent_walk_oracle():
 # ----------------------------------------------------------------------
 
 def test_steer_within_reach_returns_target():
-    out = steer((0, 0, 0), (3, 4, 0), 10.0)
+    out = steer(_p(0, 0, 0), _p(3, 4, 0), 10.0)
     assert np.array_equal(out, [3, 4, 0])
 
 
 def test_steer_truncates_to_step_along_the_line():
-    out = steer((0, 0, 0), (30, 40, 0), 10.0)
+    out = steer(_p(0, 0, 0), _p(30, 40, 0), 10.0)
     assert np.allclose(out, [6, 8, 0], atol=1e-12)
     assert np.linalg.norm(out) == pytest.approx(10.0, rel=1e-12)
 
 
-def test_steer_zero_length_and_validation():
-    assert np.array_equal(steer((2, 2, 2), (2, 2, 2), 5.0), [2, 2, 2])
-    with pytest.raises(ValueError):
-        steer((0, 0, 0), (1, 1, 1), 0.0)
+def test_steer_zero_length_returns_the_start():
+    assert np.array_equal(steer(_p(2, 2, 2), _p(2, 2, 2), 5.0), [2, 2, 2])
 
 
 def test_steer_returns_a_fresh_array():
-    target = np.array([1.0, 2.0, 3.0])
-    out = steer((0, 0, 0), target, 10.0)
+    target = _p(1.0, 2.0, 3.0)
+    out = steer(_p(0, 0, 0), target, 10.0)
     out[0] = 99.0
     assert target[0] == 1.0
 

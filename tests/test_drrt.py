@@ -14,7 +14,7 @@ from test_env import _segment_hits_box_oracle
 import skynav.drrt
 from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, build_city,
                     default_scenario, generate_city, plan_drrt, plan_rrt)
-from skynav.core import EMPTY_PATH, SearchTree, _steer, samples
+from skynav.core import EMPTY_PATH, SearchTree, samples, steer
 from skynav.drrt import (COLLIDED, FAR, NEUTRAL, check_endpoints, classify_step_outcome,
                          detour_extend, try_finish, update_step)
 
@@ -291,14 +291,14 @@ def test_budget_exhaustion_reports_failure():
 def test_every_edge_the_planner_adds_is_free(monkeypatch):
     """Every edge plan_drrt adds, straight or detour, passes the dense-sampling oracle."""
     edges = []
-    add = SearchTree._add
+    add = SearchTree.add
 
     def recording_add(self, position, parent):
         if parent >= 0:
-            edges.append((self.positions[parent].copy(), np.array(position, dtype=float)))
+            edges.append((self._pos[parent].copy(), position.copy()))
         return add(self, position, parent)
 
-    monkeypatch.setattr(SearchTree, "_add", recording_add)
+    monkeypatch.setattr(SearchTree, "add", recording_add)
     # requests that end with a route on the canonical city and two more; the
     # seeds include runs of 1000+ extensions that weave between the towers.
     # The last case lets the step exceed clearance_far.
@@ -364,9 +364,9 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
     failed = 0
     while failed < req.max_failed_attempts:
         sample = draw()
-        near = tree._nearest(sample)
-        near_pos = tree.positions[near]
-        new = _steer(near_pos, sample, step)
+        near = tree.nearest(sample)
+        near_pos = tree._pos[near]
+        new = steer(near_pos, sample, step)
         explored += 1
         blocked = np.array_equal(new, near_pos) or city._segment_collides(near_pos, new)
         node = new
@@ -376,7 +376,7 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
             if detours is not None:
                 detours.append((near_pos.tobytes(), step))
         if node is not None:
-            path = try_finish(city, tree, tree._add(node, near), goal, req.goal_threshold, step)
+            path = try_finish(city, tree, tree.add(node, near), goal, req.goal_threshold, step)
             if path is not None:
                 return True, path, explored
         outcome = COLLIDED if blocked else (

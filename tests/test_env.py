@@ -399,7 +399,7 @@ def _check_against_oracle(city, a, b):
 
 
 @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-37.3, 1234.567, 15.25)])
-def test_roof_grid_is_exact_on_adversarial_segments(origin):
+def test_cell_index_is_exact_on_adversarial_segments(origin):
     """Cell boundaries, z exactly on a roof, many-cell spans, a nonzero origin, flush buildings."""
     city, special = _aligned_city(origin)
     rng = np.random.default_rng(8)

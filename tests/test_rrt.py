@@ -1,6 +1,9 @@
 """Classic tree planner behaviour: termination, failure, determinism."""
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,14 +133,38 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_explored_counts_every_extension_attempt(monkeypatch):
-    # every extension attempt asks the tree for its nearest node once, through
-    # the trusted twin of SearchTree.nearest
-    nearest = _count_calls(monkeypatch, SearchTree, "_nearest")
+    # every extension attempt asks the tree for its nearest node once
+    nearest = _count_calls(monkeypatch, SearchTree, "nearest")
     city = CityMap([Building((20, 20, 0), (30, 30, 40))], (0, 0, 0), (60, 60, 60))
     req = PlanRequest((5, 5, 5), (55, 55, 30))
     res = plan_rrt(city, req, RrtParams(), seed=3)
     assert res.explored_nodes == len(nearest)
     assert res.explored_nodes >= len(res.path) - 2
+
+
+def test_the_benchmark_tracer_sees_the_tree_loop(monkeypatch):
+    # perfbench's tracer wraps the tree loop's helpers by name; a loop call
+    # moved to an unwrapped twin would read 0 here, not just in a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    city = CityMap([Building((20, 20, 0), (30, 30, 40))], (0, 0, 0), (60, 60, 60))
+    req = PlanRequest((5, 5, 5), (55, 55, 30))
+    for planner, params in ((plan_rrt, RrtParams()), (plan_drrt, DrrtParams())):
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            res = planner(city, req, params, seed=3)
+        finally:
+            traced.restore()
+        assert tracer.leftover_wrappers() == []
+        assert res.success
+        nearest, steer, add = (traced.stat(f"core.{name}").calls
+                               for name in ("nearest", "steer", "add"))
+        if planner is plan_rrt:
+            # no goal draws, so every extension asks for its nearest node
+            assert nearest == steer == res.explored_nodes
+        assert nearest > 0 and steer > 0
+        assert add >= len(res.path) - 1
 
 
 def test_points_are_validated_once_per_plan_not_per_extension(monkeypatch):
