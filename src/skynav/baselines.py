@@ -5,16 +5,18 @@ use 26-connectivity, and a move is legal only when every cell of the box its
 offset spans is free (for a diagonal, every cell it brushes past); this keeps
 cell-center paths collision-free in the continuous map even when buildings
 poke into neighbouring cells.  The planners decode a cell's move mask through
-a small bounded memo.
+a small bounded memo, and within a call keep each mask's edges (A*) or each
+entered cell's neighbours (ants).  Ants keep pheromone only where they deposit.
 """
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, filterfalse, product
 from math import inf, sqrt
 from time import perf_counter
 
@@ -41,13 +43,16 @@ def _moves(mask: int) -> tuple[int, ...]:
 
 # ants give up after this multiple of the straight-line cell distance
 ACO_STEP_CAP_FACTOR = 4.0
+# cells whose neighbour lists one ant colony search keeps, at most 0.36 kB each
+# (6 MB in all); a colony on the canonical 5 m grid enters at most about 6,000
+ACO_NEIGHBOR_MEMO = 16_384
 
 # largest grid voxelize accepts.  A grid keeps 5 bytes per cell (occupancy and
 # the uint32 move mask) and needs about 10 more while it builds the masks; an
-# ant colony search adds up to 32 (pheromone, heuristic, move weight and, when
-# alpha != 1, pheromone^alpha).  Under 40 bytes per cell caps a run near
-# 0.3 GB: a 500 m cube at 5 m (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it
-# does not.
+# ant colony search adds 20 (heuristic, move weight and an int32 pheromone
+# slot), 12 per cell its ants deposit on (a few thousand) and the neighbour
+# memo.  About 25 bytes per cell caps a run near 0.2 GB: a 500 m cube at 5 m
+# (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it does not.
 MAX_GRID_CELLS = 8_000_000
 
 
@@ -194,24 +199,30 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
     nyz = ny * nz
     gx, gy, gz = grid.cells([g])[0].tolist()
 
+    # a closed cell's g_score is -inf, so no move improves on it
     g_score = {s: 0.0}
     came: dict[int, int] = {}
-    closed: set[int] = set()
+    edges: dict[int, tuple[tuple[int, float], ...]] = {}   # mask -> (offset, cost) per move
+    explored = 0
     heap: list[tuple[float, float, int]] = [(0.0, 0.0, s)]  # popped first whatever its f
     found = False
     while heap:
         _, _, cur = heapq.heappop(heap)
-        if cur in closed:
+        g_cur = g_score[cur]
+        if g_cur == -inf:
             continue
-        closed.add(cur)
+        g_score[cur] = -inf
+        explored += 1
         if cur == g:
             found = True
             break
-        g_cur = g_score[cur]
-        for k in _moves(masks[cur]):
-            nb = cur + offs[k]
-            ng = g_cur + costs[k]
-            if ng < g_score.get(nb, inf) and nb not in closed:
+        moves = edges.get(mask := masks[cur])
+        if moves is None:
+            moves = edges[mask] = tuple((offs[k], costs[k]) for k in _moves(mask))
+        for off, cost in moves:
+            nb = cur + off
+            ng = g_cur + cost
+            if ng < g_score.get(nb, inf):
                 g_score[nb] = ng
                 came[nb] = cur
                 # straight-line remaining distance in meters
@@ -220,12 +231,12 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
                 dx, dy, dz = x - gx, y - gy, z - gz
                 heapq.heappush(heap, (ng + sqrt(dx * dx + dy * dy + dz * dz) * res, -ng, nb))
     if not found:
-        return PlanResult(False, EMPTY_PATH.copy(), len(closed), perf_counter() - t0)
+        return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)
     chain = [g]
     while chain[-1] != s:
         chain.append(came[chain[-1]])
     chain.reverse()
-    return PlanResult(True, _cells_to_path(grid, chain, req), len(closed), perf_counter() - t0)
+    return PlanResult(True, _cells_to_path(grid, chain, req), explored, perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -257,33 +268,45 @@ class AcoParams:
             raise ValueError("q0 must lie in [0, 1)")
 
 
-def _walk_ant(grid: VoxelGrid, s: int, g: int, weight: np.ndarray, q0: float, cap: int,
-              draw: Callable[[], float]) -> tuple[list[int] | None, int]:
-    """One self-avoiding walk from s; returns (cell chain or None, cells entered).
-
-    weight[c] scores entering cell c; draw() returns the next uniform in [0, 1).
-    """
+def _neighbors(grid: VoxelGrid) -> Callable[[int], array]:
+    """cell -> the cells one legal move away, memoized for ACO_NEIGHBOR_MEMO cells."""
     masks = memoryview(grid.legal_moves)
-    score = memoryview(weight)
     offs = grid.flat_offsets.tolist()
+    memo: dict[int, array] = {}
+
+    def neighbors(cell: int) -> array:
+        nbs = memo.get(cell)
+        if nbs is None:
+            nbs = array("q", [cell + offs[k] for k in _moves(masks[cell])])
+            if len(memo) < ACO_NEIGHBOR_MEMO:
+                memo[cell] = nbs
+        return nbs
+    return neighbors
+
+
+def _walk_ant(s: int, g: int, neighbors: Callable[[int], array], score: memoryview,
+              q0: float, cap: int, draw: Callable[[], float]) -> tuple[list[int] | None, int]:
+    """One self-avoiding walk from s to g != s; returns (cell chain or None, cells entered).
+
+    score[c] scores entering cell c; draw() returns the next uniform in [0, 1).
+    """
+    near_goal = set(neighbors(g))   # moves are symmetric: the cells g is one move from
     visited = {s}
+    seen, key = visited.__contains__, score.__getitem__
     chain = [s]
     cur = s
     for _ in range(cap):
-        candidates = [nb for k in _moves(masks[cur])
-                      if (nb := cur + offs[k]) not in visited]
-        if not candidates:
-            return None, len(chain)
-        if g in candidates:
+        if cur in near_goal:
             chain.append(g)
             return chain, len(chain)
-        w = [score[c] for c in candidates]
+        candidates = list(filterfalse(seen, neighbors(cur)))
+        if not candidates:
+            return None, len(chain)
         if draw() < q0:
-            pick = w.index(max(w))
+            cur = max(candidates, key=key)   # a tie goes to the first candidate
         else:
-            cum = list(accumulate(w))
-            pick = min(bisect_right(cum, draw() * cum[-1]), len(candidates) - 1)
-        cur = candidates[pick]
+            cum = list(accumulate(map(key, candidates)))
+            cur = candidates[min(bisect_right(cum, draw() * cum[-1]), len(candidates) - 1)]
         visited.add(cur)
         chain.append(cur)
     return None, len(chain)
@@ -302,9 +325,15 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     the goal deposit q / cost pheromone on their cells after the global
     (1 - rho) evaporation.  Returns the best path found across all
     iterations.  explored_nodes totals the cells entered by every ant.
+
+    Pheromone is kept only where ants deposit: every cell no ant has deposited
+    on goes through the same evaporations and clamps from the same start of
+    1.0, so one background value stands for all of them, bit for bit.
     """
     t0 = perf_counter()
     s, g = _grid_endpoints(grid, req)
+    if s == g:   # as A*: the one-cell chain, before a zero cost divides q
+        return PlanResult(True, _cells_to_path(grid, [s], req), 1, perf_counter() - t0)
     draw = uniforms(np.random.default_rng(seed)).__next__
 
     # (1 / straight-line distance to the goal)^beta per cell, from per-axis squares
@@ -319,16 +348,24 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     eta_b **= params.beta
     eta_b[g] = 0.0  # never scored: reaching the goal short-circuits the walk
 
-    tau = np.ones(grid.ncells)
+    # tau[0] is the background pheromone; tau[slot[c]] that of a cell c deposited
+    # on, which joins in first-deposit order at the background's value
+    slot = np.zeros(grid.ncells, dtype=np.int32)
+    cells = np.empty(0, dtype=np.int32)
+    tau = np.ones(1)
     weight = np.empty(grid.ncells)
+    score = memoryview(weight)
+    neighbors = _neighbors(grid)
     best_chain: list[int] | None = None
     best_cost = np.inf
     visited_total = 0
     for _ in range(params.iterations):
-        np.multiply(tau if params.alpha == 1.0 else tau ** params.alpha, eta_b, out=weight)
+        tau_a = tau if params.alpha == 1.0 else tau ** params.alpha
+        np.multiply(eta_b, tau_a[0], out=weight)
+        weight[cells] = eta_b[cells] * tau_a[1:]
         deposits: list[tuple[list[int], float]] = []
         for _ant in range(params.ants):
-            chain, entered = _walk_ant(grid, s, g, weight, params.q0, cap, draw)
+            chain, entered = _walk_ant(s, g, neighbors, score, params.q0, cap, draw)
             visited_total += entered
             if chain is not None:
                 cost = _chain_cost(grid, chain)
@@ -337,7 +374,15 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
                     best_chain, best_cost = chain, cost
         tau *= 1.0 - params.rho
         for chain, cost in deposits:
-            tau[chain] += params.q / cost
+            walk = np.asarray(chain, dtype=np.int32)
+            idx = slot[walk]
+            new = walk[idx == 0]
+            if new.size:
+                slot[new] = np.arange(len(tau), len(tau) + new.size)
+                cells = np.concatenate((cells, new))
+                tau = np.concatenate((tau, np.full(new.size, tau[0])))
+                idx = slot[walk]
+            tau[idx] += params.q / cost
         if best_cost < np.inf:
             np.minimum(tau, params.q / (params.rho * best_cost), out=tau)
     if best_chain is None:

@@ -5,16 +5,18 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from grid_reference import dijkstra_cost
+from grid_reference import dense_aco, dijkstra_cost
 
-from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid,
+from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid, baselines,
                     generate_city, plan_aco, plan_astar, voxelize)
-from skynav.baselines import (ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS, NEIGHBOR_OFFSETS,
-                              _chain_cost, _moves, _walk_ant)
+from skynav.baselines import (ACO_NEIGHBOR_MEMO, ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS,
+                              NEIGHBOR_OFFSETS, _chain_cost, _moves, _neighbors, _walk_ant)
 from skynav.bench import build_city, default_scenario
 from skynav.metrics import dedupe, path_length
 
@@ -298,9 +300,11 @@ def test_aco_single_iteration_equals_best_first_walk():
     eta_b[g] = 0.0
     cap = max(8, int(ACO_STEP_CAP_FACTOR * float(dist[s]) / grid.resolution))
     weight = np.ones(grid.ncells) * eta_b   # first iteration: pheromone 1 everywhere
+    neighbors = _neighbors(grid)
     best, best_cost, entered_total = None, math.inf, 0
     for _ in range(params.ants):
-        chain, entered = _walk_ant(grid, s, g, weight, params.q0, cap, rng.random)
+        chain, entered = _walk_ant(s, g, neighbors, memoryview(weight), params.q0, cap,
+                                   rng.random)
         entered_total += entered
         if chain is not None:
             cost = _chain_cost(grid, chain)
@@ -310,6 +314,69 @@ def test_aco_single_iteration_equals_best_first_walk():
     assert result.explored_nodes >= params.ants * params.iterations
     centers = grid.origin + (coords[best] + 0.5) * grid.resolution
     assert np.array_equal(result.path, np.vstack([req.start, centers, req.goal]))
+
+
+def _colony_cases():
+    """(grid, request, params, seed) on random grids, over alpha, q0, rho and q.
+
+    At q = 1 the clamp q / (rho * best_cost) falls below 1 and so binds on
+    the cells no ant deposited on too.
+    """
+    rng = np.random.default_rng(41)
+    grids = []
+    for _ in range(2):
+        occ = rng.random((7, 7, 3)) < 0.2
+        occ[0, 0, 0] = occ[6, 6, 2] = False
+        grids.append(VoxelGrid(occ, 2.0))
+    for alpha in (0.5, 1.0, 1.5):
+        for q0 in (0.0, 0.6):
+            for rho, q in product((0.3, 0.5, 0.9), (1.0, 100.0)):
+                params = AcoParams(ants=6, iterations=6, alpha=alpha, rho=rho, q=q, q0=q0)
+                for i, grid in enumerate(grids):
+                    yield grid, _center_request(grid, (0, 0, 0), (6, 6, 2)), params, i
+
+
+def _trap():
+    """A request whose goal sits behind a wall: at seed 2 the first ant to reach
+    it does so in iteration 7 (q0 = 0) or 8 (q0 = 0.6)."""
+    occ = np.zeros((10, 10, 2), dtype=bool)
+    occ[5, 0:4, :] = True
+    grid = VoxelGrid(occ, 5.0)
+    return grid, _center_request(grid, (3, 0, 0), (7, 0, 0))
+
+
+@pytest.mark.exact
+@pytest.mark.parametrize("memo", (ACO_NEIGHBOR_MEMO, 8))
+def test_compact_colony_equals_the_dense_colony_bit_for_bit(memo, monkeypatch):
+    # pheromone kept only where ants deposit must give the dense grid's routes;
+    # a bound of 8 makes most neighbour lists miss the memo
+    monkeypatch.setattr(baselines, "ACO_NEIGHBOR_MEMO", memo)
+    trap, trap_req = _trap()
+    cases = list(_colony_cases())
+    for q0 in (0.0, 0.6):
+        params = AcoParams(ants=5, iterations=10, rho=0.3, alpha=1.5, q0=q0)
+        # no deposit in the first iterations: the background evaporates unclamped
+        assert not dense_aco(trap, trap_req, replace(params, iterations=2), 2).success
+        cases.append((trap, trap_req, params, 2))
+    solved = 0
+    for grid, req, params, seed in cases:
+        want = dense_aco(grid, req, params, seed)
+        got = plan_aco(grid, req, params, seed)
+        assert (got.success, got.explored_nodes) == (want.success, want.explored_nodes)
+        assert got.path.tobytes() == want.path.tobytes()
+        solved += got.success
+    assert solved >= len(cases) // 2
+
+
+def test_grid_planners_agree_when_start_and_goal_share_a_voxel():
+    grid = VoxelGrid(np.zeros((6, 6, 2), dtype=bool), 5.0)
+    req = PlanRequest((1.0, 1.0, 1.0), (3.0, 2.0, 2.0))
+    astar = plan_astar(grid, req)
+    aco = plan_aco(grid, req, AcoParams(ants=3, iterations=2))
+    assert astar.success and aco.success
+    assert np.array_equal(astar.path, [req.start, (2.5, 2.5, 2.5), req.goal])
+    assert aco.path.tobytes() == astar.path.tobytes()
+    assert aco.explored_nodes == astar.explored_nodes == 1
 
 
 def test_aco_finds_near_optimal_paths_on_an_open_grid():
@@ -348,7 +415,8 @@ def test_aco_attempt_accounting():
 
 def test_grid_planners_stay_within_their_per_call_memory_budget():
     # the canonical 5 m grid has 1M cells, so one float64 per cell is 8 MB: A*
-    # keeps no per-cell array, the ant colony three (four when alpha != 1)
+    # keeps no per-cell array, the ant colony two (heuristic and move weight)
+    # and an int32 pheromone slot per cell
     scn = default_scenario()
     grid = voxelize(build_city(scn), scn.grid_resolution)
     req = scn.request()
@@ -362,10 +430,10 @@ def test_grid_planners_stay_within_their_per_call_memory_budget():
         finally:
             tracemalloc.stop()
 
-    assert peak_of(lambda: plan_astar(grid, req)) < 16_000_000
-    for alpha in (1.0, 1.5):   # alpha != 1 adds one pheromone^alpha grid per iteration
+    assert peak_of(lambda: plan_astar(grid, req)) < 12_000_000
+    for alpha in (1.0, 1.5):   # pheromone^alpha is taken only of the deposited cells
         params = AcoParams(ants=4, iterations=2, alpha=alpha)
-        assert peak_of(lambda: plan_aco(grid, req, params, seed=500)) < 40_000_000
+        assert peak_of(lambda: plan_aco(grid, req, params, seed=500)) < 24_000_000
 
 
 # ----------------------------------------------------------------------
