@@ -73,7 +73,7 @@ class VoxelGrid:
             raise ValueError("occupancy must be a 3D boolean array")
         self.occupancy = occupancy
         self.resolution = float(resolution)
-        self.origin = np.asarray(origin, dtype=float)
+        self.origin = as_point(origin)
         self.dims = occupancy.shape
         self.ncells = int(occupancy.size)
         # flat index deltas and metric lengths for the 26 moves
@@ -360,7 +360,7 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     best_cost = np.inf
     visited_total = 0
     for _ in range(params.iterations):
-        tau_a = tau if params.alpha == 1.0 else tau ** params.alpha
+        tau_a = tau ** params.alpha
         np.multiply(eta_b, tau_a[0], out=weight)
         weight[cells] = eta_b[cells] * tau_a[1:]
         deposits: list[tuple[list[int], float]] = []

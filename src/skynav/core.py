@@ -50,10 +50,13 @@ class PlanResult:
 EMPTY_PATH = np.empty((0, 3), dtype=float)
 
 
-def uniforms(rng: np.random.Generator, block: int = 1024):
+DRAW_BLOCK = 1024   # rng.random() draws that uniforms and samples fetch at a time
+
+
+def uniforms(rng: np.random.Generator):
     """rng.random() draws in the order single calls would give them, fetched in blocks."""
     while True:
-        yield from rng.random(block).tolist()
+        yield from rng.random(DRAW_BLOCK).tolist()
 
 
 # SearchTree scores nodes in blocks of BLOCK columns, one BLAS matvec each: too
@@ -158,26 +161,21 @@ def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, draw) -> np.
     return lo + (np.asarray(bounds_max, dtype=float) - lo) * np.array((draw(), draw(), draw()))
 
 
-def samples(goal, p_target: float, bounds_min, bounds_max, rng: np.random.Generator,
-            block: int = 1024):
-    """Endless stream of sample_with_bias's points for uniforms(rng).__next__.
+def samples(p_target: float, bounds_min, bounds_max, rng: np.random.Generator):
+    """Endless stream of sample_with_bias's draws for uniforms(rng).__next__.
 
-    Takes float64 (3,) arrays and builds the candidate points of each block of
+    Yields None for a goal draw and the uniform point otherwise.  Takes
+    float64 (3,) bounds and builds the candidate points of each block of
     uniforms at once; a draw cut by a block end goes on in the next block.
-    Every goal draw yields one read-only array, so a caller can tell it by
-    identity: goal itself when it is read-only, else a read-only copy.
     """
-    if goal.flags.writeable:
-        goal = goal.copy()
-        goal.flags.writeable = False
     lo, span = bounds_min[:, None], (bounds_max - bounds_min)[:, None]
-    u = rng.random(block)
+    u = rng.random(DRAW_BLOCK)
     while True:
         # points[k] is bounds_min + span * u[k:k + 3]; built as (3, K) for long inner loops
         points = (lo + span * np.array((u[:-2], u[1:-1], u[2:]))).T
         hit = (u < p_target).tolist()
         k, end = 0, len(u)
         while k < end and (hit[k] or k + 3 < end):
-            yield goal if hit[k] else points[k + 1]
+            yield None if hit[k] else points[k + 1]
             k += 1 if hit[k] else 4
-        u = np.concatenate((u[k:], rng.random(block)))
+        u = np.concatenate((u[k:], rng.random(DRAW_BLOCK)))

@@ -166,9 +166,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     and steer check nothing; CityMap._segment_collides is the trusted twin
     of the public segment query, answered in Python floats from the map's
     cell index for straight extensions and detour moves alike, as is the
-    step controller's CityMap.clearance_exceeds.  sample_with_bias's points
-    come from the block-built core.samples stream, whose goal draws are all
-    one read-only copy of the goal, told apart by identity.
+    step controller's CityMap.clearance_exceeds.  sample_with_bias's draws
+    come from the block-built core.samples stream, which yields None for a
+    goal draw; the loop then steers toward req.goal, which nothing writes to.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same
@@ -192,9 +192,8 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     check_endpoints(city, req)
     step = params.step_size
     adapt_step = params.step_min < params.step_max
-    goal = req.goal.copy()
-    goal.flags.writeable = False
-    draw = samples(goal, params.p_target, city.bounds_min, city.bounds_max,
+    goal = req.goal
+    draw = samples(params.p_target, city.bounds_min, city.bounds_max,
                    np.random.default_rng(seed)).__next__
     tree = SearchTree(req.start)
     explored = 0
@@ -215,10 +214,11 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     while failed < req.max_failed_attempts:
         sample = draw()
         explored += 1
-        to_goal = sample is goal
+        to_goal = sample is None
         if to_goal:
+            sample = goal
             if goal_size != tree._n:
-                goal_size, goal_near = tree._n, tree.nearest(sample)
+                goal_size, goal_near = tree._n, tree.nearest(goal)
             near = goal_near
             if (near, step) in trapped:
                 # an exact repeat: it would block as before, adding at most a

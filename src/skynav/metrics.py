@@ -11,8 +11,8 @@ SHARP_TURN_DEG = 45.0
 
 def _as_path(path, name: str = "path") -> np.ndarray:
     p = np.asarray(path, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3 or len(p) < 1:
-        raise ValueError(f"{name} must be a non-empty (N, 3) array of waypoints")
+    if p.ndim != 2 or p.shape[1] != 3 or len(p) < 1 or not np.isfinite(p).all():
+        raise ValueError(f"{name} must be a non-empty (N, 3) array of finite waypoints")
     return p
 
 

@@ -60,6 +60,13 @@ def test_voxelize_and_the_grid_refuse_a_resolution_that_is_not_positive_and_fini
         VoxelGrid(np.zeros((2, 2, 2), dtype=bool), resolution)
 
 
+@pytest.mark.parametrize("origin", ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                    (0.0, 0.0, -math.inf), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
+def test_the_grid_refuses_an_origin_that_is_not_three_finite_coordinates(origin):
+    with pytest.raises(ValueError, match="coordinates"):
+        VoxelGrid(np.zeros((4, 4, 4), dtype=bool), 1.0, origin)
+
+
 def test_voxelize_marks_every_touched_cell():
     # a 10 m cube reaching exactly the 10 m cell boundary touches the cells
     # beyond that face too, under the closed-box convention

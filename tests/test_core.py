@@ -286,27 +286,25 @@ def test_block_draw_sampling_matches_the_generator_sequence():
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.exact
 @pytest.mark.parametrize("block", [5, 7, 1024])
 @pytest.mark.parametrize("p_target", [0.0, 0.5, 0.9, 1.0])
-def test_sample_stream_matches_sample_with_bias(p_target, block):
-    # block 5 and 7 cut draws at block ends; 3,000 draws cross many of them
+def test_sample_stream_matches_sample_with_bias(p_target, block, monkeypatch):
+    # blocks of 5 and 7 cut draws at block ends; 3,000 draws cross many of them
+    monkeypatch.setattr(skynav.core, "DRAW_BLOCK", block)
     lo = np.array([-100.0, 5.0, 3.0])
     hi = np.array([400.0, 505.0, 503.0])
     goal = np.array([470.0, 420.0, 50.0])
     for seed in range(3):
         draw = uniforms(np.random.default_rng(seed)).__next__
         want = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(3000)]
-        stream = samples(goal, p_target, lo, hi, np.random.default_rng(seed), block)
+        stream = samples(p_target, lo, hi, np.random.default_rng(seed))
         got = [next(stream) for _ in range(3000)]
+        # every goal draw is None, and no yield is the caller's goal
+        assert all((s is None) == (w.tobytes() == goal.tobytes()) and s is not goal
+                   for s, w in zip(got, want))
+        got = [goal if s is None else s for s in got]
         assert np.array(got).tobytes() == np.array(want).tobytes()
-    # every goal draw is one read-only array, and the caller's goal stays its own
-    stream = samples(goal, 1.0, lo, hi, np.random.default_rng(0), block)
-    out = next(stream)
-    assert next(stream) is out and out is not goal
-    with pytest.raises(ValueError):
-        out[0] = 42.0
-    goal[0] = 1.0
-    assert out[0] == 470.0
 
 
 def test_sample_bias_returned_goal_is_a_copy():

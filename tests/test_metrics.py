@@ -111,3 +111,9 @@ def test_input_validation():
         path_length(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         turn_angles([(1, 2), (3, 4)])
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = [(bad, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1.0, 0.0)]
+        with pytest.raises(ValueError, match="path must be .* finite waypoints"):
+            summarize(broken)
+        with pytest.raises(ValueError, match="smoothed must be .* finite waypoints"):
+            summarize(broken[1:], broken)
