@@ -312,9 +312,29 @@ def _walk_ant(s: int, g: int, neighbors: Callable[[int], array], score: memoryvi
     return None, len(chain)
 
 
-def _chain_cost(grid: VoxelGrid, chain: list[int]) -> float:
-    steps = np.diff(grid.cells(chain).astype(float), axis=0)
-    return float(np.sqrt((steps * steps).sum(axis=1)).sum() * grid.resolution)
+def _chain_costs(grid: VoxelGrid) -> Callable[[list[int]], float]:
+    """chain -> its length: each step's unit length summed in chain order, times the resolution.
+
+    A step's unit length, sqrt(dx^2 + dy^2 + dz^2), is looked up by its flat
+    offset.  On a grid two cells or fewer deep on y or z two moves share a
+    flat offset, and the steps are unravelled into (dx, dy, dz) instead.
+    Either way numpy sums the same values in the same order.
+    """
+    offs = grid.flat_offsets
+    if len(set(offs.tolist())) < len(offs):
+        def cost(chain: list[int]) -> float:
+            steps = np.diff(grid.cells(chain).astype(float), axis=0)
+            return float(np.sqrt((steps * steps).sum(axis=1)).sum() * grid.resolution)
+        return cost
+    shift = int(offs.max())
+    table = np.zeros(2 * shift + 1)
+    table[offs + shift] = np.sqrt((np.array(NEIGHBOR_OFFSETS, dtype=float) ** 2).sum(axis=1))
+    resolution = grid.resolution
+
+    def cost(chain: list[int]) -> float:
+        cells = np.fromiter(chain, np.int64, len(chain))
+        return float(table[cells[1:] - cells[:-1] + shift].sum() * resolution)
+    return cost
 
 
 def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
@@ -356,6 +376,7 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
     weight = np.empty(grid.ncells)
     score = memoryview(weight)
     neighbors = _neighbors(grid)
+    chain_cost = _chain_costs(grid)
     best_chain: list[int] | None = None
     best_cost = np.inf
     visited_total = 0
@@ -368,7 +389,7 @@ def plan_aco(grid: VoxelGrid, req: PlanRequest, params: AcoParams = AcoParams(),
             chain, entered = _walk_ant(s, g, neighbors, score, params.q0, cap, draw)
             visited_total += entered
             if chain is not None:
-                cost = _chain_cost(grid, chain)
+                cost = chain_cost(chain)
                 deposits.append((chain, cost))
                 if cost < best_cost:
                     best_chain, best_cost = chain, cost

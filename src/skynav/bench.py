@@ -61,6 +61,9 @@ class Scenario:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithms named more than once: {repeated}")
         check_count(self.trials, "trials")
         check_count(self.samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
         for name in ("start", "goal"):

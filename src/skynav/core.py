@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +67,22 @@ def uniforms(rng: np.random.Generator):
 BLOCK = 256
 FILLER = np.array([[0.0], [0.0], [0.0], [np.inf]])
 FIRST_BLOCKS = 4
+# Once a tree holds SLAB_FROM nodes it also files them into SLABS x-slabs, cut
+# from the nodes' x span at that moment, and nearest scores only the slabs that
+# can hold the answer; below SLAB_FROM the scan of every block is faster.
+# SLAB_SLACK scales the pruning margin to the coordinates, as env.CELL_SLACK does.
+SLAB_FROM = 8000
+SLABS = 25
+SLAB_SLACK = 1e-9
 
 
 class SearchTree:
     """Growable tree of 3D nodes with parent links and exact nearest lookup.
 
     The root is checked once; add and nearest trust the tree loop's float64
-    arrays of shape (3,) and check nothing.
+    arrays of shape (3,) and check nothing.  Below SLAB_FROM nodes nearest
+    scans every block; from then on it scores the x-slabs that can hold the
+    nearest node (see _build_slabs), with the same answer.
     """
 
     def __init__(self, root):
@@ -82,6 +92,10 @@ class SearchTree:
         self._q = np.ones(4)
         self._parents: list[int] = []
         self._n = 0
+        # slab k: [its (blocks, 4, BLOCK) stack, its node indices ascending]
+        self._edges: list[float] | None = None
+        self._slabs: list[list] = []
+        self._edge2 = 0.0
         self.add(as_point(root), -1)
 
     def __len__(self) -> int:
@@ -106,15 +120,98 @@ class SearchTree:
         self._rows[b, 3, c] = p.dot(p)
         self._parents.append(parent)
         self._n = n + 1
+        if self._edges is not None:
+            slab = self._slabs[bisect_right(self._edges, p[0])]
+            stack, ids = slab
+            m = len(ids)
+            if m == len(stack) * BLOCK:
+                grown = np.empty((2 * len(stack), 4, BLOCK))
+                grown[: len(stack)] = stack
+                slab[0] = stack = grown
+            sb, sc = divmod(m, BLOCK)
+            if sc == 0:
+                stack[sb] = FILLER
+            stack[sb, :, sc] = self._rows[b, :, c]
+            ids.append(n)
+        elif n + 1 == SLAB_FROM:
+            self._build_slabs()
         return n
+
+    def _build_slabs(self) -> None:
+        """Cut the nodes' x span into SLABS slabs and file every node in one.
+
+        Slab k holds the nodes with edges[k - 1] <= x < edges[k]; the end slabs
+        are open toward the outside.  Nodes are filed by comparing x with the
+        stored edges, so a slab's x range holds exactly, whatever rounding made
+        the edges.  Each slab copies its nodes' columns of _rows, in ascending
+        index order, into a stack of (4, BLOCK) blocks padded with FILLER, and
+        a stack doubles when full, as _rows does.
+        """
+        n = self._n
+        x = self._pos[:n, 0]
+        lo, hi = float(x.min()), float(x.max())
+        self._edges = [lo + (hi - lo) * k / SLABS for k in range(1, SLABS)]
+        self._edge2 = max(lo * lo, hi * hi)
+        cols = self._rows[: -(-n // BLOCK)].transpose(1, 0, 2).reshape(4, -1)
+        slab_of = np.searchsorted(self._edges, x, side="right")
+        for k in range(SLABS):
+            ids = np.flatnonzero(slab_of == k)
+            blocks = max(1, -(-len(ids) // BLOCK))
+            flat = np.empty((4, blocks * BLOCK))
+            flat[:] = FILLER
+            flat[:, : len(ids)] = cols[:, ids]
+            stack = np.ascontiguousarray(flat.reshape(4, blocks, BLOCK).transpose(1, 0, 2))
+            self._slabs.append([stack, ids.tolist()])
 
     def nearest(self, p: np.ndarray) -> int:
         """Index of the node closest to p; ties resolve to the lowest index.
 
         Ranks by |x|^2 - 2 x.p (same ordering as distance, constant |p|^2
-        dropped), which needs no per-node differencing.
+        dropped), which needs no per-node differencing.  On a slabbed tree it
+        scores p's slab, then widens one slab at a time toward the nearer side
+        until the x-gap to the next slab on both sides rules out a better node.
+        Every node is scored by the same block matvec the scan uses, which
+        rounds a node's score the same in any column, and the best node is
+        kept as a (score, index) pair, so the answer is the scan's.
         """
-        return int(self._scores(p).argmin())
+        if self._edges is None:
+            return int(self._scores(p).argmin())
+        q = self._q
+        q[:3] = p
+        x, y, z = p.tolist()
+        edges, slabs = self._edges, self._slabs
+        # A node of a slab at x-gap g from p lies at a distance of at least g,
+        # so its score is at least g^2 - |p|^2.  The slab is skipped when g^2
+        # exceeds best + |p|^2 + margin.  The roundings in between (the gap and
+        # its square, |p|^2, a node's stored |x|^2 and its four-term score,
+        # with |x| <= |p| + distance, and the best score's) move that test by
+        # a few 2**-53 of 3|p|^2 + 2 edge^2 at most, where edge is the largest
+        # |edge| (g <= |p| + |edge| whenever the test can skip).  The margin,
+        # SLAB_SLACK times |p|^2 + edge^2, covers them many times over, so a
+        # skipped node scores above the best one and cannot tie it.
+        pp = x * x + y * y + z * z
+        reach = pp + SLAB_SLACK * (pp + self._edge2)   # |p|^2 + margin
+        best, node = math.inf, -1
+        k = bisect_right(edges, x)
+        left, right = k - 1, k + 1
+        while True:
+            stack, ids = slabs[k]
+            if ids:
+                scores = q @ stack[: -(-len(ids) // BLOCK)]
+                a = scores.argmin()
+                score = scores.item(a)
+                if score < best or score == best and ids[a] < node:
+                    best, node = score, ids[a]
+            gap_left = x - edges[left] if left >= 0 else math.inf
+            gap_right = edges[right - 1] - x if right < SLABS else math.inf
+            if gap_left <= gap_right:
+                if gap_left * gap_left > best + reach:
+                    return node
+                k, left = left, left - 1
+            else:
+                if gap_right * gap_right > best + reach:
+                    return node
+                k, right = right, right + 1
 
     def _scores(self, p: np.ndarray) -> np.ndarray:
         """Scores against p, shape (blocks in use, BLOCK); +inf past the last node."""

@@ -4,7 +4,8 @@ dijkstra_cost is a uniform-cost search over a VoxelGrid's own move table, with
 no heuristic: the tests check A*'s path cost against it on random grids.
 dense_aco is the ant colony with a dense pheromone grid and a plain list walk:
 the tests check that plan_aco's compact pheromone store and its walk give the
-same routes bit for bit.
+same routes bit for bit.  Its chain_cost unravels each step into (dx, dy, dz),
+against which the tests check plan_aco's lookup by flat offset.
 """
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from time import perf_counter
 
 import numpy as np
 
-from skynav.baselines import (ACO_STEP_CAP_FACTOR, _cells_to_path, _chain_cost,
-                              _grid_endpoints)
+from skynav.baselines import ACO_STEP_CAP_FACTOR, _cells_to_path, _grid_endpoints
 from skynav.core import EMPTY_PATH, PlanResult, uniforms
 
 
@@ -75,6 +75,12 @@ def _dense_walk(grid, s, g, weight, q0, cap, draw):
     return None, len(chain)
 
 
+def chain_cost(grid, chain):
+    """A chain's length from its cells' unravelled (x, y, z) steps."""
+    steps = np.diff(grid.cells(chain).astype(float), axis=0)
+    return float(np.sqrt((steps * steps).sum(axis=1)).sum() * grid.resolution)
+
+
 def dense_aco(grid, req, params, seed=0):
     """plan_aco with one pheromone value per grid cell, updated in dense passes."""
     t0 = perf_counter()
@@ -103,7 +109,7 @@ def dense_aco(grid, req, params, seed=0):
             chain, entered = _dense_walk(grid, s, g, weight, params.q0, cap, draw)
             visited_total += entered
             if chain is not None:
-                cost = _chain_cost(grid, chain)
+                cost = chain_cost(grid, chain)
                 deposits.append((chain, cost))
                 if cost < best_cost:
                     best_chain, best_cost = chain, cost

@@ -18,7 +18,7 @@ from skynav import (AcoParams, Building, CityMap, DrrtParams, GenParams,
                     PlanRequest, RrtParams, Scenario, VoxelGrid, generate_city,
                     plan_astar, plan_drrt, plan_rrt, run_benchmark, smooth_path)
 from skynav.bench import PLANNERS, build_city, build_grid, default_scenario
-from skynav.core import SearchTree
+from skynav.core import SLAB_FROM, SearchTree
 from skynav.drrt import COLLIDED, FAR, NEUTRAL, update_step
 from skynav.env import MapGenerationError
 from skynav.metrics import dedupe, path_length
@@ -198,16 +198,19 @@ def test_criterion_08_collision_free_paths(scenario, city, paired_runs, capsys):
 
 
 def test_criterion_09_oracle_equivalence(capsys):
-    # nearest neighbour against a plain linear scan
+    # nearest neighbour against a plain linear scan, on a tree that scans every
+    # block and on one past SLAB_FROM nodes that searches its x-slabs
     rng = np.random.default_rng(71)
-    pts = rng.uniform(0, 500, (500, 3))
-    tree = SearchTree(pts[0])
-    for i in range(1, 500):
-        tree.add(pts[i], parent=rng.integers(0, i))
-    for q in rng.uniform(0, 500, (100, 3)):
-        d2 = ((pts - q) ** 2).sum(axis=1)
-        want = min(range(500), key=lambda i: (d2[i], i))
-        assert tree.nearest(q) == want
+    for n in (500, 9000):
+        pts = rng.uniform(0, 500, (n, 3))
+        tree = SearchTree(pts[0])
+        for i in range(1, n):
+            tree.add(pts[i], parent=rng.integers(0, i))
+        assert (n > SLAB_FROM) == (tree._edges is not None)
+        for q in rng.uniform(0, 500, (100, 3)):
+            d2 = ((pts - q) ** 2).sum(axis=1)
+            want = min(range(n), key=lambda i: (d2[i], i))
+            assert tree.nearest(q) == want
 
     # grid search cost against uniform-cost search
     rng = np.random.default_rng(31)
@@ -262,7 +265,7 @@ def test_criterion_09_oracle_equivalence(capsys):
         assert seg_city.segment_collides(a, b) == hit_fat
     assert checked >= 200
     _criterion(capsys, 9, "oracle equivalence", True,
-               f"nearest scan 100/100, grid costs {solved}/20 solvable, "
+               f"nearest scan 200/200 (500 and 9,000 nodes), grid costs {solved}/20 solvable, "
                f"spline 100/100, segments {checked} non-tangent cases")
 
 

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from grid_reference import dense_aco, dijkstra_cost
+from grid_reference import chain_cost, dense_aco, dijkstra_cost
 
 from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid, baselines,
                     generate_city, plan_aco, plan_astar, voxelize)
 from skynav.baselines import (ACO_NEIGHBOR_MEMO, ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS,
-                              NEIGHBOR_OFFSETS, _chain_cost, _moves, _neighbors, _walk_ant)
+                              NEIGHBOR_OFFSETS, _chain_costs, _moves, _neighbors, _walk_ant)
 from skynav.bench import build_city, default_scenario
 from skynav.metrics import dedupe, path_length
 
@@ -314,7 +314,7 @@ def test_aco_single_iteration_equals_best_first_walk():
                                    rng.random)
         entered_total += entered
         if chain is not None:
-            cost = _chain_cost(grid, chain)
+            cost = chain_cost(grid, chain)
             if cost < best_cost:
                 best, best_cost = chain, cost
     assert result.explored_nodes == entered_total
@@ -373,6 +373,38 @@ def test_compact_colony_equals_the_dense_colony_bit_for_bit(memo, monkeypatch):
         assert got.path.tobytes() == want.path.tobytes()
         solved += got.success
     assert solved >= len(cases) // 2
+
+
+@pytest.mark.exact
+def test_chain_costs_by_flat_offset_equal_the_unravelled_steps(monkeypatch):
+    # plan_aco looks each step's unit length up by its flat offset, and the
+    # reference unravels each step: every successful ant's cost, which sets its
+    # deposit and the best route, must agree to the bit.  The frozen-output
+    # grid has distinct flat offsets; the trap grid is two cells deep on z,
+    # where two moves share one, and takes the unravelled path
+    chains = []
+
+    def recording(grid):
+        cost = _chain_costs(grid)
+
+        def record(chain):
+            chains.append((grid, chain))
+            return cost(chain)
+        return record
+
+    monkeypatch.setattr(baselines, "_chain_costs", recording)
+    start, goal = (5.0, 5.0, 5.0), (112.0, 108.0, 40.0)
+    city = generate_city(2, GenParams(count=8, footprint_range=(10, 30), height_range=(18, 80),
+                                      bounds_max=(120.0, 120.0, 120.0), keep_clear=(start, goal)))
+    grid = voxelize(city, 4.0)
+    assert len(set(grid.flat_offsets.tolist())) == len(NEIGHBOR_OFFSETS)
+    assert plan_aco(grid, PlanRequest(start, goal), AcoParams(ants=10, iterations=8), 3).success
+    trap, trap_req = _trap()
+    plan_aco(trap, trap_req, AcoParams(ants=5, iterations=10), 2)
+    assert len({id(g) for g, _ in chains}) == 2 and len(chains) >= 50
+    for grid, chain in chains:
+        want = np.float64(chain_cost(grid, chain))
+        assert np.float64(_chain_costs(grid)(chain)).tobytes() == want.tobytes()
 
 
 def test_grid_planners_agree_when_start_and_goal_share_a_voxel():

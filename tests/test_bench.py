@@ -102,6 +102,12 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
         Scenario(algorithms=("drrt", "bfs"))
     with pytest.raises(ValueError):
         Scenario(trials=0)
+    # a repeated algorithm would be planned twice and written as two equal rows
+    with pytest.raises(ValueError, match=r"more than once: \['drrt'\]"):
+        Scenario.from_dict({"trials": 1, "algorithms": ["drrt", "drrt"], "base_seed": 500,
+                            "map_seed": 11})
+    with pytest.raises(ValueError, match=r"more than once: \['astar', 'rrt'\]"):
+        Scenario(algorithms=("rrt", "astar", "drrt", "rrt", "astar"))
     with pytest.raises(ValueError, match="trails"):
         Scenario.from_dict({"trails": 3})
     with pytest.raises(ValueError, match=r"aco keys: \['ant_count'\]"):

@@ -197,6 +197,7 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
                             ({"trials": 1, "drrt": {"p_target": "x"}}, "p_target"),
                             ({"trials": 1, "map_params": {"count": "4"}}, "count"),
                             ({"trials": 1, "algorithms": "rrt"}, "algorithms"),
+                            ({"trials": 1, "algorithms": ["drrt", "drrt"]}, "drrt"),
                             ({"trials": 1, "map_file": 5}, "map_file")):
         scn_file.write_text(json.dumps(scenario))
         rc = main(["bench", "--scenario", str(scn_file), "--out", str(tmp_path / "report")])

@@ -6,7 +6,8 @@ import pytest
 
 import skynav.core
 from skynav import CityMap, PlanRequest
-from skynav.core import BLOCK, SearchTree, sample_with_bias, samples, steer, uniforms
+from skynav.core import (BLOCK, SLAB_FROM, SLABS, SearchTree, sample_with_bias, samples, steer,
+                         uniforms)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +124,68 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
             scores = tree._scores(q).ravel()   # the scores nearest ranked
             assert len(scores) % BLOCK == 0 and np.all(scores[n:] == np.inf)
             assert scores[:n].tobytes() == want.tobytes()
+
+
+@pytest.mark.exact
+def test_slab_nearest_returns_the_block_scan_node():
+    # from SLAB_FROM nodes on, nearest scores only the x-slabs that can hold the
+    # answer, and must still return argmin of the scan's block scores, ties to
+    # the lowest index.  Integer coordinates over x in [0, 500] put the slab
+    # edges at 20, 40, ..., 480 exactly, with many nodes, duplicates and
+    # queries on them
+    rng = np.random.default_rng(53)
+    pts = rng.integers(0, 501, (SLAB_FROM + 600, 3)).astype(float)
+    dup = rng.integers(0, len(pts), 800)
+    pts[dup] = pts[rng.integers(0, len(pts), dup.size)]
+    pts[:2, 0] = 0.0, 500.0
+    tree = SearchTree(pts[0])
+
+    def check(queries):
+        for q in queries:
+            assert tree.nearest(q) == int(tree._scores(q).argmin())
+
+    def queries():
+        edge_x = 20.0 * rng.integers(0, 26, 100)
+        return np.vstack([rng.uniform(-50, 550, (200, 3)),   # some outside the x span
+                          np.column_stack([edge_x, rng.uniform(0, 500, (100, 2))]),
+                          tree._pos[rng.integers(0, len(tree), 100)],   # on nodes
+                          [(-1e4, 250, 250), (1e4, 0, 0), (500, 500, 500)]])
+
+    for p in pts[1:SLAB_FROM]:   # the tree crosses the threshold
+        tree.add(p, 0)
+    assert tree._edges == [20.0 * k for k in range(1, SLABS)]
+    check(queries())
+
+    # later nodes join their slabs one by one; slab 5 ([100, 120)) doubles its stack
+    full = len(tree._slabs[5][0])
+    for p in np.vstack([pts[SLAB_FROM:], rng.uniform((100, 0, 0), (120, 500, 500), (300, 3))]):
+        tree.add(p, 0)
+        if len(tree) % 100 == 0:
+            check(queries()[::10])
+    assert len(tree._slabs[5][0]) == 2 * full
+    check(queries())
+
+    # equal scores across an edge, the lower index in the slab visited second:
+    # q at x = e lies in the slab right of e, q at e - 0.5 in the one left of it
+    far = []
+    for k, e in enumerate(tree._edges):
+        y, z = 700.0 + 4 * k, 650.0
+        first, second = ((e - 1, y, z), (e + 1, y, z)) if k % 2 else ((e + 0.5, y, z), (e - 1.5, y, z))
+        low = tree.add(_p(*first), 0)
+        tree.add(_p(*second), 0)
+        q = _p(e if k % 2 else e - 0.5, y, z)
+        assert tree.nearest(q) == low
+        far.append(q)
+    # a node exactly on an edge and one just left of it, at distances that
+    # differ by less than the scores round: q's own slab holds the one on the
+    # edge, so only the margin keeps the other from being skipped
+    for k in range(120):
+        e = tree._edges[k % (SLABS - 1)]
+        y, z = rng.uniform(0, 500), 900.0 + 4 * k
+        tree.add(_p(np.nextafter(e, -np.inf), y, z), 0)
+        tree.add(_p(e, y, z), 0)
+        far.append(_p(e + rng.uniform(0.2, 1.0), y, z))
+    check(far)
 
 
 @pytest.mark.parametrize("n, first, second", [(7, 3, 6), (BLOCK + 9, BLOCK - 1, BLOCK)])
