@@ -79,15 +79,24 @@ SLAB_SLACK = 1e-9
 class SearchTree:
     """Growable tree of 3D nodes with parent links and exact nearest lookup.
 
-    The root is checked once; add and nearest trust the tree loop's float64
-    arrays of shape (3,) and check nothing.  Below SLAB_FROM nodes nearest
-    scans every block; from then on it scores the x-slabs that can hold the
-    nearest node (see _build_slabs), with the same answer.
+    The root is checked once; add and nearest trust the tree loop's (x, y, z)
+    float triples and check nothing.  Node positions live in one float64
+    array, so a node costs 24 bytes, not a tuple object.  Below SLAB_FROM
+    nodes nearest scans every block of _rows; from then on the x-slabs (see
+    _build_slabs) hold the only copy of the score columns and nearest scores
+    the slabs that can hold the nearest node, with the same answer.
+
+    A node's |x|^2 is the one BLAS dot add takes, on a fresh array of its
+    three floats: OpenBLAS ddot on three elements rounds as
+    fma(z, z, fma(y, y, x * x)), which Python's x*x + y*y + z*z does not
+    (Python 3.11 has no math.fma).  The other column entries, -2 times a
+    coordinate, are exact in any arithmetic.
     """
 
     def __init__(self, root):
         self._pos = np.empty((FIRST_BLOCKS * BLOCK, 3), dtype=float)
-        # rows[b, :, c] is (-2x, -2y, -2z, |x|^2) of node b * BLOCK + c, scored by (p, 1)
+        # rows[b, :, c] is (-2x, -2y, -2z, |x|^2) of node b * BLOCK + c, scored by (p, 1);
+        # None once the slabs hold the columns
         self._rows = np.empty((FIRST_BLOCKS, 4, BLOCK))
         self._q = np.ones(4)
         self._parents: list[int] = []
@@ -96,44 +105,49 @@ class SearchTree:
         self._edges: list[float] | None = None
         self._slabs: list[list] = []
         self._edge2 = 0.0
-        self.add(as_point(root), -1)
+        self.add(as_point(root).tolist(), -1)
 
     def __len__(self) -> int:
         return self._n
 
-    def add(self, p: np.ndarray, parent: int) -> int:
-        """Append a node and return its index."""
+    def add(self, p, parent: int) -> int:
+        """Append the node p, an (x, y, z) of floats, and return its index."""
         n = self._n
         if n == len(self._pos):
             # one at a time, larger first, for a lower peak; new blocks stay unset
-            rows = np.empty((2 * len(self._rows), 4, BLOCK))
-            rows[: len(self._rows)] = self._rows
-            self._rows = rows
+            if self._edges is None:
+                rows = np.empty((2 * len(self._rows), 4, BLOCK))
+                rows[: len(self._rows)] = self._rows
+                self._rows = rows
             pos = np.empty((2 * n, 3))
             pos[:n] = self._pos
             self._pos = pos
-        b, c = divmod(n, BLOCK)
-        if c == 0:
-            self._rows[b] = FILLER
-        self._pos[n] = p
-        self._rows[b, :3, c] = -2.0 * p
-        self._rows[b, 3, c] = p.dot(p)
+        x, y, z = p
+        v = np.array((x, y, z))
+        self._pos[n] = v
+        sq = v.dot(v)
         self._parents.append(parent)
         self._n = n + 1
-        if self._edges is not None:
-            slab = self._slabs[bisect_right(self._edges, p[0])]
+        if self._edges is None:
+            stack = self._rows
+            b, c = divmod(n, BLOCK)
+        else:
+            slab = self._slabs[bisect_right(self._edges, x)]
             stack, ids = slab
             m = len(ids)
             if m == len(stack) * BLOCK:
                 grown = np.empty((2 * len(stack), 4, BLOCK))
                 grown[: len(stack)] = stack
                 slab[0] = stack = grown
-            sb, sc = divmod(m, BLOCK)
-            if sc == 0:
-                stack[sb] = FILLER
-            stack[sb, :, sc] = self._rows[b, :, c]
+            b, c = divmod(m, BLOCK)
             ids.append(n)
-        elif n + 1 == SLAB_FROM:
+        if c == 0:
+            stack[b] = FILLER
+        stack[b, 0, c] = -2.0 * x
+        stack[b, 1, c] = -2.0 * y
+        stack[b, 2, c] = -2.0 * z
+        stack[b, 3, c] = sq
+        if n + 1 == SLAB_FROM:
             self._build_slabs()
         return n
 
@@ -145,7 +159,8 @@ class SearchTree:
         stored edges, so a slab's x range holds exactly, whatever rounding made
         the edges.  Each slab copies its nodes' columns of _rows, in ascending
         index order, into a stack of (4, BLOCK) blocks padded with FILLER, and
-        a stack doubles when full, as _rows does.
+        a stack doubles when full, as _rows does.  _rows is then dropped: add
+        writes a later node's column into its slab only.
         """
         n = self._n
         x = self._pos[:n, 0]
@@ -162,9 +177,10 @@ class SearchTree:
             flat[:, : len(ids)] = cols[:, ids]
             stack = np.ascontiguousarray(flat.reshape(4, blocks, BLOCK).transpose(1, 0, 2))
             self._slabs.append([stack, ids.tolist()])
+        self._rows = None
 
-    def nearest(self, p: np.ndarray) -> int:
-        """Index of the node closest to p; ties resolve to the lowest index.
+    def nearest(self, p) -> int:
+        """Index of the node closest to p, an (x, y, z) of floats; ties resolve to the lowest index.
 
         Ranks by |x|^2 - 2 x.p (same ordering as distance, constant |p|^2
         dropped), which needs no per-node differencing.  On a slabbed tree it
@@ -174,11 +190,13 @@ class SearchTree:
         rounds a node's score the same in any column, and the best node is
         kept as a (score, index) pair, so the answer is the scan's.
         """
-        if self._edges is None:
-            return int(self._scores(p).argmin())
+        x, y, z = p
         q = self._q
-        q[:3] = p
-        x, y, z = p.tolist()
+        q[0] = x
+        q[1] = y
+        q[2] = z
+        if self._edges is None:
+            return int((q @ self._rows[: -(-self._n // BLOCK)]).argmin())
         edges, slabs = self._edges, self._slabs
         # A node of a slab at x-gap g from p lies at a distance of at least g,
         # so its score is at least g^2 - |p|^2.  The slab is skipped when g^2
@@ -213,11 +231,6 @@ class SearchTree:
                     return node
                 k, right = right, right + 1
 
-    def _scores(self, p: np.ndarray) -> np.ndarray:
-        """Scores against p, shape (blocks in use, BLOCK); +inf past the last node."""
-        self._q[:3] = p
-        return self._q @ self._rows[: -(-self._n // BLOCK)]
-
     def extract_path(self, leaf: int) -> np.ndarray:
         """Positions along the unique root-to-leaf chain, shape (K, 3)."""
         if not 0 <= leaf < self._n:
@@ -230,17 +243,24 @@ class SearchTree:
         return self._pos[chain[::-1]]   # fancy indexing copies
 
 
-def steer(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
-    """Point step meters from a toward b, or a copy of b when it is within step.
+def steer(a, b, step: float) -> tuple[float, float, float]:
+    """Point step meters from a toward b, or b's coordinates when it is within step.
 
-    Takes float64 arrays of shape (3,) and a positive step, and checks nothing.
+    Takes two (x, y, z) float triples and a positive step, checks nothing,
+    and returns a new tuple.  b - a and a + s * v are elementwise IEEE
+    arithmetic, the same bits in Python floats as in numpy; |v|^2 is one
+    BLAS dot on a fresh array, because OpenBLAS rounds a three-element ddot
+    as fma(z, z, fma(y, y, x * x)), which a Python sum of squares does not.
     """
-    v = b - a
-    # a numpy dot, not a Python sum of squares: the two can round differently
+    ax, ay, az = a
+    bx, by, bz = b
+    vx, vy, vz = bx - ax, by - ay, bz - az
+    v = np.array((vx, vy, vz))
     dist = math.sqrt(v.dot(v))
     if dist <= step:
-        return b.copy()
-    return a + (step / dist) * v
+        return (bx, by, bz)
+    s = step / dist
+    return (ax + s * vx, ay + s * vy, az + s * vz)
 
 
 def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, draw) -> np.ndarray:
@@ -261,18 +281,25 @@ def sample_with_bias(goal, p_target: float, bounds_min, bounds_max, draw) -> np.
 def samples(p_target: float, bounds_min, bounds_max, rng: np.random.Generator):
     """Endless stream of sample_with_bias's draws for uniforms(rng).__next__.
 
-    Yields None for a goal draw and the uniform point otherwise.  Takes
-    float64 (3,) bounds and builds the candidate points of each block of
-    uniforms at once; a draw cut by a block end goes on in the next block.
+    Yields None for a goal draw and the uniform point, an (x, y, z) tuple of
+    floats, otherwise.  Takes float64 (3,) bounds and reads each block of
+    uniforms as Python floats with one tolist(); a point is built as
+    bounds_min + span * u per coordinate, the same IEEE operations
+    sample_with_bias runs in numpy, so the same bits.  A draw cut by a block
+    end goes on in the next block.
     """
-    lo, span = bounds_min[:, None], (bounds_max - bounds_min)[:, None]
-    u = rng.random(DRAW_BLOCK)
+    x0, y0, z0 = bounds_min.tolist()
+    sx, sy, sz = (bounds_max - bounds_min).tolist()
+    u = rng.random(DRAW_BLOCK).tolist()
     while True:
-        # points[k] is bounds_min + span * u[k:k + 3]; built as (3, K) for long inner loops
-        points = (lo + span * np.array((u[:-2], u[1:-1], u[2:]))).T
-        hit = (u < p_target).tolist()
         k, end = 0, len(u)
-        while k < end and (hit[k] or k + 3 < end):
-            yield None if hit[k] else points[k + 1]
-            k += 1 if hit[k] else 4
-        u = np.concatenate((u[k:], rng.random(DRAW_BLOCK)))
+        while k < end:
+            if u[k] < p_target:
+                yield None
+                k += 1
+            elif k + 3 < end:
+                yield (x0 + sx * u[k + 1], y0 + sy * u[k + 2], z0 + sz * u[k + 3])
+                k += 4
+            else:
+                break
+        u = u[k:] + rng.random(DRAW_BLOCK).tolist()

@@ -78,37 +78,46 @@ def update_step(current: float, outcome: str, params: DrrtParams) -> float:
     raise ValueError(f"unknown step outcome: {outcome!r}")
 
 
-def detour_extend(city: CityMap, x_near, goal, step: float) -> np.ndarray | None:
+def detour_extend(city: CityMap, x_near, goal, step: float) -> tuple[float, float, float] | None:
     """Sideways escape when the straight extension is blocked.
 
     Tries the four horizontal step-length moves (+x, -x, +y, -y) and returns
     the feasible one closest to the goal, earlier direction winning ties.  If
     all four are blocked, steps vertically toward the goal's altitude: up when
-    the goal is higher than x_near, down otherwise.  Returns None when every
-    candidate is blocked or out of bounds.
+    the goal is higher than x_near, down otherwise.  Returns the move as an
+    (x, y, z) tuple of floats, or None when every candidate is blocked or out
+    of bounds.
 
-    Each move is one single-segment CityMap._segment_collides query from
-    x_near.  That query counts a segment with an endpoint outside the bounds,
-    or with a NaN coordinate, as blocked, so such an x_near gives None.
-    x_near and goal must hold three coordinates each, else ValueError.
+    x_near and goal are (x, y, z) sequences of numbers, else ValueError (two
+    or four coordinates, a 2-D array).  An x_near outside the bounds, or with
+    a NaN coordinate, is blocked in every direction and gives None; it is
+    checked once, and each move inside the bounds is one
+    CityMap._hits_buildings query from it.  The moves are built in floats as
+    x_near plus (step, 0, 0) and so on, which is what numpy would add; the
+    goal distance squared is one BLAS dot on a fresh array, as steer's is.
     """
-    x_near = np.asarray(x_near, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    if x_near.shape != (3,) or goal.shape != (3,):
-        raise ValueError(f"expected 3 coordinates, got shapes {x_near.shape} and {goal.shape}")
-    dz = step if goal[2] > x_near[2] else -step
-    cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
-                               (0.0, -step, 0.0), (0.0, 0.0, dz)))
+    try:
+        x, y, z = map(float, x_near)
+        gx, gy, gz = map(float, goal)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected 3 coordinates, got {x_near!r:.40} and {goal!r:.40}") from None
+    near = (x, y, z)
+    if not city._inside(near):
+        return None
+    y0, z0 = y + 0.0, z + 0.0
     best = None
     best_d = math.inf
-    for k in range(4):
-        if not city._segment_collides(x_near, cands[k]):
-            v = goal - cands[k]
+    for cand in ((x + step, y0, z0), (x - step, y0, z0), (x + 0.0, y + step, z0),
+                 (x + 0.0, y - step, z0)):
+        if city._inside(cand) and not city._hits_buildings(near, cand):
+            v = np.array((gx - cand[0], gy - cand[1], gz - cand[2]))
             d = math.sqrt(v.dot(v))
             if d < best_d:
-                best, best_d = cands[k], d
-    if best is None and not city._segment_collides(x_near, cands[4]):
-        return cands[4]
+                best, best_d = cand, d
+    if best is None:
+        cand = (x + 0.0, y0, z + step if gz > z else z - step)
+        if city._inside(cand) and not city._hits_buildings(near, cand):
+            return cand
     return best
 
 
@@ -141,10 +150,10 @@ def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: floa
     A node inside the goal region ends the search; the goal point itself is
     appended when the connecting segment is free.  A node within one step of
     the goal connects directly when that segment is free.  goal is a finite
-    float64 array of shape (3,), as PlanRequest holds it.
+    (x, y, z) of floats, such as PlanRequest.goal.tolist().
     """
-    pos = tree._pos[node]
-    d = math.dist(pos.tolist(), goal.tolist())
+    pos = tree._pos[node].tolist()
+    d = math.dist(pos, goal)
     if d <= threshold:
         path = tree.extract_path(node)
         if d > 0 and not city._segment_collides(pos, goal):
@@ -162,13 +171,22 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     controller and its far test are skipped.
 
     PlanRequest and check_endpoints validate the endpoints once; the loop
-    then runs on float64 arrays it built itself.  SearchTree.nearest and add
-    and steer check nothing; CityMap._segment_collides is the trusted twin
-    of the public segment query, answered in Python floats from the map's
-    cell index for straight extensions and detour moves alike, as is the
-    step controller's CityMap.clearance_exceeds.  sample_with_bias's draws
-    come from the block-built core.samples stream, which yields None for a
-    goal draw; the loop then steers toward req.goal, which nothing writes to.
+    then runs on (x, y, z) float triples it built itself: a numpy call on
+    three floats costs more than the arithmetic.  It reads a node as
+    tree._pos[i].tolist() and the goal as req.goal.tolist().
+    SearchTree.nearest and add and steer check nothing;
+    CityMap._segment_collides is the trusted twin of the public segment
+    query, answered in Python floats from the map's cell index, as are
+    detour_extend's moves and the step controller's
+    CityMap.clearance_exceeds.  sample_with_bias's draws come from the core.samples stream, which
+    yields None for a goal draw and a float triple otherwise.  Every
+    coordinate is elementwise IEEE arithmetic, the same bits in floats as in
+    numpy; the three sums of squares that need BLAS's rounding (steer's
+    |v|^2, detour_extend's goal distance and add's |p|^2) each stay one dot
+    on a fresh array.
+
+    A step that returns the near node's own position adds no edge: it
+    counts as a blocked extension, compared coordinate by coordinate.
 
     steer, the collision check and detour_extend are pure functions of the
     near position, goal, step and map, and a node recomputed from the same
@@ -192,7 +210,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     check_endpoints(city, req)
     step = params.step_size
     adapt_step = params.step_min < params.step_max
-    goal = req.goal
+    goal = req.goal.tolist()
     draw = samples(params.p_target, city.bounds_min, city.bounds_max,
                    np.random.default_rng(seed)).__next__
     tree = SearchTree(req.start)
@@ -229,7 +247,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
                 continue
         else:
             near = tree.nearest(sample)
-        near_pos = tree._pos[near]
+        near_pos = tree._pos[near].tolist()
         new = steer(near_pos, sample, step)
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
         blocked = degenerate or city._segment_collides(near_pos, new)

@@ -157,7 +157,7 @@ class CityMap:
         Buildings are closed boxes, so a point exactly on a face is not free.
         A point is the degenerate segment p-p.
         """
-        p = as_point(p)
+        p = as_point(p).tolist()
         return not self._segment_collides(p, p)
 
     def segment_collides(self, a, b) -> bool:
@@ -167,23 +167,29 @@ class CityMap:
         from the map's cell index: for one segment against a few boxes,
         numpy's per-call overhead costs more than the arithmetic.
         """
-        return self._segment_collides(as_point(a), as_point(b))
+        return self._segment_collides(as_point(a).tolist(), as_point(b).tolist())
 
-    def _segment_collides(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """segment_collides for two float64 points the caller has validated.
+    def _segment_collides(self, a, b) -> bool:
+        """segment_collides for two (x, y, z) float sequences the caller has validated.
+
+        Checks the bounds in Python scalars, then asks _hits_buildings.
+        """
+        if not self._inside(a) or not self._inside(b):
+            return True
+        return self._hits_buildings(a, b)
+
+    def _hits_buildings(self, a, b) -> bool:
+        """True iff segment a-b, two float triples inside the bounds, touches a building.
 
         A segment at most 2 * CELL_REACH wide on x and on y is answered from
         its midpoint's cell (see _build_cell_index): free above the cell's
         top, else by the closed box-overlap test and _slab on its boxes.  A
         wider segment goes to the batched slab test.
         """
-        pa, pb = a.tolist(), b.tolist()
-        if not self._inside(pa) or not self._inside(pb):
-            return True
-        (ax, ay, az), (bx, by, bz) = pa, pb
+        (ax, ay, az), (bx, by, bz) = a, b
         dx, dy, w = bx - ax, by - ay, 2.0 * CELL_REACH
         if not (-w <= dx <= w and -w <= dy <= w):
-            return bool(self._touch_buildings(a[None], b[None])[0])
+            return bool(self._touch_buildings(np.array((a,)), np.array((b,)))[0])
         # ax + dx / 2 cannot overflow, and lies between ax and bx
         top, boxes = self._cell(ax + dx * 0.5, ay + dy * 0.5)
         z0, z1 = (az, bz) if az <= bz else (bz, az)
@@ -193,7 +199,7 @@ class CityMap:
         y0, y1 = (ay, by) if ay <= by else (by, ay)
         for box in boxes:
             if (box[0] <= x1 and x0 <= box[3] and box[1] <= y1 and y0 <= box[4]
-                    and box[2] <= z1 and z0 <= box[5] and _slab(pa, pb, box)):
+                    and box[2] <= z1 and z0 <= box[5] and _slab(a, b, box)):
                 return True
         return False
 
@@ -336,7 +342,7 @@ class CityMap:
         2 * CELL_REACH wide on x and on y; and a point above top lies farther
         than CELL_REACH above every box the cell lists.  The roundings on the way
         each move a value by a relative 2**-53: in clearance_exceeds'
-        distances, and in _segment_collides' extent test (a segment that
+        distances, and in _hits_buildings' extent test (a segment that
         passes it may be wider than 2 * CELL_REACH by a relative 2**-53) and
         its midpoint ax + dx / 2 (off the exact midpoint by at most 2**-53
         times half the width plus the coordinates' scale).  pad covers them
@@ -402,7 +408,7 @@ class CityMap:
         return cls(buildings, lo, hi, seed=data.get("seed"))
 
 
-def _slab(a: list, b: list, box: tuple) -> bool:
+def _slab(a: Sequence[float], b: Sequence[float], box: tuple) -> bool:
     """True iff segment a-b meets the closed box (x0, y0, z0, x1, y1, z1): the slab test.
 
     The narrow phase of every segment query, for one pair whose closed boxes

@@ -6,8 +6,8 @@ import pytest
 
 import skynav.core
 from skynav import CityMap, PlanRequest
-from skynav.core import (BLOCK, SLAB_FROM, SLABS, SearchTree, sample_with_bias, samples, steer,
-                         uniforms)
+from skynav.core import (BLOCK, FILLER, SLAB_FROM, SLABS, SearchTree, sample_with_bias, samples,
+                         steer, uniforms)
 
 
 # ----------------------------------------------------------------------
@@ -30,9 +30,48 @@ def test_plan_request_coerces_and_validates():
 # search tree
 # ----------------------------------------------------------------------
 
-def _p(*xyz) -> np.ndarray:
-    """A point as the tree loop passes it: a float64 array of shape (3,)."""
-    return np.array(xyz, dtype=float)
+def _p(*xyz) -> tuple:
+    """A point as the tree loop passes it: an (x, y, z) tuple of floats."""
+    return tuple(float(v) for v in xyz)
+
+
+def _scan_rows(tree) -> np.ndarray:
+    """The block-scan score array of tree, rebuilt from its positions with add's arithmetic.
+
+    Node i is column i % BLOCK of block i // BLOCK, holding (-2x, -2y, -2z,
+    |x|^2) with |x|^2 one BLAS dot per node, as add takes it; unused columns
+    hold FILLER.  Scored by _scan_scores, it gives the scores the unslabbed
+    tree ranks, and the scores every slab reads for its nodes.
+    """
+    n = len(tree)
+    pos = tree._pos[:n]
+    blocks = -(-n // BLOCK)
+    flat = np.empty((4, blocks * BLOCK))
+    flat[:] = FILLER
+    flat[:3, :n] = -2.0 * pos.T
+    flat[3, :n] = [p @ p for p in pos]
+    return np.ascontiguousarray(flat.reshape(4, blocks, BLOCK).transpose(1, 0, 2))
+
+
+def _columns(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns of a (blocks, 4, BLOCK) score array, as one (4, n) array."""
+    return rows.transpose(1, 0, 2).reshape(4, -1)[:, :n]
+
+
+def _stored_columns(tree) -> np.ndarray:
+    """The score columns tree holds, node by node: from _rows, or once slabbed from the slabs."""
+    n = len(tree)
+    if tree._rows is not None:
+        return _columns(tree._rows, n)
+    cols = np.full((4, n), np.nan)
+    for stack, ids in tree._slabs:
+        cols[:, ids] = _columns(stack, len(ids))
+    return cols
+
+
+def _scan_scores(rows: np.ndarray, q) -> np.ndarray:
+    """Scores of a _scan_rows array against q, shape (blocks, BLOCK): one matvec per block."""
+    return np.append(np.asarray(q, dtype=float), 1.0) @ rows
 
 
 def test_tree_root_and_parent_links():
@@ -115,13 +154,15 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
             tree.add(pts[i], int(rng.integers(0, i)))
         sqn = np.array([p @ p for p in pts])
         queries = np.vstack([rng.uniform(-100, 550, (40, 3)), pts[rng.integers(0, n, 10)]])
+        rows = _scan_rows(tree)
+        assert _stored_columns(tree).tobytes() == _columns(rows, n).tobytes()
         for q in queries:
             want = (np.vstack([pts, pts]) @ q)[:n]
             want *= -2.0
             want += sqn
             got = tree.nearest(q)
             assert got == int(np.argmin(want))
-            scores = tree._scores(q).ravel()   # the scores nearest ranked
+            scores = _scan_scores(rows, q).ravel()   # the scores nearest ranks
             assert len(scores) % BLOCK == 0 and np.all(scores[n:] == np.inf)
             assert scores[:n].tobytes() == want.tobytes()
 
@@ -141,8 +182,10 @@ def test_slab_nearest_returns_the_block_scan_node():
     tree = SearchTree(pts[0])
 
     def check(queries):
+        rows = _scan_rows(tree)
+        assert _stored_columns(tree).tobytes() == _columns(rows, len(tree)).tobytes()
         for q in queries:
-            assert tree.nearest(q) == int(tree._scores(q).argmin())
+            assert tree.nearest(q) == int(_scan_scores(rows, q).argmin())
 
     def queries():
         edge_x = 20.0 * rng.integers(0, 26, 100)
@@ -154,6 +197,7 @@ def test_slab_nearest_returns_the_block_scan_node():
     for p in pts[1:SLAB_FROM]:   # the tree crosses the threshold
         tree.add(p, 0)
     assert tree._edges == [20.0 * k for k in range(1, SLABS)]
+    assert tree._rows is None   # the slabs hold the only copy of the score columns
     check(queries())
 
     # later nodes join their slabs one by one; slab 5 ([100, 120)) doubles its stack
@@ -278,9 +322,13 @@ def test_steer_zero_length_returns_the_start():
 
 
 def test_steer_returns_a_fresh_array():
-    target = _p(1.0, 2.0, 3.0)
-    out = steer(_p(0, 0, 0), target, 10.0)
-    out[0] = 99.0
+    # the loop may pass a node read as a list; the point it gets back is a
+    # new tuple, so no write through it reaches the target
+    target = [1.0, 2.0, 3.0]
+    out = steer([0.0, 0.0, 0.0], target, 10.0)
+    assert type(out) is tuple and out is not target
+    with pytest.raises(TypeError):
+        out[0] = 99.0
     assert target[0] == 1.0
 
 
@@ -290,7 +338,7 @@ def test_steer_never_moves_farther_than_step():
         a = rng.uniform(-100, 100, 3)
         b = rng.uniform(-100, 100, 3)
         step = float(rng.uniform(0.1, 50))
-        out = steer(a, b, step)
+        out = np.array(steer(a.tolist(), b.tolist(), step))
         assert np.linalg.norm(out - a) <= step + 1e-9
         # result stays on the segment toward the target
         d_total = np.linalg.norm(b - a)

@@ -100,8 +100,12 @@ def test_outcome_classification_rejects_points_outside_the_bounds(x_new):
 # ----------------------------------------------------------------------
 
 def test_detour_prefers_the_candidate_closest_to_the_goal():
-    out = detour_extend(_empty(), (0, 0, 10), (100, 0, 10), 5.0)
-    assert np.array_equal(out, [5, 0, 10])
+    # integers, float lists and float64 arrays all give a tuple of three floats
+    for x_near, goal in (((0, 0, 10), (100, 0, 10)), ([0.0, 0.0, 10.0], [100.0, 0.0, 10.0]),
+                         (np.array([0.0, 0.0, 10.0]), np.array([100.0, 0.0, 10.0]))):
+        out = detour_extend(_empty(), x_near, goal, 5.0)
+        assert np.array_equal(out, [5, 0, 10])
+        assert type(out) is tuple and all(type(v) is float for v in out)
 
 
 def test_detour_breaks_symmetric_ties_toward_plus_y():
@@ -157,7 +161,7 @@ def _detour_kinds_matching_the_batched_detour(city, near, goals, steps):
             assert got is None
             kinds.add("none")
         else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert type(got) is tuple and np.array(got).tobytes() == want.tobytes()
             kinds.add("vertical" if got[2] != x[2] else "sideways")
     return kinds
 
@@ -214,7 +218,9 @@ def test_detour_gives_none_from_near_points_outside_the_bounds_or_with_a_nan():
 
 
 def test_detour_rejects_points_without_three_coordinates():
-    for x_near, goal in (((5, 5), (50, 50, 10)), ((5, 5, 5), (50, 50)), ((5, 5, 5, 5), (1, 1, 1))):
+    flat = [np.full(shape, 5.0) for shape in ((1, 3), (3, 1), (3, 3))]   # 2-D arrays
+    for x_near, goal in (((5, 5), (50, 50, 10)), ((5, 5, 5), (50, 50)), ((5, 5, 5, 5), (1, 1, 1)),
+                         *((f, (50, 50, 10)) for f in flat), *(((5, 5, 5), f) for f in flat)):
         with pytest.raises(ValueError):
             detour_extend(_empty(), x_near, goal, 5.0)
 
@@ -288,6 +294,35 @@ def test_budget_exhaustion_reports_failure():
     assert not res.success and res.path.shape == (0, 3)
 
 
+@pytest.mark.exact
+@pytest.mark.parametrize("planner, params", [(plan_rrt, RrtParams()), (plan_drrt, DrrtParams())])
+def test_a_step_onto_the_near_node_fails_and_adds_no_node(monkeypatch, planner, params):
+    """A draw at a node's own position steers onto that node: a failed attempt that adds
+    no copy of it.  The stream yields the root, one draw per unit of budget and no more,
+    so a loop that added the copy would never spend its budget and would run it dry."""
+    budget = 40
+    req = PlanRequest((10.0, 10.0, 10.0), (400.0, 400.0, 100.0), max_failed_attempts=budget)
+    root = tuple(req.start.tolist())
+    monkeypatch.setattr(skynav.drrt, "samples", lambda *args: iter([root] * budget))
+    added, detours = [], []
+    add = SearchTree.add
+    monkeypatch.setattr(SearchTree, "add",
+                        lambda self, p, parent: added.append(tuple(p)) or add(self, p, parent))
+    monkeypatch.setattr(skynav.drrt, "detour_extend",
+                        lambda city, near, goal, step: detours.append(tuple(near))
+                        or detour_extend(city, near, goal, step))
+    res = planner(_empty(), req, params, seed=0)
+    assert not res.success and res.explored_nodes == budget
+    assert added[0] == root and root not in added[1:]
+    if planner is plan_rrt:
+        assert added == [root] and detours == []
+    else:
+        # every blocked draw detours from the root once per step it shrinks to,
+        # and on an empty map each detour adds its move
+        assert detours and set(detours) == {root}
+        assert len(added) == 1 + len(detours) < budget
+
+
 def test_every_edge_the_planner_adds_is_free(monkeypatch):
     """Every edge plan_drrt adds, straight or detour, passes the dense-sampling oracle."""
     edges = []
@@ -295,7 +330,7 @@ def test_every_edge_the_planner_adds_is_free(monkeypatch):
 
     def recording_add(self, position, parent):
         if parent >= 0:
-            edges.append((self._pos[parent].copy(), position.copy()))
+            edges.append((self._pos[parent].copy(), np.array(position)))
         return add(self, position, parent)
 
     monkeypatch.setattr(SearchTree, "add", recording_add)
@@ -350,7 +385,7 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
     extension far by the clearance oracle, and appends each detour's (near, step) to
     detours when given."""
     step = params.step_size
-    goal = req.goal
+    goal = req.goal.tolist()
     draw = samples(params.p_target, city.bounds_min, city.bounds_max,
                    np.random.default_rng(seed)).__next__
     tree = SearchTree(req.start)
@@ -367,7 +402,7 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
         if sample is None:
             sample = goal
         near = tree.nearest(sample)
-        near_pos = tree._pos[near]
+        near_pos = tree._pos[near].tolist()
         new = steer(near_pos, sample, step)
         explored += 1
         blocked = np.array_equal(new, near_pos) or city._segment_collides(near_pos, new)
@@ -376,7 +411,7 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
             failed += 1
             node = detour_extend(city, near_pos, goal, step)
             if detours is not None:
-                detours.append((near_pos.tobytes(), step))
+                detours.append((np.array(near_pos).tobytes(), step))
         if node is not None:
             path = try_finish(city, tree, tree.add(node, near), goal, req.goal_threshold, step)
             if path is not None:
@@ -488,7 +523,7 @@ def test_detour_memo_reproduces_the_recomputing_loop(monkeypatch):
     calls = []
     monkeypatch.setattr(
         skynav.drrt, "detour_extend",
-        lambda city, near, goal, step: calls.append((near.tobytes(), step))
+        lambda city, near, goal, step: calls.append((np.array(near).tobytes(), step))
         or detour_extend(city, near, goal, step))
     for map_seed, start, goal, seed in TRAPPED_REQUESTS + ROUTED_REQUESTS:
         city, req = maps[map_seed], PlanRequest(start, goal, max_failed_attempts=5000)
