@@ -144,7 +144,7 @@ def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
     extent = city.bounds_max - city.bounds_min
     with np.errstate(over="ignore"):   # a tiny resolution counts inf cells, refused below
         counts = np.maximum(np.ceil(extent / resolution - 1e-9), 1.0)
-    ncells = counts.prod()
+        ncells = counts.prod()
     if ncells > MAX_GRID_CELLS:
         raise ValueError(
             f"a {resolution:g} m grid needs {ncells:,.0f} cells, over the budget of "

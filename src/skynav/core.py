@@ -86,11 +86,9 @@ class SearchTree:
     _build_slabs) hold the only copy of the score columns and nearest scores
     the slabs that can hold the nearest node, with the same answer.
 
-    A node's |x|^2 is the one BLAS dot add takes, on a fresh array of its
-    three floats: OpenBLAS ddot on three elements rounds as
-    fma(z, z, fma(y, y, x * x)), which Python's x*x + y*y + z*z does not
-    (Python 3.11 has no math.fma).  The other column entries, -2 times a
-    coordinate, are exact in any arithmetic.
+    add stores a node's |x|^2 as the Python sum x*x + y*y + z*z; the other
+    column entries, -2 times a coordinate, are exact in any arithmetic.  Only
+    nearest's block matvec rounds through BLAS.
     """
 
     def __init__(self, root):
@@ -123,9 +121,10 @@ class SearchTree:
             pos[:n] = self._pos
             self._pos = pos
         x, y, z = p
-        v = np.array((x, y, z))
-        self._pos[n] = v
-        sq = v.dot(v)
+        pos = self._pos
+        pos[n, 0] = x
+        pos[n, 1] = y
+        pos[n, 2] = z
         self._parents.append(parent)
         self._n = n + 1
         if self._edges is None:
@@ -146,7 +145,7 @@ class SearchTree:
         stack[b, 0, c] = -2.0 * x
         stack[b, 1, c] = -2.0 * y
         stack[b, 2, c] = -2.0 * z
-        stack[b, 3, c] = sq
+        stack[b, 3, c] = x * x + y * y + z * z
         if n + 1 == SLAB_FROM:
             self._build_slabs()
         return n
@@ -247,16 +246,13 @@ def steer(a, b, step: float) -> tuple[float, float, float]:
     """Point step meters from a toward b, or b's coordinates when it is within step.
 
     Takes two (x, y, z) float triples and a positive step, checks nothing,
-    and returns a new tuple.  b - a and a + s * v are elementwise IEEE
-    arithmetic, the same bits in Python floats as in numpy; |v|^2 is one
-    BLAS dot on a fresh array, because OpenBLAS rounds a three-element ddot
-    as fma(z, z, fma(y, y, x * x)), which a Python sum of squares does not.
+    and returns a new tuple.  It runs in Python floats: the distance is
+    math.hypot of b - a.
     """
     ax, ay, az = a
     bx, by, bz = b
     vx, vy, vz = bx - ax, by - ay, bz - az
-    v = np.array((vx, vy, vz))
-    dist = math.sqrt(v.dot(v))
+    dist = math.hypot(vx, vy, vz)
     if dist <= step:
         return (bx, by, bz)
     s = step / dist

@@ -93,8 +93,8 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> tuple[float, floa
     a NaN coordinate, is blocked in every direction and gives None; it is
     checked once, and each move inside the bounds is one
     CityMap._hits_buildings query from it.  The moves are built in floats as
-    x_near plus (step, 0, 0) and so on, which is what numpy would add; the
-    goal distance squared is one BLAS dot on a fresh array, as steer's is.
+    x_near plus (step, 0, 0) and so on, which is what numpy would add, and a
+    move's goal distance is math.hypot, as steer's distance is.
     """
     try:
         x, y, z = map(float, x_near)
@@ -110,8 +110,7 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> tuple[float, floa
     for cand in ((x + step, y0, z0), (x - step, y0, z0), (x + 0.0, y + step, z0),
                  (x + 0.0, y - step, z0)):
         if city._inside(cand) and not city._hits_buildings(near, cand):
-            v = np.array((gx - cand[0], gy - cand[1], gz - cand[2]))
-            d = math.sqrt(v.dot(v))
+            d = math.hypot(gx - cand[0], gy - cand[1], gz - cand[2])
             if d < best_d:
                 best, best_d = cand, d
     if best is None:
@@ -178,12 +177,10 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
     CityMap._segment_collides is the trusted twin of the public segment
     query, answered in Python floats from the map's cell index, as are
     detour_extend's moves and the step controller's
-    CityMap.clearance_exceeds.  sample_with_bias's draws come from the core.samples stream, which
-    yields None for a goal draw and a float triple otherwise.  Every
-    coordinate is elementwise IEEE arithmetic, the same bits in floats as in
-    numpy; the three sums of squares that need BLAS's rounding (steer's
-    |v|^2, detour_extend's goal distance and add's |p|^2) each stay one dot
-    on a fresh array.
+    CityMap.clearance_exceeds.  The draws come from the core.samples stream,
+    which yields None for a goal draw and a float triple otherwise.  Between
+    nearest's block matvecs, the only BLAS calls, the loop runs in Python
+    floats.
 
     A step that returns the near node's own position adds no edge: it
     counts as a blocked extension, compared coordinate by coordinate.
@@ -240,9 +237,9 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
             near = goal_near
             if (near, step) in trapped:
                 # an exact repeat: it would block as before, adding at most a
-                # copy of a node the tree holds
+                # copy of a node the tree holds; a collision leaves step_min as is
                 failed += 1
-                if adapt_step:
+                if adapt_step and step > params.step_min:
                     step = update_step(step, COLLIDED, params)
                 continue
         else:

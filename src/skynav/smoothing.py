@@ -127,15 +127,17 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
     len(path) - 1 for very short paths.  If any segment of the smoothed
     polyline collides with the map, the raw path is returned unchanged so a
     feasible plan never gets worse; so is a route whose curve would have
-    more than MAX_CURVE_SAMPLES samples.  samples_per_span must be an integer
-    from 1 to MAX_SAMPLES_PER_SPAN, else ValueError.
+    more than MAX_CURVE_SAMPLES samples, and a one-waypoint route, which the
+    tree planners return when the start lies inside the goal region.  path
+    must be an (N, 3) array with N >= 1 and samples_per_span an integer from
+    1 to MAX_SAMPLES_PER_SPAN, else ValueError.
     """
     path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or path.shape[1] != 3 or len(path) < 2:
-        raise ValueError("path must contain at least two 3D waypoints")
+    if path.ndim != 2 or path.shape[1] != 3 or len(path) < 1:
+        raise ValueError("path must contain at least one 3D waypoint")
     samples_per_span = check_count(samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
     degree = min(MAX_DEGREE, len(path) - 1)
-    if samples_per_span * (len(path) - degree) + 1 > MAX_CURVE_SAMPLES:
+    if degree == 0 or samples_per_span * (len(path) - degree) + 1 > MAX_CURVE_SAMPLES:
         return path.copy()
     smoothed = sample_curve(path, degree, samples_per_span)
     if city.segments_collide(smoothed[:-1], smoothed[1:]).any():

@@ -42,8 +42,9 @@ def test_voxelize_rejects_grids_over_the_cell_budget_before_allocating():
     assert (500 // 5) ** 3 <= MAX_GRID_CELLS < (500 // 1) ** 3
     tracemalloc.start()
     try:
-        # 500 m over the last two overflows a float64 cell count to inf
-        for resolution in (1.0, 1e-3, 1e-310, 5e-324):
+        # 500 m over 1e-300 gives finite cell counts whose product overflows,
+        # and over the last two overflows a float64 cell count to inf
+        for resolution in (1.0, 1e-3, 1e-300, 1e-310, 5e-324):
             with pytest.raises(ValueError, match="budget"):
                 voxelize(city, resolution)
         _, peak = tracemalloc.get_traced_memory()

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skynav import (AcoParams, DrrtParams, GenParams, PathMetrics, PlanRequest, RrtParams,
-                    Scenario, build_city, default_scenario, run_benchmark)
-from skynav.bench import ALGORITHMS, CSV_COLUMNS, aggregate, run_trial
+from skynav import (AcoParams, Building, CityMap, DrrtParams, GenParams, PathMetrics,
+                    PlanRequest, RrtParams, Scenario, build_city, default_scenario, plan_drrt,
+                    plan_rrt, run_benchmark)
+from skynav.bench import ALGORITHMS, CSV_COLUMNS, aggregate, fly, run_trial
 from skynav.metrics import TrialRecord
 
 DATA = Path(__file__).parent / "data"
@@ -211,6 +212,25 @@ def test_single_trial_on_an_empty_map():
     rec = report.records["drrt"][0]
     assert rec.success and rec.seed == scn.base_seed
     assert report.rows["drrt"].eta == 1.0
+
+
+def test_a_one_waypoint_route_is_flown_and_reported():
+    # the start lies inside the goal region with a wall between, so both tree
+    # planners stop at the root and return it alone; smoothing keeps it as is
+    city = CityMap([Building((10, 0, 0), (11, 20, 20))], (0, 0, 0), (50, 50, 50))
+    req = PlanRequest((8, 5, 5), (13, 5, 5))
+    for plan, params in ((plan_rrt, RrtParams()), (plan_drrt, DrrtParams())):
+        res = plan(city, req, params, 0)
+        assert res.success and res.path.tolist() == [[8.0, 5.0, 5.0]]
+    scn = Scenario(start=(8, 5, 5), goal=(13, 5, 5), trials=1, algorithms=("rrt", "drrt"))
+    result, smoothed = fly("drrt", city, None, scn, 0)
+    assert result.success and smoothed.tolist() == [[8.0, 5.0, 5.0]]
+    assert smoothed is not result.path
+    report = run_benchmark(scn, city)
+    for algo in ("rrt", "drrt"):
+        row = report.rows[algo]
+        assert (row.eta, row.l, row.w) == (1.0, 0.0, 1.0)
+    assert report.rows["drrt"].l_smoothed == 0.0
 
 
 def test_trials_are_paired_across_algorithms():

@@ -1,6 +1,8 @@
 """Search tree, steering and biased sampling tests."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,9 @@ def _scan_rows(tree) -> np.ndarray:
     """The block-scan score array of tree, rebuilt from its positions with add's arithmetic.
 
     Node i is column i % BLOCK of block i // BLOCK, holding (-2x, -2y, -2z,
-    |x|^2) with |x|^2 one BLAS dot per node, as add takes it; unused columns
-    hold FILLER.  Scored by _scan_scores, it gives the scores the unslabbed
-    tree ranks, and the scores every slab reads for its nodes.
+    |x|^2) with |x|^2 the Python sum x*x + y*y + z*z, as add takes it; unused
+    columns hold FILLER.  Scored by _scan_scores, it gives the scores the
+    unslabbed tree ranks, and the scores every slab reads for its nodes.
     """
     n = len(tree)
     pos = tree._pos[:n]
@@ -49,7 +51,7 @@ def _scan_rows(tree) -> np.ndarray:
     flat = np.empty((4, blocks * BLOCK))
     flat[:] = FILLER
     flat[:3, :n] = -2.0 * pos.T
-    flat[3, :n] = [p @ p for p in pos]
+    flat[3, :n] = [x * x + y * y + z * z for x, y, z in pos.tolist()]
     return np.ascontiguousarray(flat.reshape(4, blocks, BLOCK).transpose(1, 0, 2))
 
 
@@ -137,6 +139,7 @@ def test_tree_nearest_matches_linear_scan_oracle(monkeypatch):
 def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
     # the tree scores with one matvec per block of stored rows (-2x, |x|^2)
     # and query (p, 1); the same scores unscaled are dot(x, p) * -2 + |x|^2,
+    # with |x|^2 the Python sum of squares the tree stores,
     # and scaling by -2 is exact, so every score (not only the winner) must
     # agree to the bit, with duplicates present.  n covers tails of 1-3 and
     # 5-7 columns past a 4- or 16-column block, more than one tree block, and
@@ -152,7 +155,7 @@ def test_prescaled_nearest_matches_the_unscaled_scores_bit_for_bit():
         tree = SearchTree(pts[0])
         for i in range(1, n):
             tree.add(pts[i], int(rng.integers(0, i)))
-        sqn = np.array([p @ p for p in pts])
+        sqn = np.array([x * x + y * y + z * z for x, y, z in pts.tolist()])
         queries = np.vstack([rng.uniform(-100, 550, (40, 3)), pts[rng.integers(0, n, 10)]])
         rows = _scan_rows(tree)
         assert _stored_columns(tree).tobytes() == _columns(rows, n).tobytes()
@@ -343,6 +346,37 @@ def test_steer_never_moves_farther_than_step():
         # result stays on the segment toward the target
         d_total = np.linalg.norm(b - a)
         assert np.linalg.norm(out - b) <= d_total + 1e-9
+
+
+@pytest.mark.exact
+def test_tree_loop_distances_are_python_float_arithmetic():
+    # add stores a node's |x|^2 as x*x + y*y + z*z and steer's distance is
+    # math.hypot, in Python floats, whatever BLAS kernel numpy loaded; a
+    # BLAS dot rounds about a fifth of these triples apart.  The tree crosses
+    # SLAB_FROM, so both of add's branches store columns
+    rng = np.random.default_rng(61)
+    pts = [tuple(p) for p in rng.uniform(-500, 500, (SLAB_FROM + 500, 3)).tolist()]
+    tree = SearchTree(pts[0])
+    for p in pts[1:]:
+        tree.add(p, 0)
+    assert tree._rows is None
+    want = np.array([x * x + y * y + z * z for x, y, z in pts])
+    assert _stored_columns(tree)[3].tobytes() == want.tobytes()
+
+    def reference(a, b, step):
+        v = [q - p for p, q in zip(a, b)]
+        dist = math.hypot(*v)
+        if dist <= step:
+            return tuple(b)
+        return tuple(p + step / dist * d for p, d in zip(a, v))
+
+    steps = rng.uniform(0.1, 1000, len(pts) - 1).tolist()
+    reached = 0
+    for a, b, step in zip(pts, pts[1:], steps):
+        out = steer(a, b, step)
+        reached += out == b
+        assert np.array(out).tobytes() == np.array(reference(a, b, step)).tobytes()
+    assert 0 < reached < len(steps)   # both branches ran
 
 
 # ----------------------------------------------------------------------

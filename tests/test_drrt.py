@@ -142,8 +142,7 @@ def _batched_detour_extend(city, x_near, goal, step):
     best_d = math.inf
     for k in range(4):
         if inside[k] and not touched[k]:
-            v = goal - cands[k]
-            d = math.sqrt(v.dot(v))
+            d = math.hypot(*(goal - cands[k]).tolist())
             if d < best_d:
                 best, best_d = cands[k], d
     if best is None and inside[4] and not touched[4]:
@@ -463,6 +462,24 @@ def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
             failures += 1
             assert len(calls) < 1000
     assert failures == 3
+
+
+def test_a_replay_at_step_min_leaves_the_step_alone(monkeypatch):
+    """A replayed goal draw calls update_step only while the step can still shrink."""
+    # request 15 of the benchmark's drrt_city pool: no route within its budget;
+    # most of its draws are goal draws replayed at step_min
+    city = build_city(default_scenario())
+    req = PlanRequest((326.2632534236794, 439.32729575876397, 1.0742850576485523),
+                      (479.57220425761955, 41.36563078542839, 15.231952680131952),
+                      max_failed_attempts=5000)
+    calls = []
+    monkeypatch.setattr(skynav.drrt, "update_step",
+                        lambda *args: calls.append(1) or update_step(*args))
+    res = plan_drrt(city, req, DrrtParams(), 515)
+    assert not res.success and res.explored_nodes > 5000
+    # one call per draw that is not a replay at step_min: 1,662 of its 5,428
+    # draws, where every draw called it before
+    assert len(calls) < 2000
 
 
 def test_a_goal_draw_passed_as_a_fresh_copy_is_recomputed_in_full(monkeypatch):

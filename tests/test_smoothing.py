@@ -307,7 +307,10 @@ def test_smoothed_path_is_collision_checked_segmentwise():
 def test_smooth_path_validation():
     city = CityMap((), (0, 0, 0), (10, 10, 10))
     with pytest.raises(ValueError):
-        smooth_path(np.zeros((1, 3)), city)
+        smooth_path(np.zeros((0, 3)), city)
+    one = np.ones((1, 3))   # a one-waypoint route comes back as a copy
+    out = smooth_path(one, city)
+    assert out.tolist() == [[1.0, 1.0, 1.0]] and out is not one
     with pytest.raises(ValueError):
         smooth_path(np.zeros((4, 2)), city)
     with pytest.raises(ValueError):
