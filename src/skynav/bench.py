@@ -56,8 +56,11 @@ class Scenario:
     aco: AcoParams = field(default_factory=AcoParams)
 
     def __post_init__(self):
-        if isinstance(self.algorithms, str):
+        if not isinstance(self.algorithms, (tuple, list)):
             raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
+        bad = [a for a in self.algorithms if not isinstance(a, str)]
+        if bad:
+            raise ValueError(f"algorithm names must be strings, got {bad!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -152,25 +155,29 @@ def build_grid(city: CityMap, scenario: Scenario) -> VoxelGrid | None:
 
 
 def fly(algorithm: str, city: CityMap, grid: VoxelGrid | None, scenario: Scenario,
-        seed: int) -> tuple[PlanResult, np.ndarray | None]:
-    """One planner run and, for a drrt route, its smoothed curve; elapsed includes smoothing."""
+        seed: int) -> tuple[PlanResult, np.ndarray | None, float | None]:
+    """One planner run and, for a drrt route, its smoothed curve and the seconds it took.
+
+    result.elapsed is the planning time alone; the smoothed curve and its
+    time are None when no route was smoothed.
+    """
     if algorithm not in PLANNERS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     result = PLANNERS[algorithm](city, grid, scenario.request(), scenario, seed)
-    smoothed = None
+    smoothed = smooth_s = None
     if algorithm == "drrt" and result.success:
         t0 = perf_counter()
         smoothed = smooth_path(result.path, city, scenario.samples_per_span)
-        result.elapsed += perf_counter() - t0
-    return result, smoothed
+        smooth_s = perf_counter() - t0
+    return result, smoothed, smooth_s
 
 
 def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
               scenario: Scenario, seed: int) -> TrialRecord:
     """One fly() plus metric extraction."""
-    result, smoothed = fly(algorithm, city, grid, scenario, seed)
+    result, smoothed, smooth_s = fly(algorithm, city, grid, scenario, seed)
     metrics = summarize(result.path, smoothed) if result.success else None
-    return TrialRecord(algorithm, seed, result.success, result.elapsed,
+    return TrialRecord(algorithm, seed, result.success, result.elapsed, smooth_s,
                        result.explored_nodes, metrics)
 
 
@@ -178,12 +185,14 @@ def run_trial(algorithm: str, city: CityMap, grid: VoxelGrid | None,
 class AggregateRow:
     """Per-algorithm means; short names match the report columns.
 
-    t (s) and m (explored nodes) average over all trials and eta is the
-    success fraction; the path columns average over successful trials only.
+    t (s, planning only) and m (explored nodes) average over all trials and
+    eta is the success fraction; t_smooth (s) averages over the trials that
+    smoothed a route and the path columns over successful trials only.
     Columns stay None when no trial produced them.
     """
 
     t: float
+    t_smooth: float | None
     l: float | None
     l_smoothed: float | None
     w: float | None
@@ -200,12 +209,14 @@ def aggregate(records: list[TrialRecord]) -> AggregateRow:
         raise ValueError("cannot aggregate zero trials")
     ok = [r.metrics for r in records if r.success]
     smoothed = [mm for mm in ok if mm.smoothed_length_m is not None]
+    smoothing = [r for r in records if r.smooth_s is not None]
 
     def mean(rows, name):
         return float(np.mean([getattr(r, name) for r in rows])) if rows else None
 
     return AggregateRow(
-        t=mean(records, "elapsed_s"), l=mean(ok, "length_m"),
+        t=mean(records, "elapsed_s"), t_smooth=mean(smoothing, "smooth_s"),
+        l=mean(ok, "length_m"),
         l_smoothed=mean(smoothed, "smoothed_length_m"), w=mean(ok, "waypoints"),
         m=mean(records, "explored_nodes"), eta=mean(records, "success"),
         beta=mean(ok, "max_turn_deg"), beta_smoothed=mean(smoothed, "max_turn_smoothed_deg"),
@@ -233,8 +244,10 @@ class BenchReport:
             trials = [asdict(rec) for rec in self.records[algo]]
             if not include_timing:
                 agg.pop("t")
+                agg.pop("t_smooth")
                 for entry in trials:
                     entry.pop("elapsed_s")
+                    entry.pop("smooth_s")
             results[algo] = {"aggregate": agg, "trials": trials}
         return {"scenario": self.scenario.to_dict(), "results": results}
 

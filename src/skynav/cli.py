@@ -50,7 +50,8 @@ def _cmd_plan(args) -> int:
         params = replace(getattr(scenario, args.algo), step_size=args.step)
         scenario = replace(scenario, **{args.algo: params})
     city = build_city(scenario)
-    result, smoothed = fly(args.algo, city, build_grid(city, scenario), scenario, args.seed)
+    result, smoothed, smooth_s = fly(args.algo, city, build_grid(city, scenario), scenario,
+                                     args.seed)
     payload = {
         "algorithm": args.algo,
         "seed": args.seed,
@@ -60,13 +61,16 @@ def _cmd_plan(args) -> int:
         "path": result.path.tolist(),
     }
     if smoothed is not None:
+        payload["smooth_s"] = smooth_s
         payload["smoothed"] = smoothed.tolist()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     if not result.success:
         print(f"{args.algo}: no path found ({result.explored_nodes} nodes explored)")
         return 1
-    print(f"{args.algo}: {result.explored_nodes} nodes explored, {result.elapsed:.3f} s")
+    smoothing = "" if smooth_s is None else f", {smooth_s:.3f} s smoothing"
+    print(f"{args.algo}: {result.explored_nodes} nodes explored, "
+          f"{result.elapsed:.3f} s planning{smoothing}")
     print(_columns(summarize(result.path, smoothed)))
     return 0
 

@@ -52,6 +52,9 @@ EMPTY_PATH = np.empty((0, 3), dtype=float)
 
 
 DRAW_BLOCK = 1024   # rng.random() draws that uniforms and samples fetch at a time
+# samples fetches FIRST_DRAWS first and doubles each block up to DRAW_BLOCK, so a
+# plan of a few dozen draws does not pay for a thousand
+FIRST_DRAWS = 64
 
 
 def uniforms(rng: np.random.Generator):
@@ -281,12 +284,15 @@ def samples(p_target: float, bounds_min, bounds_max, rng: np.random.Generator):
     floats, otherwise.  Takes float64 (3,) bounds and reads each block of
     uniforms as Python floats with one tolist(); a point is built as
     bounds_min + span * u per coordinate, the same IEEE operations
-    sample_with_bias runs in numpy, so the same bits.  A draw cut by a block
+    sample_with_bias runs in numpy, so the same bits.  The first block holds
+    FIRST_DRAWS uniforms and each next one twice as many, up to DRAW_BLOCK;
+    rng.random in blocks gives the values of one call.  A draw cut by a block
     end goes on in the next block.
     """
     x0, y0, z0 = bounds_min.tolist()
     sx, sy, sz = (bounds_max - bounds_min).tolist()
-    u = rng.random(DRAW_BLOCK).tolist()
+    block = min(FIRST_DRAWS, DRAW_BLOCK)
+    u = rng.random(block).tolist()
     while True:
         k, end = 0, len(u)
         while k < end:
@@ -298,4 +304,5 @@ def samples(p_target: float, bounds_min, bounds_max, rng: np.random.Generator):
                 k += 4
             else:
                 break
-        u = u[k:] + rng.random(DRAW_BLOCK).tolist()
+        block = min(2 * block, DRAW_BLOCK)
+        u = u[k:] + rng.random(block).tolist()

@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import EMPTY_PATH, PlanRequest, PlanResult, SearchTree, samples, steer
+from .core import EMPTY_PATH, SLAB_SLACK, PlanRequest, PlanResult, SearchTree, samples, steer
 from .env import CityMap
 
 # step-outcome labels used by classify_step_outcome / update_step
@@ -142,16 +142,16 @@ def check_endpoints(city: CityMap, req: PlanRequest) -> None:
         raise ValueError(f"goal is not collision-free: {tuple(req.goal)}")
 
 
-def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: float,
+def try_finish(city: CityMap, tree: SearchTree, node: int, pos, goal, threshold: float,
                step: float) -> np.ndarray | None:
     """Terminating path through ``node`` if the search can stop here, else None.
 
     A node inside the goal region ends the search; the goal point itself is
     appended when the connecting segment is free.  A node within one step of
-    the goal connects directly when that segment is free.  goal is a finite
-    (x, y, z) of floats, such as PlanRequest.goal.tolist().
+    the goal connects directly when that segment is free.  pos is the node's
+    position and goal a finite (x, y, z) of floats, such as
+    PlanRequest.goal.tolist().
     """
-    pos = tree._pos[node].tolist()
     d = math.dist(pos, goal)
     if d <= threshold:
         path = tree.extract_path(node)
@@ -163,45 +163,33 @@ def try_finish(city: CityMap, tree: SearchTree, node: int, goal, threshold: floa
     return None
 
 
+def _dist2(p, q) -> float:
+    """Squared distance of two (x, y, z) float triples, in Python floats."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return dx * dx + dy * dy + dz * dz
+
+
 def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -> PlanResult:
     """plan_drrt's loop; plan_rrt runs it with p_target 0, no detour and a pinned step.
 
     A pinned step (step_min == step_max) never changes, so the step
-    controller and its far test are skipped.
+    controller and its far test are skipped.  PlanRequest and
+    check_endpoints validate the endpoints once; the loop then runs on
+    (x, y, z) float triples it built itself, and its helpers check nothing.
+    The draws come from core.samples, which yields None for a goal draw.
+    A step that returns the near node's own position adds no edge and counts
+    as a blocked extension.
 
-    PlanRequest and check_endpoints validate the endpoints once; the loop
-    then runs on (x, y, z) float triples it built itself: a numpy call on
-    three floats costs more than the arithmetic.  It reads a node as
-    tree._pos[i].tolist() and the goal as req.goal.tolist().
-    SearchTree.nearest and add and steer check nothing;
-    CityMap._segment_collides is the trusted twin of the public segment
-    query, answered in Python floats from the map's cell index, as are
-    detour_extend's moves and the step controller's
-    CityMap.clearance_exceeds.  The draws come from the core.samples stream,
-    which yields None for a goal draw and a float triple otherwise.  Between
-    nearest's block matvecs, the only BLAS calls, the loop runs in Python
-    floats.
-
-    A step that returns the near node's own position adds no edge: it
-    counts as a blocked extension, compared coordinate by coordinate.
-
-    steer, the collision check and detour_extend are pure functions of the
-    near position, goal, step and map, and a node recomputed from the same
-    (near, step) pair would be a copy of a node the tree holds, with the same
-    parent and a try_finish that returned None.  Equal coordinates score the
-    same wherever a node sits and nearest ties go to the lowest index, so
-    that copy could never be a nearest node or a parent: dropping it changes
-    no route.  Hence:
+    Three shortcuts give the routes of the loop that recomputes every draw
+    (README's "Python API" section derives them):
 
     - a goal draw from a (near, step) pair whose straight extension was
-      blocked before is replayed, not recomputed: it counts an explored and
-      a failed attempt, shrinks the step as a collision and adds no node;
+      blocked before is replayed: it counts an explored and a failed attempt,
+      shrinks the step as a collision and adds no node;
     - a blocked extension from a (near, step) pair whose detour already ran
-      counts as failed and calls no detour.
-
-    The goal's nearest node is reused while the tree has not grown.  Both
-    caches key on pure functions of (near, step), so a uniform draw equal to
-    the goal by value, recomputed in full, gives what they would.
+      counts as failed and calls no detour;
+    - while goals are drawn, the goal's nearest node is tracked as nodes are
+      added, and nearest(goal) is asked only on a near-tie.
     """
     t0 = perf_counter()
     check_endpoints(city, req)
@@ -215,16 +203,20 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
 
     if math.dist(req.start, goal) <= max(step, req.goal_threshold):
         explored = 1
-        path = try_finish(city, tree, 0, goal, req.goal_threshold, step)
+        path = try_finish(city, tree, 0, req.start.tolist(), goal, req.goal_threshold, step)
         if path is not None:
             return PlanResult(True, path, explored, perf_counter() - t0)
 
     # (near, step) pairs of goal draws whose straight extension was blocked,
-    # and of blocked extensions whose detour ran; the tree size and nearest
-    # node of the last goal draw
+    # and of blocked extensions whose detour ran
     trapped = set()
     detoured = set()
-    goal_size = goal_near = 0
+    # the goal's nearest node, its position and its squared distance to the
+    # goal, tracked while goals are drawn; gg is |g|^2
+    track_goal = params.p_target > 0.0
+    goal_near, goal_pos = 0, req.start.tolist()
+    goal_d2 = _dist2(goal_pos, goal)
+    gg = _dist2(goal, (0.0, 0.0, 0.0))
     failed = 0
     while failed < req.max_failed_attempts:
         sample = draw()
@@ -232,9 +224,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
         to_goal = sample is None
         if to_goal:
             sample = goal
-            if goal_size != tree._n:
-                goal_size, goal_near = tree._n, tree.nearest(goal)
-            near = goal_near
+            near, near_pos = goal_near, goal_pos
             if (near, step) in trapped:
                 # an exact repeat: it would block as before, adding at most a
                 # copy of a node the tree holds; a collision leaves step_min as is
@@ -244,7 +234,7 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
                 continue
         else:
             near = tree.nearest(sample)
-        near_pos = tree._pos[near].tolist()
+            near_pos = tree._pos[near].tolist()
         new = steer(near_pos, sample, step)
         degenerate = new[0] == near_pos[0] and new[1] == near_pos[1] and new[2] == near_pos[2]
         blocked = degenerate or city._segment_collides(near_pos, new)
@@ -261,9 +251,22 @@ def _grow_tree(city: CityMap, req: PlanRequest, params: DrrtParams, seed: int) -
                 detoured.add(key)
                 node = detour_extend(city, near_pos, goal, step)
         if node is not None:
-            path = try_finish(city, tree, tree.add(node, near), goal, req.goal_threshold, step)
+            added = tree.add(node, near)
+            path = try_finish(city, tree, added, node, goal, req.goal_threshold, step)
             if path is not None:
                 return PlanResult(True, path, explored, perf_counter() - t0)
+            if track_goal:
+                # nearest ranks by |x|^2 - 2 x.g, which differs from d^2 - |g|^2
+                # by a few 2**-53 of |g|^2 + d^2; outside the margin the new
+                # node, the highest index, is the strict nearest or not nearest
+                d2 = _dist2(node, goal)
+                margin = SLAB_SLACK * (gg + d2 + goal_d2)
+                if d2 < goal_d2 - margin:
+                    goal_near, goal_pos, goal_d2 = added, node, d2
+                elif d2 <= goal_d2 + margin:
+                    goal_near = tree.nearest(goal)
+                    goal_pos = tree._pos[goal_near].tolist()
+                    goal_d2 = _dist2(goal_pos, goal)
         if adapt_step:
             # the point is read only when the extension was not blocked
             step = update_step(step, classify_step_outcome(city, new, blocked, params), params)

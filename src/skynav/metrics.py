@@ -65,12 +65,17 @@ class PathMetrics:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One planner run inside a benchmark."""
+    """One planner run inside a benchmark.
+
+    elapsed_s is the planner's own time; smooth_s is the time spent
+    smoothing its route, None when no route was smoothed.
+    """
 
     algorithm: str
     seed: int
     success: bool
     elapsed_s: float
+    smooth_s: float | None
     explored_nodes: int
     metrics: PathMetrics | None
 

@@ -53,7 +53,12 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
     MEMO_MAX_SAMPLES samples.  A curve of more than MAX_CURVE_SAMPLES samples
     raises ValueError before any is computed, as do a degree that is not an
     integer from 1 to MAX_DEGREE and control points that are not an (n, 3)
-    array.  Returns a fresh array.
+    array of finite numbers.  Returns a fresh array.
+
+    A sample is the sum of its weighted control points in window order,
+    started as the first term plus 0.0.  That sum is never -0.0, so adding a
+    term of zero weight (a signed zero, as the points are finite) changes
+    nothing: the same bits as skipping it.
     """
     control_points = np.asarray(control_points, dtype=float)
     if control_points.ndim != 2 or control_points.shape[1] != 3:
@@ -66,12 +71,14 @@ def sample_curve(control_points, degree: int, samples_per_span: int) -> np.ndarr
     if samples > MAX_CURVE_SAMPLES:
         raise ValueError(f"a curve of {samples:,} samples is longer than "
                          f"{MAX_CURVE_SAMPLES:,}; use fewer samples per span")
+    if not np.isfinite(control_points).all():
+        raise ValueError("control points must be finite")
     basis = _basis if samples <= MEMO_MAX_SAMPLES else _basis.__wrapped__
     idx, weights = basis(n, degree, samples_per_span)
-    points = np.zeros((len(idx), 3))
-    for j in range(degree + 1):
-        w = weights[:, j, None]
-        points = points + np.where(w != 0.0, w * control_points[idx[:, j]], 0.0)
+    terms = weights[:, :, None] * control_points[idx]
+    points = terms[:, 0] + 0.0
+    for j in range(1, degree + 1):
+        points += terms[:, j]
     return points
 
 

@@ -30,14 +30,14 @@ def _small_scenario() -> Scenario:
 
 
 def _record(algorithm="drrt", seed=0, success=True, elapsed=0.5, explored=100,
-            l=600.0, w=10, beta=30.0, n=2, smoothed=None):
+            l=600.0, w=10, beta=30.0, n=2, smoothed=None, smooth_s=None):
     metrics = None
     if success:
         if smoothed is None:
             metrics = PathMetrics(l, w, beta, n)
         else:
             metrics = PathMetrics(l, w, beta, n, *smoothed)
-    return TrialRecord(algorithm, seed, success, elapsed, explored, metrics)
+    return TrialRecord(algorithm, seed, success, elapsed, smooth_s, explored, metrics)
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_aggregate_single_record_echoes_its_values():
     row = aggregate([_record(l=600.0, w=10, beta=30.0, n=2, elapsed=0.5, explored=100)])
     assert (row.t, row.l, row.w, row.m, row.eta) == (0.5, 600.0, 10.0, 100.0, 1.0)
     assert (row.beta, row.n) == (30.0, 2.0)
-    assert row.l_smoothed is None and row.n_smoothed is None
+    assert row.l_smoothed is None and row.n_smoothed is None and row.t_smooth is None
 
 
 def test_aggregate_averages_path_lengths():
@@ -68,10 +68,12 @@ def test_aggregate_matches_independent_recomputation():
             beta=float(rng.uniform(0, 180)), n=int(rng.integers(0, 9)),
             smoothed=(float(rng.uniform(500, 900)), float(rng.uniform(0, 90)),
                       int(rng.integers(0, 5))),
+            smooth_s=float(rng.uniform(0.001, 0.01)) if success else None,
         ))
     row = aggregate(records)
     ok = [r for r in records if r.success]
     assert row.t == pytest.approx(sum(r.elapsed_s for r in records) / 30)
+    assert row.t_smooth == pytest.approx(sum(r.smooth_s for r in ok) / len(ok))
     assert row.m == pytest.approx(sum(r.explored_nodes for r in records) / 30)
     assert row.eta == pytest.approx(len(ok) / 30)
     assert row.l == pytest.approx(sum(r.metrics.length_m for r in ok) / len(ok))
@@ -139,8 +141,14 @@ def test_scenario_rejects_unknown_algorithms_and_bad_trials():
                         ({"map_file": 5}, "map_file")):
         with pytest.raises(ValueError, match=named):
             Scenario.from_dict(data)
-    with pytest.raises(ValueError, match="algorithms must be a list"):
-        Scenario(algorithms="rrt")
+    for bad in ("rrt", 5, None, {"rrt": 1}):
+        with pytest.raises(ValueError, match="algorithms must be a list"):
+            Scenario(algorithms=bad)
+    # a name that is not a string, hashable or not, is named before the other checks
+    with pytest.raises(ValueError, match=r"names must be strings, got \[5\]"):
+        Scenario(algorithms=("x", 5))
+    with pytest.raises(ValueError, match=r"names must be strings, got \[\['rrt'\]\]"):
+        Scenario(algorithms=("rrt", ["rrt"]))
     for bad in ((1, 2), (0, 0, float("nan"))):
         with pytest.raises(ValueError, match="scenario.start: "):
             Scenario(start=bad)
@@ -223,8 +231,8 @@ def test_a_one_waypoint_route_is_flown_and_reported():
         res = plan(city, req, params, 0)
         assert res.success and res.path.tolist() == [[8.0, 5.0, 5.0]]
     scn = Scenario(start=(8, 5, 5), goal=(13, 5, 5), trials=1, algorithms=("rrt", "drrt"))
-    result, smoothed = fly("drrt", city, None, scn, 0)
-    assert result.success and smoothed.tolist() == [[8.0, 5.0, 5.0]]
+    result, smoothed, smooth_s = fly("drrt", city, None, scn, 0)
+    assert result.success and smoothed.tolist() == [[8.0, 5.0, 5.0]] and smooth_s >= 0
     assert smoothed is not result.path
     report = run_benchmark(scn, city)
     for algo in ("rrt", "drrt"):
@@ -304,8 +312,10 @@ def test_csv_reports_match_the_frozen_files(tmp_path, name, scenario):
     report = run_benchmark(scenario())
     report.write_csv(tmp_path / "report.csv")
     report.write_trials_csv(tmp_path / "trials.csv")
-    for kind, timing in (("report", "t"), ("trials", "elapsed_s")):
-        written = _blank_column((tmp_path / f"{kind}.csv").read_text(), timing)
+    for kind, timing in (("report", ("t", "t_smooth")), ("trials", ("elapsed_s", "smooth_s"))):
+        written = (tmp_path / f"{kind}.csv").read_text()
+        for column in timing:
+            written = _blank_column(written, column)
         assert written == (DATA / f"{name}_{kind}.csv").read_text(), kind
 
 
@@ -320,8 +330,12 @@ def test_json_report_orders_keys_deterministically(tmp_path):
     assert "t" in agg and agg["eta"] == 1.0
     # timing keys are present in the full report and stripped from the stable one
     stable = json.loads(report.to_json(include_timing=False))
-    assert "t" not in stable["results"]["drrt"]["aggregate"]
-    assert "elapsed_s" not in stable["results"]["drrt"]["trials"][0]
+    assert "t_smooth" in agg and agg["t_smooth"] > 0
+    assert data["results"]["rrt"]["aggregate"]["t_smooth"] is None
+    for key in ("t", "t_smooth"):
+        assert key not in stable["results"]["drrt"]["aggregate"]
+    for key in ("elapsed_s", "smooth_s"):
+        assert key not in stable["results"]["drrt"]["trials"][0]
 
 
 def test_run_trial_rejects_unknown_algorithm():

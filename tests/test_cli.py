@@ -48,9 +48,10 @@ def test_plan_writes_what_the_bench_trial_step_flies(tmp_path):
     payload = json.loads(out.read_text())
     scenario = Scenario(start=(5.0, 5.0, 5.0), goal=(460.0, 430.0, 60.0), algorithms=("drrt",),
                         map_seed=4, map_params=GenParams(count=8))
-    result, smoothed = fly("drrt", build_city(scenario), None, scenario, 1)
+    result, smoothed, smooth_s = fly("drrt", build_city(scenario), None, scenario, 1)
     assert payload["path"] == result.path.tolist()
     assert payload["smoothed"] == smoothed.tolist()
+    assert smooth_s > 0 and payload["smooth_s"] > 0
     assert payload["explored_nodes"] == result.explored_nodes
 
 
@@ -152,7 +153,7 @@ def test_bench_writes_all_three_reports(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("wrote")
     columns = [f.name for f in fields(AggregateRow)]
-    assert len(columns) == 10 and "beta_smoothed" in columns
+    assert len(columns) == 11 and "beta_smoothed" in columns
     for algo, line in zip(("rrt", "drrt", "astar", "aco"), lines):
         name, summary = line.split(":")
         assert name.strip() == algo

@@ -1,6 +1,7 @@
 """Search tree, steering and biased sampling tests."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -435,12 +436,14 @@ def test_block_draw_sampling_matches_the_generator_sequence():
 @pytest.mark.parametrize("block", [5, 7, 1024])
 @pytest.mark.parametrize("p_target", [0.0, 0.5, 0.9, 1.0])
 def test_sample_stream_matches_sample_with_bias(p_target, block, monkeypatch):
-    # blocks of 5 and 7 cut draws at block ends; 3,000 draws cross many of them
+    # blocks of 1 to 7 cut draws at block ends; 3,000 draws cross many of them,
+    # and the stream's first blocks grow from FIRST_DRAWS up to DRAW_BLOCK
     monkeypatch.setattr(skynav.core, "DRAW_BLOCK", block)
     lo = np.array([-100.0, 5.0, 3.0])
     hi = np.array([400.0, 505.0, 503.0])
     goal = np.array([470.0, 420.0, 50.0])
-    for seed in range(3):
+    for seed, first in itertools.product(range(3), (1, 3, 64)):
+        monkeypatch.setattr(skynav.core, "FIRST_DRAWS", first)
         draw = uniforms(np.random.default_rng(seed)).__next__
         want = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(3000)]
         stream = samples(p_target, lo, hi, np.random.default_rng(seed))

@@ -392,7 +392,7 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
     check_endpoints(city, req)
     if math.dist(req.start, goal) <= max(step, req.goal_threshold):
         explored = 1
-        path = try_finish(city, tree, 0, goal, req.goal_threshold, step)
+        path = try_finish(city, tree, 0, req.start.tolist(), goal, req.goal_threshold, step)
         if path is not None:
             return True, path, explored
     failed = 0
@@ -412,7 +412,8 @@ def _grow_tree_recomputing(city, req, params, seed, detours=None):
             if detours is not None:
                 detours.append((np.array(near_pos).tobytes(), step))
         if node is not None:
-            path = try_finish(city, tree, tree.add(node, near), goal, req.goal_threshold, step)
+            path = try_finish(city, tree, tree.add(node, near), node, goal, req.goal_threshold,
+                              step)
             if path is not None:
                 return True, path, explored
         outcome = COLLIDED if blocked else (
@@ -462,6 +463,35 @@ def test_replayed_goal_draws_reproduce_the_recomputing_loop(monkeypatch):
             failures += 1
             assert len(calls) < 1000
     assert failures == 3
+
+
+@pytest.mark.exact
+def test_tracked_goal_nearest_node_reproduces_the_recomputing_loop(monkeypatch):
+    """The loop tracks the goal's nearest node as nodes are added and asks nearest(goal)
+    only on a near-tie, where the recomputing loop asks it on every goal draw: equal
+    routes, and a handful of goal queries where there were hundreds."""
+    scenario = default_scenario()
+    maps = {11: build_city(scenario),
+            12: generate_city(12, scenario.map_params),
+            13: generate_city(13, scenario.map_params)}
+    asked = []
+    nearest = SearchTree.nearest
+    monkeypatch.setattr(SearchTree, "nearest",
+                        lambda tree, p: asked.append(list(p)) or nearest(tree, p))
+    goal_queries = []
+    for map_seed, start, goal, seed in TRAPPED_REQUESTS:
+        city, req = maps[map_seed], PlanRequest(start, goal, max_failed_attempts=5000)
+        asked.clear()
+        success, path, explored = _grow_tree_recomputing(city, req, DrrtParams(), seed)
+        recomputed = asked.count(list(goal))
+        asked.clear()
+        res = plan_drrt(city, req, DrrtParams(), seed)
+        assert (res.success, res.explored_nodes) == (success, explored)
+        assert res.path.tobytes() == path.tobytes()
+        goal_queries.append(asked.count(list(goal)))
+        assert recomputed > 100
+    # the near-ties of requests 12 and 15 of the benchmark's drrt_city pool
+    assert goal_queries == [3, 1, 0, 0, 0]
 
 
 def test_a_replay_at_step_min_leaves_the_step_alone(monkeypatch):

@@ -92,17 +92,17 @@ def test_try_finish_connects_within_step_and_threshold():
     goal = np.array([10.0, 0.0, 0.0])
     # within threshold: goal appended to the path without a new tree node
     tree = SearchTree((6.0, 0.0, 0.0))
-    path = try_finish(city, tree, 0, goal, threshold=5.0, step=2.0)
+    path = try_finish(city, tree, 0, (6.0, 0.0, 0.0), goal, threshold=5.0, step=2.0)
     assert np.array_equal(path, [[6, 0, 0], [10, 0, 0]])
     assert len(tree) == 1
     # beyond threshold but within one step: goal becomes a tree node
     tree = SearchTree((2.0, 0.0, 0.0))
-    path = try_finish(city, tree, 0, goal, threshold=5.0, step=10.0)
+    path = try_finish(city, tree, 0, (2.0, 0.0, 0.0), goal, threshold=5.0, step=10.0)
     assert np.array_equal(path, [[2, 0, 0], [10, 0, 0]])
     assert len(tree) == 2
     # out of reach entirely
     tree = SearchTree((-20.0, 0.0, 0.0))
-    wait = try_finish(city, tree, 0, goal, threshold=5.0, step=10.0)
+    wait = try_finish(city, tree, 0, (-20.0, 0.0, 0.0), goal, threshold=5.0, step=10.0)
     assert wait is None
 
 
@@ -111,11 +111,11 @@ def test_try_finish_respects_blocking_walls():
     goal = np.array([8.0, 0.0, 0.0])
     tree = SearchTree((0.0, 0.0, 0.0))
     # goal within one step but the connecting segment is blocked
-    assert try_finish(city, tree, 0, goal, threshold=1.0, step=10.0) is None
+    assert try_finish(city, tree, 0, (0.0, 0.0, 0.0), goal, threshold=1.0, step=10.0) is None
     # inside the goal region the node itself terminates the path even when
     # the direct segment to the goal point is blocked
     tree = SearchTree((0.0, 0.0, 0.0))
-    path = try_finish(city, tree, 0, goal, threshold=9.0, step=1.0)
+    path = try_finish(city, tree, 0, (0.0, 0.0, 0.0), goal, threshold=9.0, step=1.0)
     assert np.array_equal(path, [[0, 0, 0]])
 
 
@@ -149,7 +149,9 @@ def test_the_benchmark_tracer_sees_the_tree_loop(monkeypatch):
     tracer = importlib.import_module("tracer")
     city = CityMap([Building((20, 20, 0), (30, 30, 40))], (0, 0, 0), (60, 60, 60))
     req = PlanRequest((5, 5, 5), (55, 55, 30))
-    for planner, params in ((plan_rrt, RrtParams()), (plan_drrt, DrrtParams())):
+    # drrt tracks the goal's nearest node instead of asking for it, so its run
+    # draws uniform points too, which ask nearest
+    for planner, params in ((plan_rrt, RrtParams()), (plan_drrt, DrrtParams(p_target=0.5))):
         traced = tracer.Tracer()
         traced.install()
         try:

@@ -103,6 +103,33 @@ def test_sample_curve_equals_the_evaluate_loop_bit_for_bit(degree, n_extra, samp
     assert curve.tobytes() == reference.tobytes()
 
 
+def test_signed_zero_control_points_equal_the_evaluate_loop_bit_for_bit():
+    """sample_curve adds a zero-weight term where the loop skips it; with +0.0 and -0.0
+    coordinates among the control points the bytes still match."""
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        degree = int(rng.integers(1, 4))
+        n = int(rng.integers(degree + 1, 130))
+        samples_per_span = int(rng.choice((1, 3, 8)))
+        control = rng.uniform(-50, 50, (n, 3))
+        pick = rng.integers(0, 3, (n, 3))
+        control[pick == 0] = 0.0
+        control[pick == 1] = -0.0
+        knots = clamped_knots(n, degree)
+        us = np.linspace(0.0, 1.0, samples_per_span * (n - degree) + 1)
+        reference = np.array([evaluate(control, degree, knots, u) for u in us])
+        assert sample_curve(control, degree, samples_per_span).tobytes() == reference.tobytes()
+
+
+def test_non_finite_control_points_raise_before_any_sample():
+    control = np.random.default_rng(8).uniform(0, 50, (6, 3))
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = control.copy()
+        broken[3, 1] = bad
+        with pytest.raises(ValueError, match="control points must be finite"):
+            sample_curve(broken, 3, 8)
+
+
 @pytest.mark.exact
 def test_memoized_basis_equals_the_evaluate_loop_bit_for_bit_cold_and_warm():
     """Every n from 2 to 120 at degrees 1-3: a fresh basis, then the memo's copy."""
@@ -315,5 +342,6 @@ def test_smooth_path_validation():
         smooth_path(np.zeros((4, 2)), city)
     with pytest.raises(ValueError):
         smooth_path(np.zeros((4, 3)), city, samples_per_span=0)
-    with pytest.raises(ValueError):   # a NaN waypoint reaches the collision check
-        smooth_path(np.array([[1, 1, 1], [2, np.nan, 2], [3, 3, 3], [4, 4, 4.0]]), city)
+    for bad in (np.nan, np.inf):   # sample_curve refuses a non-finite waypoint
+        with pytest.raises(ValueError, match="must be finite"):
+            smooth_path(np.array([[1, 1, 1], [2, bad, 2], [3, 3, 3], [4, 4, 4.0]]), city)
