@@ -47,13 +47,86 @@ ACO_STEP_CAP_FACTOR = 4.0
 # (6 MB in all); a colony on the canonical 5 m grid enters at most about 6,000
 ACO_NEIGHBOR_MEMO = 16_384
 
-# largest grid voxelize accepts.  A grid keeps 5 bytes per cell (occupancy and
-# the uint32 move mask) and needs about 10 more while it builds the masks; an
-# ant colony search adds 20 (heuristic, move weight and an int32 pheromone
+# largest grid voxelize and VoxelGrid accept.  A grid keeps 5 bytes per cell
+# (occupancy and the uint32 move mask) and needs about 2 more while it builds
+# the masks (voxelize peaks at 7.0 MB on the 1M-cell canonical grid); an ant
+# colony search adds 20 (heuristic, move weight and an int32 pheromone
 # slot), 12 per cell its ants deposit on (a few thousand) and the neighbour
 # memo.  About 25 bytes per cell caps a run near 0.2 GB: a 500 m cube at 5 m
 # (1M cells) fits, at 2 m (15.6M) or 1 m (125M) it does not.
 MAX_GRID_CELLS = 8_000_000
+
+
+# the moves whose blocks span each set of axes, as (bit, block origin - cell)
+_BLOCK_MOVES = {
+    axes: tuple((k, tuple(min(d, 0) for d in off)) for k, off in enumerate(NEIGHBOR_OFFSETS)
+                if "".join(a for a, d in zip("xyz", off) if d) == axes)
+    for axes in ("x", "y", "z", "xy", "xz", "yz", "xyz")
+}
+# padded cells per x-slab of the move table build; its work arrays, about 1 MB
+# at this size, stay in cache
+MASK_SLAB_CELLS = 1 << 17
+
+
+def _move_masks(occupancy: np.ndarray) -> np.ndarray:
+    """Every cell's uint32 move mask, flat in C order, built in x-slabs.
+
+    A move is legal from a cell when every cell of the 1x1x1 to 2x2x2 block
+    it spans is free, and that block starts at cell + min(offset, 0) per axis.
+    The free mask is padded with occupied cells, so a block that leaves the
+    grid is never free.
+    """
+    nx, ny, nz = occupancy.shape
+    padded = np.pad(~occupancy, 1)
+    masks = np.empty(occupancy.shape, dtype="<u4")
+    lanes = masks.view(np.uint8).reshape(nx, ny, nz, 4)
+    layers = max(1, MASK_SLAB_CELLS // padded[0].size)
+    for x0 in range(0, nx, layers):
+        _pack_slab(padded[x0: x0 + layers + 2], lanes[x0: x0 + layers])
+    return masks.reshape(-1).astype(np.uint32, copy=False)
+
+
+def _pack_slab(free: np.ndarray, lanes: np.ndarray) -> None:
+    """Write the move masks of a padded free slab's inner x-layers into lanes.
+
+    lanes holds each cell's four mask bytes, least significant first.  Free
+    blocks are separable (van Herk 1992): a block free on x and y is a free
+    x-pair whose neighbour on y is free too.  So seven ANDs of shifted copies
+    of the slab give every block shape, and a move's bits are one slice of
+    its block's array.  The arrays are flat, so every shift is a contiguous
+    slice; the pad cells' bits are dropped at the end.  A block array is
+    freed once its moves are packed and no block grows from it.
+    """
+    layers, py, pz = free.shape
+    sy, sx = pz, py * pz   # flat strides of y and x; z's is 1
+    free = free.reshape(-1)
+    size = free.size
+    first = sx + sy + 1          # flat index of the first inner cell
+    span = (layers - 2) * sx     # flat indices from there on, in whole x-layers
+    planes = np.zeros((4, span), dtype=np.uint8)   # move bits 0-7, 8-15, 16-23, 24-25
+    bits = np.empty(span, dtype=np.uint8)
+
+    def grow(block: np.ndarray, stride: int, axes: str) -> np.ndarray:
+        """block & block[+stride], the blocks that span axes; packs their moves."""
+        out = np.zeros(size, dtype=bool)
+        np.logical_and(block[:size - stride], block[stride:], out=out[:size - stride])
+        for k, (mx, my, mz) in _BLOCK_MOVES[axes]:
+            at = first + mx * sx + my * sy + mz
+            np.multiply(out[at: at + span].view(np.uint8), np.uint8(1 << (k % 8)), out=bits)
+            planes[k // 8] |= bits
+        return out
+
+    grow(free, 1, "z")
+    y = grow(free, sy, "y")
+    grow(y, 1, "yz")
+    del y
+    x = grow(free, sx, "x")
+    grow(x, 1, "xz")
+    xy = grow(x, sy, "xy")
+    del x
+    grow(xy, 1, "xyz")
+    inner = planes.reshape(4, layers - 2, py, pz)[:, :, :py - 2, :pz - 2]
+    np.stack(tuple(inner), axis=-1, out=lanes)
 
 
 class VoxelGrid:
@@ -68,9 +141,13 @@ class VoxelGrid:
     def __init__(self, occupancy: np.ndarray, resolution: float, origin=(0.0, 0.0, 0.0)):
         if not 0.0 < resolution < inf:
             raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
-        occupancy = np.asarray(occupancy, dtype=bool)
+        occupancy = np.asarray(occupancy)
         if occupancy.ndim != 3:
             raise ValueError("occupancy must be a 3D boolean array")
+        if occupancy.size > MAX_GRID_CELLS:
+            raise ValueError(f"an occupancy of {occupancy.size:,} cells is over the budget "
+                             f"of {MAX_GRID_CELLS:,}")
+        occupancy = occupancy.astype(bool, copy=False)
         self.occupancy = occupancy
         self.resolution = float(resolution)
         self.origin = as_point(origin)
@@ -84,26 +161,7 @@ class VoxelGrid:
         self.move_costs = np.array(
             [np.sqrt(dx * dx + dy * dy + dz * dz) for dx, dy, dz in NEIGHBOR_OFFSETS]
         ) * self.resolution
-        # the free mask sampled at cell + off is a view into a copy padded with
-        # occupied cells, so moves off the grid edge are never legal
-        padded = np.pad(~occupancy, 1)
-
-        def shifted(off):
-            dx, dy, dz = off
-            return padded[1 + dx: 1 + dx + nx, 1 + dy: 1 + dy + ny, 1 + dz: 1 + dz + nz]
-
-        free = shifted((0, 0, 0))
-        masks = np.zeros(self.dims, dtype=np.uint32)
-        ok = np.empty(self.dims, dtype=bool)
-        for k, off in enumerate(NEIGHBOR_OFFSETS):
-            # the corners of the box the offset spans: origin, target and, for
-            # a diagonal, every cell it brushes past
-            np.copyto(ok, free)
-            for corner in product(*((0, d) if d else (0,) for d in off)):
-                if any(corner):
-                    ok &= shifted(corner)
-            masks |= ok.astype(np.uint32) << np.uint32(k)
-        self.legal_moves = masks.reshape(self.ncells)
+        self.legal_moves = _move_masks(occupancy)
 
     # ------------------------------------------------------------------
     # cell addressing
@@ -114,12 +172,14 @@ class VoxelGrid:
 
         A point outside the grid, or not three finite coordinates, raises ValueError.
         """
-        rel = (as_point(p) - self.origin) / self.resolution
-        idx = np.floor(rel).astype(int)
-        idx = np.clip(idx, 0, np.array(self.dims) - 1)
-        if np.any(rel < 0) or np.any(rel > np.array(self.dims)):
-            raise ValueError(f"point outside the voxelized volume: {p!r}")
-        return int(idx[0]), int(idx[1]), int(idx[2])
+        p = tuple(as_point(p).tolist())
+        # Python floats: a far point overflows to inf without a numpy warning,
+        # and the range check comes before any cast to int
+        rel = [(v - o) / self.resolution for v, o in zip(p, self.origin.tolist())]
+        if not all(0.0 <= r <= n for r, n in zip(rel, self.dims)):
+            raise ValueError(f"point outside the voxelized volume: {p}")
+        x, y, z = (min(int(r), n - 1) for r, n in zip(rel, self.dims))
+        return x, y, z
 
     def center_of(self, cell) -> np.ndarray:
         return self.origin + (np.asarray(cell, dtype=float) + 0.5) * self.resolution
@@ -151,12 +211,14 @@ def voxelize(city: CityMap, resolution: float = 5.0) -> VoxelGrid:
             f"{MAX_GRID_CELLS:,}; use a coarser resolution")
     dims = tuple(int(n) for n in counts)
     occ = np.zeros(dims, dtype=bool)
-    for b in city.buildings:
-        lo = (np.asarray(b.min_corner) - city.bounds_min) / resolution
-        hi = (np.asarray(b.max_corner) - city.bounds_min) / resolution
-        i0 = np.clip(np.ceil(lo - 1.0).astype(int), 0, np.array(dims) - 1)
-        i1 = np.clip(np.floor(hi).astype(int), 0, np.array(dims) - 1)
-        occ[i0[0]: i1[0] + 1, i0[1]: i1[1] + 1, i0[2]: i1[2] + 1] = True
+    # every building's index box at once: (N, 3) rows of first and last cells
+    top = np.array(dims) - 1
+    lo = (city._lo.T - city.bounds_min) / resolution
+    hi = (city._hi.T - city.bounds_min) / resolution
+    first = np.clip(np.ceil(lo - 1.0).astype(int), 0, top).tolist()
+    last = np.clip(np.floor(hi).astype(int), 0, top).tolist()
+    for (x0, y0, z0), (x1, y1, z1) in zip(first, last):
+        occ[x0: x1 + 1, y0: y1 + 1, z0: z1 + 1] = True
     # partial cells on the far side would poke out of bounds; close them off so
     # grid paths can never leave the map
     for axis in range(3):

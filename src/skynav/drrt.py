@@ -137,9 +137,9 @@ def plan_drrt(city: CityMap, req: PlanRequest, params: DrrtParams = DrrtParams()
 def check_endpoints(city: CityMap, req: PlanRequest) -> None:
     """Planners require collision-free endpoints."""
     if not city.point_free(req.start):
-        raise ValueError(f"start is not collision-free: {tuple(req.start)}")
+        raise ValueError(f"start is not collision-free: {tuple(req.start.tolist())}")
     if not city.point_free(req.goal):
-        raise ValueError(f"goal is not collision-free: {tuple(req.goal)}")
+        raise ValueError(f"goal is not collision-free: {tuple(req.goal.tolist())}")
 
 
 def try_finish(city: CityMap, tree: SearchTree, node: int, pos, goal, threshold: float,

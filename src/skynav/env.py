@@ -263,7 +263,7 @@ class CityMap:
         """
         p = as_point(p)
         if not self._inside(p):
-            raise ValueError(f"clearance queried outside map bounds: {tuple(p)}")
+            raise ValueError(f"clearance queried outside map bounds: {tuple(p.tolist())}")
         if not self.buildings:
             return math.inf
         p = p[:, None]
@@ -476,7 +476,7 @@ def generate_city(seed: int, params: GenParams = GenParams()) -> CityMap:
     keep = [as_point(p) for p in params.keep_clear]
     for p in keep:
         if np.any(p < bmin) or np.any(p > bmax):
-            raise ValueError(f"keep-clear point outside bounds: {tuple(p)}")
+            raise ValueError(f"keep-clear point outside bounds: {tuple(p.tolist())}")
 
     rng = np.random.default_rng(seed)
     r = params.clear_radius

@@ -1,4 +1,10 @@
-"""References for skynav.baselines' grid planners.
+"""References for skynav.baselines' voxel grid and grid planners.
+
+reference_occupancy and reference_move_masks are the raster and move table as
+first written: one index box computed per building, and per move an AND of the
+free mask shifted to every corner of the box the move spans, packed bit by
+bit.  The tests check voxelize and VoxelGrid's separable move table against
+them bit for bit.
 
 dijkstra_cost is a uniform-cost search over a VoxelGrid's own move table, with
 no heuristic: the tests check A*'s path cost against it on random grids.
@@ -12,13 +18,57 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 from time import perf_counter
 
 import numpy as np
 
-from skynav.baselines import ACO_STEP_CAP_FACTOR, _cells_to_path, _grid_endpoints
+from skynav.baselines import (ACO_STEP_CAP_FACTOR, NEIGHBOR_OFFSETS, _cells_to_path,
+                              _grid_endpoints)
 from skynav.core import EMPTY_PATH, PlanResult, uniforms
+
+
+def reference_occupancy(city, resolution, dims):
+    """A building occupies every cell its closed box touches, the far partial cells are walls."""
+    occ = np.zeros(dims, dtype=bool)
+    for b in city.buildings:
+        lo = (np.asarray(b.min_corner) - city.bounds_min) / resolution
+        hi = (np.asarray(b.max_corner) - city.bounds_min) / resolution
+        i0 = np.clip(np.ceil(lo - 1.0).astype(int), 0, np.array(dims) - 1)
+        i1 = np.clip(np.floor(hi).astype(int), 0, np.array(dims) - 1)
+        occ[i0[0]: i1[0] + 1, i0[1]: i1[1] + 1, i0[2]: i1[2] + 1] = True
+    extent = city.bounds_max - city.bounds_min
+    for axis in range(3):
+        if dims[axis] * resolution > extent[axis] + 1e-6:
+            index = [slice(None)] * 3
+            index[axis] = dims[axis] - 1
+            occ[tuple(index)] = True
+    return occ
+
+
+def reference_move_masks(occupancy):
+    """Flat uint32 move masks: bit k is set when every corner of move k's box is free."""
+    nx, ny, nz = occupancy.shape
+    # the free mask sampled at cell + off is a view into a copy padded with
+    # occupied cells, so moves off the grid edge are never legal
+    padded = np.pad(~occupancy, 1)
+
+    def shifted(off):
+        dx, dy, dz = off
+        return padded[1 + dx: 1 + dx + nx, 1 + dy: 1 + dy + ny, 1 + dz: 1 + dz + nz]
+
+    free = shifted((0, 0, 0))
+    masks = np.zeros(occupancy.shape, dtype=np.uint32)
+    ok = np.empty(occupancy.shape, dtype=bool)
+    for k, off in enumerate(NEIGHBOR_OFFSETS):
+        # the corners of the box the offset spans: origin, target and, for a
+        # diagonal, every cell it brushes past
+        np.copyto(ok, free)
+        for corner in product(*((0, d) if d else (0,) for d in off)):
+            if any(corner):
+                ok &= shifted(corner)
+        masks |= ok.astype(np.uint32) << np.uint32(k)
+    return masks.reshape(occupancy.size)
 
 
 def dijkstra_cost(grid, s, g):

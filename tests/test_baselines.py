@@ -1,4 +1,8 @@
-"""Voxel grid, A* and ant colony tests; A* is checked against a Dijkstra cost oracle."""
+"""Voxel grid, A* and ant colony tests.
+
+The raster and move table are checked against the references in grid_reference,
+and A* against a Dijkstra cost oracle.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -11,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from grid_reference import chain_cost, dense_aco, dijkstra_cost
+from grid_reference import (chain_cost, dense_aco, dijkstra_cost, reference_move_masks,
+                            reference_occupancy)
 
 from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid, baselines,
                     generate_city, plan_aco, plan_astar, voxelize)
@@ -51,6 +56,19 @@ def test_voxelize_rejects_grids_over_the_cell_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000   # the 1 m grid alone would be 125 MB of occupancy
+
+
+def test_the_grid_refuses_an_occupancy_over_the_cell_budget_before_allocating():
+    occ = np.zeros((300, 300, 100), dtype=bool)
+    assert occ.size > MAX_GRID_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            VoxelGrid(occ, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000   # the move table alone would be 36 MB
 
 
 @pytest.mark.parametrize("resolution", (0.0, -5.0, math.nan, math.inf))
@@ -121,6 +139,20 @@ def test_cell_of_rejects_points_that_are_not_three_finite_coordinates(p):
         grid.cell_of(p)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cell_of_checks_the_range_before_it_casts_to_int():
+    occ = np.zeros((4, 5, 6), dtype=bool)
+    # an offset that is inf, one that overflows in the subtraction, and one
+    # that overflows in the division by the resolution
+    for grid, p in ((VoxelGrid(occ, 2.5), (1e300, 0.0, 0.0)),
+                    (VoxelGrid(occ, 1e-300), (1.0, 1.0, 1.0)),
+                    (VoxelGrid(occ, 2.5, origin=(-1e308, 0.0, 0.0)), (1e308, 1.0, 1.0)),
+                    (VoxelGrid(occ, 1e-300), (1e10, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="outside the voxelized volume"):
+            grid.cell_of(p)
+    assert VoxelGrid(occ, 1e-300).cell_of((0.0, 0.0, 0.0)) == (0, 0, 0)
+
+
 def test_legal_moves_respect_occupancy_and_corner_cuts():
     occ = np.zeros((2, 2, 1), dtype=bool)
     occ[0, 1, 0] = True
@@ -168,6 +200,47 @@ def test_move_masks_match_a_per_cell_loop(dims):
         bits = (grid.legal_moves[:, None] >> np.arange(26, dtype=np.uint32)) & 1
         assert np.array_equal(bits.astype(bool), _legal_moves_by_loop(occ))
         assert not (grid.legal_moves >> 26).any()
+
+
+@pytest.mark.exact
+def test_voxelize_and_the_move_table_equal_the_reference_bit_for_bit(monkeypatch):
+    scn = default_scenario()
+    for city in [build_city(scn)] + [generate_city(seed, scn.map_params) for seed in (12, 13)]:
+        assert len(city.buildings) == 40
+        for resolution in (5.0, 4.0, 7.3):
+            grid = voxelize(city, resolution)
+            assert np.array_equal(grid.occupancy,
+                                  reference_occupancy(city, resolution, grid.dims))
+            assert grid.legal_moves.dtype == np.uint32
+            assert np.array_equal(grid.legal_moves, reference_move_masks(grid.occupancy))
+    # random occupancies, one cell thin on one or more axes, from empty to
+    # full, built in one x-slab and in slabs of one and two layers
+    rng = np.random.default_rng(28)
+    one_slab = baselines.MASK_SLAB_CELLS
+    shapes = ((1, 9, 8), (7, 1, 9), (8, 7, 1), (1, 1, 12), (1, 12, 1), (12, 1, 1),
+              (1, 1, 1), (6, 7, 5))
+    for dims in shapes:
+        layer = (dims[1] + 2) * (dims[2] + 2)
+        for slab_cells in (one_slab, 1, 2 * layer):
+            monkeypatch.setattr(baselines, "MASK_SLAB_CELLS", slab_cells)
+            for density in (0.0, 0.1, 0.4, 0.8, 1.0):
+                occ = rng.random(dims) < density
+                assert np.array_equal(VoxelGrid(occ, 1.0).legal_moves, reference_move_masks(occ))
+
+
+@pytest.mark.exact
+def test_voxelize_stays_within_the_corner_product_build_peak_on_the_canonical_grid():
+    city = build_city(default_scenario())
+    tracemalloc.start()
+    try:
+        grid = voxelize(city, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.ncells == 100 ** 3
+    # the corner-product build peaked at 11.07 MB here; the slabbed one keeps
+    # 5 MB (occupancy and move table) and about 2 MB of work arrays
+    assert peak <= 11_070_000
 
 
 def test_moves_lists_the_set_bits_of_a_mask_in_ascending_order():

@@ -87,6 +87,22 @@ def test_plan_astar_on_a_stored_map(tmp_path, capsys):
     assert "astar" in capsys.readouterr().out
 
 
+def test_point_errors_print_plain_floats(tmp_path, capsys):
+    # numpy 2 prints a float64 scalar as np.float64(...); the messages give floats
+    city_file = tmp_path / "city.json"
+    assert main(["genmap", "--seed", "3", "--count", "6", "--size", "150",
+                 "--height-max", "90", "--out", str(city_file)]) == 0
+    for argv, named in ((["--count", "5"], "keep-clear point outside bounds"),
+                        (["--map", str(city_file)], "point outside the voxelized volume"),
+                        (["--map", str(city_file), "--algo", "drrt"],
+                         "start is not collision-free")):
+        capsys.readouterr()
+        rc = main(["plan", "--algo", "astar", *argv, "--start", "1e300,10,10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"skynav: error: {named}: (1e+300, 10.0, 10.0)\n"
+
+
 @pytest.mark.parametrize("algo", ["astar", "aco"])
 def test_plan_refuses_step_for_grid_planners(algo, capsys):
     rc = main(["plan", "--algo", algo, "--step", "3", "--count", "5"])

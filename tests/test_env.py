@@ -89,6 +89,16 @@ def test_clearance_empty_map_is_infinite_and_outside_raises():
         _unit_box_map().clearance((11, 0, 0))
 
 
+def test_point_errors_print_plain_floats():
+    # numpy 2 prints a float64 scalar as np.float64(...); the messages give floats
+    with pytest.raises(ValueError) as exc:
+        _unit_box_map().clearance(np.array([11.0, 0.0, 0.0]))
+    assert str(exc.value) == "clearance queried outside map bounds: (11.0, 0.0, 0.0)"
+    with pytest.raises(ValueError) as exc:
+        generate_city(0, GenParams(keep_clear=((-5, 0, 0),)))
+    assert str(exc.value) == "keep-clear point outside bounds: (-5.0, 0.0, 0.0)"
+
+
 def test_clearance_matches_nearest_among_buildings():
     rng = np.random.default_rng(7)
     boxes = []
