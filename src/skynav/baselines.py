@@ -41,6 +41,11 @@ def _moves(mask: int) -> tuple[int, ...]:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
+# the octile distance's weights: with a <= b <= c the sorted cell deltas, an
+# empty 26-connected grid's shortest route is c + K2*b + K3*a cells long
+K2 = sqrt(2.0) - 1.0
+K3 = sqrt(3.0) - sqrt(2.0)
+
 # ants give up after this multiple of the straight-line cell distance
 ACO_STEP_CAP_FACTOR = 4.0
 # cells whose neighbour lists one ant colony search keeps, at most 0.36 kB each
@@ -182,14 +187,26 @@ class VoxelGrid:
         return x, y, z
 
     def center_of(self, cell) -> np.ndarray:
-        return self.origin + (np.asarray(cell, dtype=float) + 0.5) * self.resolution
+        """Center of a cell, or of each (x, y, z) row of a (K, 3) array of cells."""
+        cell = np.asarray(cell, dtype=float)
+        if cell.shape[-1:] != (3,) or not ((cell >= 0) & (cell < self.dims)).all():
+            raise ValueError(f"cells outside the {self.dims} grid or not (x, y, z) rows")
+        return self.origin + (cell + 0.5) * self.resolution
+
+    def _inside(self, cell) -> tuple[int, int, int]:
+        """cell as (x, y, z); raises ValueError outside the grid, where numpy's
+        negative indexing would wrap."""
+        x, y, z = cell
+        nx, ny, nz = self.dims
+        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+            raise ValueError(f"cell {(x, y, z)} is outside the {self.dims} grid")
+        return x, y, z
 
     def is_free(self, cell) -> bool:
-        x, y, z = cell
-        return bool(not self.occupancy[x, y, z])
+        return bool(not self.occupancy[self._inside(cell)])
 
     def flat(self, cell) -> int:
-        x, y, z = cell
+        x, y, z = self._inside(cell)
         return (x * self.dims[1] + y) * self.dims[2] + z
 
     def cells(self, flat) -> np.ndarray:
@@ -245,7 +262,15 @@ def _cells_to_path(grid: VoxelGrid, chain: list[int], req: PlanRequest) -> np.nd
 
 
 def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
-    """Optimal 26-connected grid search with Euclidean costs and heuristic.
+    """Optimal 26-connected grid search with Euclidean move costs.
+
+    The heuristic is the octile distance: with a <= b <= c the sorted
+    absolute cell deltas to the goal, h = (c + (K2*b + K3*a)) * resolution,
+    the exact cost of a route of a diagonal (sqrt 3) moves, b - a planar
+    diagonal (sqrt 2) moves and c - b straight moves on an empty grid.  Walls
+    only lengthen a route, so h is admissible, and one move changes it by at
+    most that move's cost, so h is consistent: the closed set never needs
+    reopening and the route is optimal (Hart, Nilsson & Raphael 1968).
 
     Frontier ties break on lower f, then higher g, then lexicographic cell
     index, making the search fully deterministic.  explored_nodes counts
@@ -287,11 +312,14 @@ def plan_astar(grid: VoxelGrid, req: PlanRequest) -> PlanResult:
             if ng < g_score.get(nb, inf):
                 g_score[nb] = ng
                 came[nb] = cur
-                # straight-line remaining distance in meters
+                # octile remaining distance in meters, in this operation
+                # order; the middle delta b is the sum less the extremes
                 x, yz = divmod(nb, nyz)
                 y, z = divmod(yz, nz)
-                dx, dy, dz = x - gx, y - gy, z - gz
-                heapq.heappush(heap, (ng + sqrt(dx * dx + dy * dy + dz * dz) * res, -ng, nb))
+                dx, dy, dz = abs(x - gx), abs(y - gy), abs(z - gz)
+                a, c = min(dx, dy, dz), max(dx, dy, dz)
+                h = (c + (K2 * (dx + dy + dz - a - c) + K3 * a)) * res
+                heapq.heappush(heap, (ng + h, -ng, nb))
     if not found:
         return PlanResult(False, EMPTY_PATH.copy(), explored, perf_counter() - t0)
     chain = [g]
