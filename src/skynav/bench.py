@@ -68,6 +68,8 @@ class Scenario:
         if repeated:
             raise ValueError(f"algorithms named more than once: {repeated}")
         check_count(self.trials, "trials")
+        check_count(self.base_seed, "base_seed", low=0)
+        check_count(self.map_seed, "map_seed", low=0)
         check_count(self.samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
         for name in ("start", "goal"):
             try:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import (ALGORITHMS, GRID_ALGORITHMS, Scenario, build_city, build_grid,
                     default_scenario, fly, run_benchmark)
-from .env import GenParams, generate_city, save_map
+from .env import GenParams, check_count, generate_city, save_map
 from .metrics import summarize
 
 
@@ -25,6 +25,7 @@ def _parse_xyz(text: str) -> tuple[float, float, float]:
 
 
 def _cmd_genmap(args) -> int:
+    check_count(args.seed, "--seed", low=0)
     params = GenParams(
         count=args.count,
         footprint_range=(args.footprint_min, args.footprint_max),
@@ -40,6 +41,7 @@ def _cmd_genmap(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    check_count(args.seed, "--seed", low=0)
     scenario = Scenario(start=args.start, goal=args.goal, goal_threshold=args.goal_threshold,
                         max_failed_attempts=args.max_failed, algorithms=(args.algo,),
                         map_file=args.map, map_seed=args.map_seed,

@@ -51,28 +51,32 @@ class PlanResult:
 EMPTY_PATH = np.empty((0, 3), dtype=float)
 
 
-DRAW_BLOCK = 1024   # rng.random() draws that uniforms and samples fetch at a time
-# samples fetches FIRST_DRAWS first and doubles each block up to DRAW_BLOCK, so a
-# plan of a few dozen draws does not pay for a thousand
+DRAW_BLOCK = 1024   # rng.random() draws that uniforms fetches at a time
+# uniforms fetches FIRST_DRAWS first and doubles each block up to DRAW_BLOCK, so a
+# plan of a few dozen draws does not pay for a thousand; rng.random in blocks
+# gives the values of one call
 FIRST_DRAWS = 64
 
 
 def uniforms(rng: np.random.Generator):
     """rng.random() draws in the order single calls would give them, fetched in blocks."""
+    block = min(FIRST_DRAWS, DRAW_BLOCK)
     while True:
-        yield from rng.random(DRAW_BLOCK).tolist()
+        yield from rng.random(block).tolist()
+        block = min(2 * block, DRAW_BLOCK)
 
 
 # SearchTree scores nodes in blocks of BLOCK columns, one BLAS matvec each: too
 # few for BLAS to split a block across threads, whose chunk tails would round on
-# another path.  Unused columns of the last block hold FILLER (score +inf).  A
-# new tree holds FIRST_BLOCKS blocks (1,024 nodes) and doubles them when full.
+# another path.  Unused columns of a slab's last block hold FILLER (score +inf).
+# A new tree's one slab holds FIRST_BLOCKS blocks (1,024 nodes), and a slab
+# doubles its blocks when full.
 BLOCK = 256
 FILLER = np.array([[0.0], [0.0], [0.0], [np.inf]])
 FIRST_BLOCKS = 4
-# Once a tree holds SLAB_FROM nodes it also files them into SLABS x-slabs, cut
-# from the nodes' x span at that moment, and nearest scores only the slabs that
-# can hold the answer; below SLAB_FROM the scan of every block is faster.
+# Once a tree holds SLAB_FROM nodes it re-cuts its one slab into SLABS x-slabs,
+# cut from the nodes' x span at that moment, and nearest scores only the slabs
+# that can hold the answer; below SLAB_FROM the scan of the one slab is faster.
 # SLAB_SLACK scales the pruning margin to the coordinates, as env.CELL_SLACK does.
 SLAB_FROM = 8000
 SLABS = 25
@@ -84,10 +88,11 @@ class SearchTree:
 
     The root is checked once; add and nearest trust the tree loop's (x, y, z)
     float triples and check nothing.  Node positions live in one float64
-    array, so a node costs 24 bytes, not a tuple object.  Below SLAB_FROM
-    nodes nearest scans every block of _rows; from then on the x-slabs (see
-    _build_slabs) hold the only copy of the score columns and nearest scores
-    the slabs that can hold the nearest node, with the same answer.
+    array, so a node costs 24 bytes, not a tuple object.  The score columns
+    live in x-slabs only: one slab spans every x until SLAB_FROM nodes, and
+    nearest scans all its blocks; from then on there are SLABS of them (see
+    _build_slabs) and nearest scores the slabs that can hold the nearest
+    node, with the same answer.
 
     add stores a node's |x|^2 as the Python sum x*x + y*y + z*z; the other
     column entries, -2 times a coordinate, are exact in any arithmetic.  Only
@@ -96,15 +101,14 @@ class SearchTree:
 
     def __init__(self, root):
         self._pos = np.empty((FIRST_BLOCKS * BLOCK, 3), dtype=float)
-        # rows[b, :, c] is (-2x, -2y, -2z, |x|^2) of node b * BLOCK + c, scored by (p, 1);
-        # None once the slabs hold the columns
-        self._rows = np.empty((FIRST_BLOCKS, 4, BLOCK))
         self._q = np.ones(4)
         self._parents: list[int] = []
         self._n = 0
-        # slab k: [its (blocks, 4, BLOCK) stack, its node indices ascending]
-        self._edges: list[float] | None = None
-        self._slabs: list[list] = []
+        # slab k: [its (blocks, 4, BLOCK) stack, its node indices ascending], the
+        # nodes with edges[k - 1] <= x < edges[k]; column c of block b holds
+        # (-2x, -2y, -2z, |x|^2) of node ids[b * BLOCK + c], scored by (p, 1)
+        self._edges: list[float] = []
+        self._slabs: list[list] = [[np.empty((FIRST_BLOCKS, 4, BLOCK)), []]]
         self._edge2 = 0.0
         self.add(as_point(root).tolist(), -1)
 
@@ -114,35 +118,27 @@ class SearchTree:
     def add(self, p, parent: int) -> int:
         """Append the node p, an (x, y, z) of floats, and return its index."""
         n = self._n
+        x, y, z = p
+        slab = self._slabs[bisect_right(self._edges, x)]
+        stack, ids = slab
+        m = len(ids)
+        # one at a time, larger first, for a lower peak; new blocks stay unset
+        if m == len(stack) * BLOCK:
+            grown = np.empty((2 * len(stack), 4, BLOCK))
+            grown[: len(stack)] = stack
+            slab[0] = stack = grown
         if n == len(self._pos):
-            # one at a time, larger first, for a lower peak; new blocks stay unset
-            if self._edges is None:
-                rows = np.empty((2 * len(self._rows), 4, BLOCK))
-                rows[: len(self._rows)] = self._rows
-                self._rows = rows
             pos = np.empty((2 * n, 3))
             pos[:n] = self._pos
             self._pos = pos
-        x, y, z = p
         pos = self._pos
         pos[n, 0] = x
         pos[n, 1] = y
         pos[n, 2] = z
         self._parents.append(parent)
         self._n = n + 1
-        if self._edges is None:
-            stack = self._rows
-            b, c = divmod(n, BLOCK)
-        else:
-            slab = self._slabs[bisect_right(self._edges, x)]
-            stack, ids = slab
-            m = len(ids)
-            if m == len(stack) * BLOCK:
-                grown = np.empty((2 * len(stack), 4, BLOCK))
-                grown[: len(stack)] = stack
-                slab[0] = stack = grown
-            b, c = divmod(m, BLOCK)
-            ids.append(n)
+        b, c = divmod(m, BLOCK)
+        ids.append(n)
         if c == 0:
             stack[b] = FILLER
         stack[b, 0, c] = -2.0 * x
@@ -154,23 +150,22 @@ class SearchTree:
         return n
 
     def _build_slabs(self) -> None:
-        """Cut the nodes' x span into SLABS slabs and file every node in one.
+        """Re-cut the one slab into SLABS slabs over the nodes' x span.
 
-        Slab k holds the nodes with edges[k - 1] <= x < edges[k]; the end slabs
-        are open toward the outside.  Nodes are filed by comparing x with the
-        stored edges, so a slab's x range holds exactly, whatever rounding made
-        the edges.  Each slab copies its nodes' columns of _rows, in ascending
-        index order, into a stack of (4, BLOCK) blocks padded with FILLER, and
-        a stack doubles when full, as _rows does.  _rows is then dropped: add
-        writes a later node's column into its slab only.
+        The end slabs are open toward the outside.  Nodes are filed by
+        comparing x with the stored edges, so a slab's x range holds exactly,
+        whatever rounding made the edges.  Each slab copies its nodes' columns
+        of the one slab's stack, in ascending index order, into a stack of
+        (4, BLOCK) blocks padded with FILLER.
         """
         n = self._n
         x = self._pos[:n, 0]
         lo, hi = float(x.min()), float(x.max())
         self._edges = [lo + (hi - lo) * k / SLABS for k in range(1, SLABS)]
         self._edge2 = max(lo * lo, hi * hi)
-        cols = self._rows[: -(-n // BLOCK)].transpose(1, 0, 2).reshape(4, -1)
+        cols = self._slabs[0][0][: -(-n // BLOCK)].transpose(1, 0, 2).reshape(4, -1)
         slab_of = np.searchsorted(self._edges, x, side="right")
+        self._slabs = []
         for k in range(SLABS):
             ids = np.flatnonzero(slab_of == k)
             blocks = max(1, -(-len(ids) // BLOCK))
@@ -179,27 +174,27 @@ class SearchTree:
             flat[:, : len(ids)] = cols[:, ids]
             stack = np.ascontiguousarray(flat.reshape(4, blocks, BLOCK).transpose(1, 0, 2))
             self._slabs.append([stack, ids.tolist()])
-        self._rows = None
 
     def nearest(self, p) -> int:
         """Index of the node closest to p, an (x, y, z) of floats; ties resolve to the lowest index.
 
         Ranks by |x|^2 - 2 x.p (same ordering as distance, constant |p|^2
-        dropped), which needs no per-node differencing.  On a slabbed tree it
-        scores p's slab, then widens one slab at a time toward the nearer side
-        until the x-gap to the next slab on both sides rules out a better node.
-        Every node is scored by the same block matvec the scan uses, which
-        rounds a node's score the same in any column, and the best node is
-        kept as a (score, index) pair, so the answer is the scan's.
+        dropped), which needs no per-node differencing.  A tree of one slab,
+        whose ids are 0..n-1, is scanned whole.  Otherwise nearest scores p's
+        slab, then widens one slab at a time toward the nearer side until the
+        x-gap to the next slab on both sides rules out a better node.  Every
+        node is scored by the same block matvec the scan uses, which rounds a
+        node's score the same in any column, and the best node is kept as a
+        (score, index) pair, so the answer is the scan's.
         """
         x, y, z = p
         q = self._q
         q[0] = x
         q[1] = y
         q[2] = z
-        if self._edges is None:
-            return int((q @ self._rows[: -(-self._n // BLOCK)]).argmin())
         edges, slabs = self._edges, self._slabs
+        if not edges:
+            return int((q @ slabs[0][0][: -(-self._n // BLOCK)]).argmin())
         # A node of a slab at x-gap g from p lies at a distance of at least g,
         # so its score is at least g^2 - |p|^2.  The slab is skipped when g^2
         # exceeds best + |p|^2 + margin.  The roundings in between (the gap and
@@ -223,7 +218,7 @@ class SearchTree:
                 if score < best or score == best and ids[a] < node:
                     best, node = score, ids[a]
             gap_left = x - edges[left] if left >= 0 else math.inf
-            gap_right = edges[right - 1] - x if right < SLABS else math.inf
+            gap_right = edges[right - 1] - x if right < len(slabs) else math.inf
             if gap_left <= gap_right:
                 if gap_left * gap_left > best + reach:
                     return node
@@ -281,28 +276,15 @@ def samples(p_target: float, bounds_min, bounds_max, rng: np.random.Generator):
     """Endless stream of sample_with_bias's draws for uniforms(rng).__next__.
 
     Yields None for a goal draw and the uniform point, an (x, y, z) tuple of
-    floats, otherwise.  Takes float64 (3,) bounds and reads each block of
-    uniforms as Python floats with one tolist(); a point is built as
+    floats, otherwise.  Takes float64 (3,) bounds; a point is built as
     bounds_min + span * u per coordinate, the same IEEE operations
-    sample_with_bias runs in numpy, so the same bits.  The first block holds
-    FIRST_DRAWS uniforms and each next one twice as many, up to DRAW_BLOCK;
-    rng.random in blocks gives the values of one call.  A draw cut by a block
-    end goes on in the next block.
+    sample_with_bias runs in numpy, so the same bits.
     """
     x0, y0, z0 = bounds_min.tolist()
     sx, sy, sz = (bounds_max - bounds_min).tolist()
-    block = min(FIRST_DRAWS, DRAW_BLOCK)
-    u = rng.random(block).tolist()
+    draw = uniforms(rng).__next__
     while True:
-        k, end = 0, len(u)
-        while k < end:
-            if u[k] < p_target:
-                yield None
-                k += 1
-            elif k + 3 < end:
-                yield (x0 + sx * u[k + 1], y0 + sy * u[k + 2], z0 + sz * u[k + 3])
-                k += 4
-            else:
-                break
-        block = min(2 * block, DRAW_BLOCK)
-        u = u[k:] + rng.random(block).tolist()
+        if draw() < p_target:
+            yield None
+        else:
+            yield (x0 + sx * draw(), y0 + sy * draw(), z0 + sz * draw())

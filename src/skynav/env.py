@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ class Building:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Knobs for the procedural city generator."""
+    """Knobs for the procedural city generator, checked when built."""
 
     count: int = 40
     footprint_range: tuple[float, float] = (20.0, 60.0)
@@ -100,6 +101,25 @@ class GenParams:
         if not 0.0 <= self.clear_radius < math.inf:
             raise ValueError("clear_radius must be finite and non-negative, "
                              f"got {self.clear_radius!r}")
+        for name in ("footprint_range", "height_range"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)):
+                raise ValueError(f"{name} must be two numbers, got {pair!r}")
+        lo_fp, hi_fp = self.footprint_range
+        lo_h, hi_h = self.height_range
+        if not (0 < lo_fp <= hi_fp) or not (0 < lo_h <= hi_h):
+            raise ValueError("footprint and height ranges must be positive and ordered")
+        bmin = as_point(self.bounds_min)
+        bmax = as_point(self.bounds_max)
+        extent = bmax - bmin
+        if hi_fp > extent[0] or hi_fp > extent[1]:
+            raise ValueError("footprint range exceeds map extent")
+        if hi_h > extent[2]:
+            raise ValueError("height range exceeds map extent")
+        for p in map(as_point, self.keep_clear):
+            if np.any(p < bmin) or np.any(p > bmax):
+                raise ValueError(f"keep-clear point outside bounds: {tuple(p.tolist())}")
 
 
 class CityMap:
@@ -460,24 +480,13 @@ def generate_city(seed: int, params: GenParams = GenParams()) -> CityMap:
     Buildings are rejected and redrawn while their box, inflated by
     ``clear_radius`` on every side, contains a keep-clear point.  Raises
     MapGenerationError if a building cannot be placed within
-    ``max_draws_per_building`` draws.
+    ``max_draws_per_building`` draws; GenParams has checked the rest.
     """
     lo_fp, hi_fp = params.footprint_range
     lo_h, hi_h = params.height_range
-    if not (0 < lo_fp <= hi_fp) or not (0 < lo_h <= hi_h):
-        raise ValueError("footprint and height ranges must be positive and ordered")
     bmin = as_point(params.bounds_min)
     bmax = as_point(params.bounds_max)
-    extent = bmax - bmin
-    if hi_fp > extent[0] or hi_fp > extent[1]:
-        raise ValueError("footprint range exceeds map extent")
-    if hi_h > extent[2]:
-        raise ValueError("height range exceeds map extent")
     keep = [as_point(p) for p in params.keep_clear]
-    for p in keep:
-        if np.any(p < bmin) or np.any(p > bmax):
-            raise ValueError(f"keep-clear point outside bounds: {tuple(p.tolist())}")
-
     rng = np.random.default_rng(seed)
     r = params.clear_radius
     buildings: list[Building] = []

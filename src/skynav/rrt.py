@@ -5,8 +5,9 @@ import math
 from dataclasses import dataclass
 
 from .core import PlanRequest, PlanResult
-# plan_rrt runs drrt's tree loop; its endpoint check and finishing step are
-# named here too, as parts of the classic planner
+# plan_rrt runs drrt's tree loop.  check_endpoints and try_finish are unused
+# here, but perfbench's LAYERS["rrt"] looks them up in skynav.rrt, so they stay
+# imported until perfbench names them by their drrt home (ROADMAP item 6)
 from .drrt import DrrtParams, _grow_tree, check_endpoints, try_finish
 from .env import CityMap
 

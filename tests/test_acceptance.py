@@ -198,15 +198,15 @@ def test_criterion_08_collision_free_paths(scenario, city, paired_runs, capsys):
 
 
 def test_criterion_09_oracle_equivalence(capsys):
-    # nearest neighbour against a plain linear scan, on a tree that scans every
-    # block and on one past SLAB_FROM nodes that searches its x-slabs
+    # nearest neighbour against a plain linear scan, on a tree that scans its
+    # one slab and on one past SLAB_FROM nodes that searches its x-slabs
     rng = np.random.default_rng(71)
     for n in (500, 9000):
         pts = rng.uniform(0, 500, (n, 3))
         tree = SearchTree(pts[0])
         for i in range(1, n):
             tree.add(pts[i], parent=rng.integers(0, i))
-        assert (n > SLAB_FROM) == (tree._edges is not None)
+        assert (n > SLAB_FROM) == (len(tree._slabs) > 1)
         for q in rng.uniform(0, 500, (100, 3)):
             d2 = ((pts - q) ** 2).sum(axis=1)
             want = min(range(n), key=lambda i: (d2[i], i))

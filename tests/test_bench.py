@@ -209,6 +209,31 @@ def test_default_scenario_shape():
     assert scn.map_params.height_range == (18.0, 270.0)
 
 
+def test_scenario_refuses_negative_seeds_when_parsed():
+    # numpy refuses a negative seed only once the run or the map build draws
+    for key in ("base_seed", "map_seed"):
+        for bad in (-1, -3):
+            with pytest.raises(ValueError, match=f"{key} must be at least 0, got {bad}"):
+                Scenario.from_dict({key: bad})
+        assert getattr(Scenario.from_dict({key: 0}), key) == 0
+
+
+def test_map_params_refuse_bad_ranges_when_parsed():
+    # each used to parse and then fail inside generate_city
+    for ranges, named in (({"footprint_range": [20.0]}, "footprint_range must be two numbers"),
+                          ({"height_range": [18.0, 40.0, 60.0]}, "height_range must be two numbers"),
+                          ({"footprint_range": [60.0, 20.0]}, "positive and ordered"),
+                          ({"height_range": [0, 40.0]}, "positive and ordered"),
+                          ({"footprint_range": [20.0, 600.0]}, "footprint range exceeds map extent"),
+                          ({"height_range": [18.0, 600.0]}, "height range exceeds map extent"),
+                          ({"keep_clear": [[-5.0, 0.0, 0.0]]}, "keep-clear point outside bounds")):
+        with pytest.raises(ValueError, match=named):
+            Scenario.from_dict({"map_params": ranges})
+    for bad in ((20.0,), ("20", 60.0), (True, 60.0), 20.0, None):
+        with pytest.raises(ValueError, match="footprint_range must be two numbers"):
+            GenParams(footprint_range=bad)
+
+
 # ----------------------------------------------------------------------
 # running trials
 # ----------------------------------------------------------------------

@@ -111,6 +111,16 @@ def test_plan_refuses_step_for_grid_planners(algo, capsys):
     assert err.startswith("skynav: error: --step") and err.count("\n") == 1
 
 
+def test_seed_options_refuse_a_negative_seed(tmp_path, capsys):
+    # numpy refused it for drrt only, with no option named; astar ignored it
+    out = tmp_path / "city.json"
+    for command in (["genmap", "--out", str(out)], ["plan", "--algo", "astar"],
+                    ["plan", "--algo", "drrt"]):
+        assert main([*command, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "skynav: error: --seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 def test_plan_step_sets_the_tree_planners_step(monkeypatch):
     flown = []
 

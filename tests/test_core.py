@@ -43,8 +43,8 @@ def _scan_rows(tree) -> np.ndarray:
 
     Node i is column i % BLOCK of block i // BLOCK, holding (-2x, -2y, -2z,
     |x|^2) with |x|^2 the Python sum x*x + y*y + z*z, as add takes it; unused
-    columns hold FILLER.  Scored by _scan_scores, it gives the scores the
-    unslabbed tree ranks, and the scores every slab reads for its nodes.
+    columns hold FILLER.  Scored by _scan_scores, it gives the scores a tree
+    of one slab ranks, and the scores every slab reads for its nodes.
     """
     n = len(tree)
     pos = tree._pos[:n]
@@ -62,10 +62,8 @@ def _columns(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _stored_columns(tree) -> np.ndarray:
-    """The score columns tree holds, node by node: from _rows, or once slabbed from the slabs."""
+    """The score columns tree holds, node by node, read from its slabs."""
     n = len(tree)
-    if tree._rows is not None:
-        return _columns(tree._rows, n)
     cols = np.full((4, n), np.nan)
     for stack, ids in tree._slabs:
         cols[:, ids] = _columns(stack, len(ids))
@@ -198,10 +196,13 @@ def test_slab_nearest_returns_the_block_scan_node():
                           tree._pos[rng.integers(0, len(tree), 100)],   # on nodes
                           [(-1e4, 250, 250), (1e4, 0, 0), (500, 500, 500)]])
 
-    for p in pts[1:SLAB_FROM]:   # the tree crosses the threshold
+    for p in pts[1:SLAB_FROM - 1]:
         tree.add(p, 0)
+    assert tree._edges == [] and len(tree._slabs) == 1   # one slab spans every x
+    check(queries()[::10])
+    tree.add(pts[SLAB_FROM - 1], 0)   # the tree crosses the threshold
     assert tree._edges == [20.0 * k for k in range(1, SLABS)]
-    assert tree._rows is None   # the slabs hold the only copy of the score columns
+    assert len(tree._slabs) == SLABS
     check(queries())
 
     # later nodes join their slabs one by one; slab 5 ([100, 120)) doubles its stack
@@ -271,7 +272,7 @@ def test_tree_positions_survive_capacity_growth(monkeypatch):
     tree = SearchTree(pts[0])
     for p in pts[1:]:
         tree.add(p, 0)
-    assert len(tree._rows) == 4
+    assert len(tree._slabs) == 1 and len(tree._slabs[0][0]) == 4 and len(tree._pos) == 4 * BLOCK
     for k in range(1, len(pts)):
         assert np.array_equal(tree.extract_path(k), pts[[0, k]])
 
@@ -354,13 +355,13 @@ def test_tree_loop_distances_are_python_float_arithmetic():
     # add stores a node's |x|^2 as x*x + y*y + z*z and steer's distance is
     # math.hypot, in Python floats, whatever BLAS kernel numpy loaded; a
     # BLAS dot rounds about a fifth of these triples apart.  The tree crosses
-    # SLAB_FROM, so both of add's branches store columns
+    # SLAB_FROM, so columns stored before and after the slabs are re-cut count
     rng = np.random.default_rng(61)
     pts = [tuple(p) for p in rng.uniform(-500, 500, (SLAB_FROM + 500, 3)).tolist()]
     tree = SearchTree(pts[0])
     for p in pts[1:]:
         tree.add(p, 0)
-    assert tree._rows is None
+    assert len(tree._slabs) == SLABS
     want = np.array([x * x + y * y + z * z for x, y, z in pts])
     assert _stored_columns(tree)[3].tobytes() == want.tobytes()
 
@@ -416,20 +417,27 @@ def test_sample_bias_is_deterministic_per_seed():
     assert np.array_equal(a[0], b[0])
 
 
-def test_block_draw_sampling_matches_the_generator_sequence():
+def test_block_draw_sampling_matches_the_generator_sequence(monkeypatch):
     # rng.random() for the bias, then rng.uniform(lo, hi) on the uniform
-    # branch: the sequence the planners drew before block draws
+    # branch: the sequence the planners drew before block draws.  Small
+    # FIRST_DRAWS and DRAW_BLOCK put many of uniforms' block ends, on its ramp
+    # and past it, inside the draws; single rng.random() calls pin them
     lo = np.array([-100.0, 5.0, 3.0])
     hi = np.array([400.0, 505.0, 503.0])
     goal = np.array([470.0, 420.0, 50.0])
-    for p_target in (0.0, 0.5, 0.9):
-        for seed in range(200):
+    for first, block, seeds in ((64, 1024, 200), (1, 3, 20), (3, 7, 20), (7, 7, 20), (1, 1, 20)):
+        monkeypatch.setattr(skynav.core, "FIRST_DRAWS", first)
+        monkeypatch.setattr(skynav.core, "DRAW_BLOCK", block)
+        for p_target, seed in itertools.product((0.0, 0.5, 0.9), range(seeds)):
             rng = np.random.default_rng(seed)
-            want = [goal.copy() if rng.random() < p_target else rng.uniform(lo, hi)
-                    for _ in range(500)]
+            want = np.array([goal.copy() if rng.random() < p_target else rng.uniform(lo, hi)
+                             for _ in range(500)])
             draw = uniforms(np.random.default_rng(seed)).__next__
             got = [sample_with_bias(goal, p_target, lo, hi, draw) for _ in range(500)]
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert np.array(got).tobytes() == want.tobytes()
+            stream = samples(p_target, lo, hi, np.random.default_rng(seed))
+            got = [goal if s is None else s for s in itertools.islice(stream, 500)]
+            assert np.array(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.exact
@@ -437,7 +445,7 @@ def test_block_draw_sampling_matches_the_generator_sequence():
 @pytest.mark.parametrize("p_target", [0.0, 0.5, 0.9, 1.0])
 def test_sample_stream_matches_sample_with_bias(p_target, block, monkeypatch):
     # blocks of 1 to 7 cut draws at block ends; 3,000 draws cross many of them,
-    # and the stream's first blocks grow from FIRST_DRAWS up to DRAW_BLOCK
+    # and uniforms' first blocks grow from FIRST_DRAWS up to DRAW_BLOCK
     monkeypatch.setattr(skynav.core, "DRAW_BLOCK", block)
     lo = np.array([-100.0, 5.0, 3.0])
     hi = np.array([400.0, 505.0, 503.0])
