@@ -219,7 +219,7 @@ def test_scenario_refuses_negative_seeds_when_parsed():
 
 
 def test_map_params_refuse_bad_ranges_when_parsed():
-    # each used to parse and then fail inside generate_city
+    # unchecked, each would parse and fail only inside generate_city
     for ranges, named in (({"footprint_range": [20.0]}, "footprint_range must be two numbers"),
                           ({"height_range": [18.0, 40.0, 60.0]}, "height_range must be two numbers"),
                           ({"footprint_range": [60.0, 20.0]}, "positive and ordered"),

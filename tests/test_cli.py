@@ -112,7 +112,7 @@ def test_plan_refuses_step_for_grid_planners(algo, capsys):
 
 
 def test_seed_options_refuse_a_negative_seed(tmp_path, capsys):
-    # numpy refused it for drrt only, with no option named; astar ignored it
+    # unchecked, numpy refuses it for drrt only, naming no option, and astar ignores it
     out = tmp_path / "city.json"
     for command in (["genmap", "--out", str(out)], ["plan", "--algo", "astar"],
                     ["plan", "--algo", "drrt"]):
