@@ -77,7 +77,7 @@ class Building:
         lo = as_point(self.min_corner)
         hi = as_point(self.max_corner)
         if not np.all(lo < hi):
-            raise ValueError(f"degenerate building: {self.min_corner} .. {self.max_corner}")
+            raise ValueError(f"degenerate building: {tuple(lo.tolist())} .. {tuple(hi.tolist())}")
         object.__setattr__(self, "min_corner", tuple(float(v) for v in lo))
         object.__setattr__(self, "max_corner", tuple(float(v) for v in hi))
 

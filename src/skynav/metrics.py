@@ -10,9 +10,13 @@ SHARP_TURN_DEG = 45.0
 
 
 def _as_path(path, name: str = "path") -> np.ndarray:
-    p = np.asarray(path, dtype=float)
+    message = f"{name} must be a non-empty (N, 3) array of finite waypoints"
+    try:
+        p = np.asarray(path, dtype=float)
+    except TypeError:
+        raise ValueError(message) from None
     if p.ndim != 2 or p.shape[1] != 3 or len(p) < 1 or not np.isfinite(p).all():
-        raise ValueError(f"{name} must be a non-empty (N, 3) array of finite waypoints")
+        raise ValueError(message)
     return p
 
 

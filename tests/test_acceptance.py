@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import frozen
 import numpy as np
 import pytest
 from grid_reference import dijkstra_cost
@@ -302,13 +303,7 @@ def test_criterion_11_determinism(scenario, paired_runs, capsys):
         assert first.path.tobytes() == second.path.tobytes(), algo
         assert first.explored_nodes == second.explored_nodes, algo
 
-    small = Scenario(
-        start=(5.0, 5.0, 5.0), goal=(112.0, 108.0, 40.0), trials=2, base_seed=100,
-        map_seed=2,
-        map_params=GenParams(count=6, footprint_range=(10, 30), height_range=(18, 80),
-                             bounds_max=(120.0, 120.0, 120.0)),
-        grid_resolution=6.0, aco=AcoParams(ants=6, iterations=8),
-    )
+    small = frozen.small_scenario()
     first = run_benchmark(small).to_json(include_timing=False)
     second = run_benchmark(small).to_json(include_timing=False)
     assert first == second

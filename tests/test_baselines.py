@@ -5,20 +5,18 @@ and A* against a Dijkstra cost oracle.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import tracemalloc
 from dataclasses import replace
 from itertools import product
-from pathlib import Path
 
+import frozen
 import numpy as np
 import pytest
 from grid_reference import (chain_cost, dense_aco, dijkstra_cost, reference_move_masks,
                             reference_occupancy)
 
-from skynav import (AcoParams, Building, CityMap, GenParams, PlanRequest, VoxelGrid, baselines,
+from skynav import (AcoParams, Building, CityMap, PlanRequest, VoxelGrid, baselines,
                     generate_city, plan_aco, plan_astar, voxelize)
 from skynav.baselines import (ACO_NEIGHBOR_MEMO, ACO_STEP_CAP_FACTOR, MAX_GRID_CELLS,
                               NEIGHBOR_OFFSETS, _chain_costs, _moves, _neighbors, _walk_ant)
@@ -528,12 +526,10 @@ def test_chain_costs_by_flat_offset_equal_the_unravelled_steps(monkeypatch):
         return record
 
     monkeypatch.setattr(baselines, "_chain_costs", recording)
-    start, goal = (5.0, 5.0, 5.0), (112.0, 108.0, 40.0)
-    city = generate_city(2, GenParams(count=8, footprint_range=(10, 30), height_range=(18, 80),
-                                      bounds_max=(120.0, 120.0, 120.0), keep_clear=(start, goal)))
-    grid = voxelize(city, 4.0)
+    grid = frozen.frozen_grid(2)
     assert len(set(grid.flat_offsets.tolist())) == len(NEIGHBOR_OFFSETS)
-    assert plan_aco(grid, PlanRequest(start, goal), AcoParams(ants=10, iterations=8), 3).success
+    req = PlanRequest(frozen.GRID_START, frozen.GRID_GOAL)
+    assert plan_aco(grid, req, AcoParams(ants=10, iterations=8), 3).success
     trap, trap_req = _trap()
     plan_aco(trap, trap_req, AcoParams(ants=5, iterations=10), 2)
     assert len({id(g) for g, _ in chains}) == 2 and len(chains) >= 50
@@ -608,46 +604,3 @@ def test_grid_planners_stay_within_their_per_call_memory_budget():
     for alpha in (1.0, 1.5):   # pheromone^alpha is taken only of the deposited cells
         params = AcoParams(ants=4, iterations=2, alpha=alpha)
         assert peak_of(lambda: plan_aco(grid, req, params, seed=500)) < 24_000_000
-
-
-# ----------------------------------------------------------------------
-# frozen outputs
-# ----------------------------------------------------------------------
-
-FROZEN = Path(__file__).parent / "data" / "grid_frozen.json"
-FROZEN_ACO = {
-    "alpha1.5": AcoParams(ants=10, iterations=8, alpha=1.5),
-    "q0_0.0": AcoParams(ants=10, iterations=8, q0=0.0),
-    "q0_0.6": AcoParams(ants=10, iterations=8, q0=0.6),
-}
-
-
-def _frozen_outputs() -> dict:
-    """Path digest and explored count of A* and three ant colony settings on two maps."""
-    start, goal = (5.0, 5.0, 5.0), (112.0, 108.0, 40.0)
-    out = {}
-    for map_seed in (2, 5):
-        city = generate_city(map_seed, GenParams(
-            count=8, footprint_range=(10, 30), height_range=(18, 80),
-            bounds_max=(120.0, 120.0, 120.0), keep_clear=(start, goal)))
-        grid = voxelize(city, 4.0)
-        req = PlanRequest(start, goal, goal_threshold=5.0)
-        runs = {"astar": plan_astar(grid, req)}
-        for name, params in FROZEN_ACO.items():
-            for seed in (3, 4):
-                runs[f"aco_{name}_seed{seed}"] = plan_aco(grid, req, params, seed)
-        for name, res in runs.items():
-            out[f"map{map_seed}/{name}"] = {
-                "success": res.success,
-                "explored_nodes": res.explored_nodes,
-                "path_sha256": hashlib.sha256(res.path.tobytes()).hexdigest(),
-            }
-    return out
-
-
-@pytest.mark.exact
-def test_grid_planners_reproduce_the_frozen_outputs():
-    # the A* entries were recorded with the octile heuristic, whose float
-    # operation order decides its ties; the ant colony entries from the earlier
-    # dense (ncells, 26) boolean move table implementation
-    assert _frozen_outputs() == json.loads(FROZEN.read_text())

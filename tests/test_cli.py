@@ -247,13 +247,18 @@ def test_invalid_input_exits_with_a_one_line_error(tmp_path, capsys):
         assert err.startswith("skynav: error:") and named in err
         assert "Traceback" not in err and err.count("\n") == 1
 
-    # a stored path object with no path, a bad smoothed curve, or a waypoint
-    # that is not finite (Python's json writes and reads NaN and Infinity)
+    # a stored path object with no path, a bad smoothed curve, a waypoint that
+    # is not finite (Python's json writes and reads NaN and Infinity), or a JSON
+    # object where a path or a coordinate belongs
     stored = tmp_path / "flight.json"
     for flight, named in (({"foo": 1}, "'path'"),
                           ({"path": [[0, 0, 0], [1, 1, 1]], "smoothed": 7}, "smoothed"),
                           ({"path": [[math.nan, 0, 0], [1, 0, 0], [2, 1, 0]]}, "finite"),
-                          ({"path": [[0, 0, 0], [math.inf, 0, 0]]}, "finite")):
+                          ({"path": [[0, 0, 0], [math.inf, 0, 0]]}, "finite"),
+                          ({"path": {"x": 1}}, "path must be"),
+                          ([[1, 2, {"a": 1}]], "path must be"),
+                          ({"path": [[0, 0, 0], [1, 1, 1]], "smoothed": {"a": 1}},
+                           "smoothed must be")):
         stored.write_text(json.dumps(flight))
         rc = main(["metrics", str(stored)])
         err = capsys.readouterr().err

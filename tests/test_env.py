@@ -97,6 +97,9 @@ def test_point_errors_print_plain_floats():
     with pytest.raises(ValueError) as exc:
         generate_city(0, GenParams(keep_clear=((-5, 0, 0),)))
     assert str(exc.value) == "keep-clear point outside bounds: (-5.0, 0.0, 0.0)"
+    with pytest.raises(ValueError) as exc:
+        Building((np.float64(1), 0, 0), (np.float64(1), 1, 1))
+    assert str(exc.value) == "degenerate building: (1.0, 0.0, 0.0) .. (1.0, 1.0, 1.0)"
 
 
 def test_clearance_matches_nearest_among_buildings():

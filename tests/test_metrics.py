@@ -117,3 +117,10 @@ def test_input_validation():
             summarize(broken)
         with pytest.raises(ValueError, match="smoothed must be .* finite waypoints"):
             summarize(broken[1:], broken)
+    # numpy raises TypeError on a JSON object; the CLI reports a ValueError as a one-line error
+    with pytest.raises(ValueError, match="path must be .* finite waypoints"):
+        summarize({"x": 1})
+    with pytest.raises(ValueError, match="path must be .* finite waypoints"):
+        summarize([[1, 2, {"a": 1}]])
+    with pytest.raises(ValueError, match="smoothed must be .* finite waypoints"):
+        summarize([[0, 0, 0], [1, 1, 1]], {"a": 1})
