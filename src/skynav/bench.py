@@ -165,6 +165,8 @@ def fly(algorithm: str, city: CityMap, grid: VoxelGrid | None, scenario: Scenari
     """
     if algorithm not in PLANNERS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if grid is None and algorithm in GRID_ALGORITHMS:
+        raise ValueError(f"{algorithm} searches a voxel grid, got grid=None")
     result = PLANNERS[algorithm](city, grid, scenario.request(), scenario, seed)
     smoothed = smooth_s = None
     if algorithm == "drrt" and result.success:

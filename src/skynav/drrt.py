@@ -89,12 +89,12 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> tuple[float, floa
     of bounds.
 
     x_near and goal are (x, y, z) sequences of numbers, else ValueError (two
-    or four coordinates, a 2-D array).  An x_near outside the bounds, or with
-    a NaN coordinate, is blocked in every direction and gives None; it is
-    checked once, and each move inside the bounds is one
-    CityMap._hits_buildings query from it.  The moves are built in floats as
-    x_near plus (step, 0, 0) and so on, which is what numpy would add, and a
-    move's goal distance is math.hypot, as steer's distance is.
+    or four coordinates, a 2-D array).  Each move is one
+    CityMap._segment_collides query from x_near, so an x_near outside the
+    bounds, or with a NaN coordinate, is blocked in every direction and
+    gives None.  The moves are built in floats as x_near plus (step, 0, 0)
+    and so on, which is what numpy would add, and a move's goal distance is
+    math.hypot, as steer's distance is.
     """
     try:
         x, y, z = map(float, x_near)
@@ -102,20 +102,18 @@ def detour_extend(city: CityMap, x_near, goal, step: float) -> tuple[float, floa
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 coordinates, got {x_near!r:.40} and {goal!r:.40}") from None
     near = (x, y, z)
-    if not city._inside(near):
-        return None
     y0, z0 = y + 0.0, z + 0.0
     best = None
     best_d = math.inf
     for cand in ((x + step, y0, z0), (x - step, y0, z0), (x + 0.0, y + step, z0),
                  (x + 0.0, y - step, z0)):
-        if city._inside(cand) and not city._hits_buildings(near, cand):
+        if not city._segment_collides(near, cand):
             d = math.hypot(gx - cand[0], gy - cand[1], gz - cand[2])
             if d < best_d:
                 best, best_d = cand, d
     if best is None:
         cand = (x + 0.0, y0, z + step if gz > z else z - step)
-        if city._inside(cand) and not city._hits_buildings(near, cand):
+        if not city._segment_collides(near, cand):
             return cand
     return best
 

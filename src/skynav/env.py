@@ -192,24 +192,18 @@ class CityMap:
     def _segment_collides(self, a, b) -> bool:
         """segment_collides for two (x, y, z) float sequences the caller has validated.
 
-        Checks the bounds in Python scalars, then asks _hits_buildings.
+        Checks the bounds in Python scalars.  A segment at most
+        2 * CELL_REACH wide on x and on y is then answered from its
+        midpoint's cell (see _build_cell_index): free above the cell's top,
+        else by the closed box-overlap test and _slab on its boxes.  A wider
+        segment goes to segments_collide.
         """
         if not self._inside(a) or not self._inside(b):
             return True
-        return self._hits_buildings(a, b)
-
-    def _hits_buildings(self, a, b) -> bool:
-        """True iff segment a-b, two float triples inside the bounds, touches a building.
-
-        A segment at most 2 * CELL_REACH wide on x and on y is answered from
-        its midpoint's cell (see _build_cell_index): free above the cell's
-        top, else by the closed box-overlap test and _slab on its boxes.  A
-        wider segment goes to the batched slab test.
-        """
         (ax, ay, az), (bx, by, bz) = a, b
         dx, dy, w = bx - ax, by - ay, 2.0 * CELL_REACH
         if not (-w <= dx <= w and -w <= dy <= w):
-            return bool(self._touch_buildings(np.array((a,)), np.array((b,)))[0])
+            return bool(self.segments_collide(np.array((a,)), np.array((b,)))[0])
         # ax + dx / 2 cannot overflow, and lies between ax and bx
         top, boxes = self._cell(ax + dx * 0.5, ay + dy * 0.5)
         z0, z1 = (az, bz) if az <= bz else (bz, az)
@@ -226,10 +220,14 @@ class CityMap:
     def segments_collide(self, starts, ends) -> np.ndarray:
         """One flag per segment starts[k]-ends[k]: True iff it touches a building or leaves the bounds.
 
-        Takes two (S, 3) arrays of finite coordinates.  Runs the slab method
-        per building, with the intersection parameter clipped to [0, 1].
-        Leaving the bounds and boundary grazing count as collisions
-        (closed-set convention).
+        Takes two (S, 3) arrays of finite coordinates.  Leaving the bounds and
+        boundary grazing count as collisions (closed-set convention).  A
+        segment can only touch a building whose closed box overlaps the
+        segment's own bounding box; only those pairs reach the narrow phase,
+        _slab, until the segment hits.  The broad phase first keeps the K
+        buildings whose box meets the whole batch's bounding box, which holds
+        every segment's box, then compares them with the segment boxes axis by
+        axis in one (K, S) mask over (3, S) rows.
         """
         a = np.asarray(starts, dtype=float)
         b = np.asarray(ends, dtype=float)
@@ -239,33 +237,19 @@ class CityMap:
             raise ValueError("segment endpoints have non-finite coordinates")
         # bounds are convex: a segment leaves them iff an endpoint is outside
         lo_b, hi_b = self.bounds_min, self.bounds_max
-        outside = ~((lo_b <= a) & (a <= hi_b) & (lo_b <= b) & (b <= hi_b)).all(axis=1)
-        return outside | self._touch_buildings(a, b)
-
-    def _touch_buildings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per segment a[k]-b[k] of an (S, 3) pair of float64 arrays: True iff it touches a building.
-
-        A segment can only touch a building whose closed box overlaps the
-        segment's own bounding box; only those pairs reach the narrow phase,
-        _slab, until the segment hits.  The broad phase first keeps the K
-        buildings whose box meets the whole batch's bounding box, which holds
-        every segment's box, then compares them with the segment boxes axis by
-        axis in one (K, S) mask over (3, S) rows.
-        """
-        hit = np.zeros(len(a), dtype=bool)
+        hit = ~((lo_b <= a) & (a <= hi_b) & (lo_b <= b) & (b <= hi_b)).all(axis=1)
         if not len(a):
             return hit
         at, bt = a.T.copy(), b.T.copy()
         seg_lo, seg_hi = np.minimum(at, bt), np.maximum(at, bt)
         batch_lo, batch_hi = seg_lo.min(axis=1)[:, None], seg_hi.max(axis=1)[:, None]
         kept = np.flatnonzero(((self._lo <= batch_hi) & (batch_lo <= self._hi)).all(axis=0))
-        if kept.size == 0:
-            return hit
         lo, hi = self._lo[:, kept, None], self._hi[:, kept, None]
         near = (lo[0] <= seg_hi[0]) & (seg_lo[0] <= hi[0])
         for k in (1, 2):
             near &= lo[k] <= seg_hi[k]
             near &= seg_lo[k] <= hi[k]
+        # np.nonzero on a 2-D mask costs tens of microseconds, even when empty
         if not near.any():
             return hit
         for bld, seg in zip(*np.nonzero(near)):
@@ -362,7 +346,7 @@ class CityMap:
         2 * CELL_REACH wide on x and on y; and a point above top lies farther
         than CELL_REACH above every box the cell lists.  The roundings on the way
         each move a value by a relative 2**-53: in clearance_exceeds'
-        distances, and in _hits_buildings' extent test (a segment that
+        distances, and in _segment_collides' extent test (a segment that
         passes it may be wider than 2 * CELL_REACH by a relative 2**-53) and
         its midpoint ax + dx / 2 (off the exact midpoint by at most 2**-53
         times half the width plus the coordinates' scale).  pad covers them

@@ -5,9 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .core import PlanRequest, PlanResult
-# plan_rrt runs drrt's tree loop.  check_endpoints and try_finish are unused
-# here, but perfbench's LAYERS["rrt"] looks them up in skynav.rrt, so they stay
-# imported until perfbench names them by their drrt home (ROADMAP item 6)
+# plan_rrt runs drrt's tree loop.  perfbench's LAYERS["rrt"] is the only reader of
+# check_endpoints and try_finish here, until it names their drrt home (ROADMAP item 6)
 from .drrt import DrrtParams, _grow_tree, check_endpoints, try_finish
 from .env import CityMap
 

@@ -136,12 +136,14 @@ def smooth_path(path, city: CityMap, samples_per_span: int = 8) -> np.ndarray:
     feasible plan never gets worse; so is a route whose curve would have
     more than MAX_CURVE_SAMPLES samples, and a one-waypoint route, which the
     tree planners return when the start lies inside the goal region.  path
-    must be an (N, 3) array with N >= 1 and samples_per_span an integer from
-    1 to MAX_SAMPLES_PER_SPAN, else ValueError.
+    must be a finite (N, 3) array with N >= 1 and samples_per_span an integer
+    from 1 to MAX_SAMPLES_PER_SPAN, else ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or len(path) < 1:
         raise ValueError("path must contain at least one 3D waypoint")
+    if not np.isfinite(path).all():
+        raise ValueError("path waypoints must be finite")
     samples_per_span = check_count(samples_per_span, "samples_per_span", MAX_SAMPLES_PER_SPAN)
     degree = min(MAX_DEGREE, len(path) - 1)
     if degree == 0 or samples_per_span * (len(path) - degree) + 1 > MAX_CURVE_SAMPLES:

@@ -309,3 +309,12 @@ def test_run_trial_rejects_unknown_algorithm():
     city = build_city(scn)
     with pytest.raises(ValueError):
         run_trial("bfs", city, None, scn, 0)
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "aco"])
+def test_grid_planners_without_a_grid_fail_with_the_algorithm_named(algorithm):
+    scn = default_scenario()
+    city = build_city(scn)
+    for run in (fly, run_trial):
+        with pytest.raises(ValueError, match=f"{algorithm} searches a voxel grid"):
+            run(algorithm, city, None, scn, 0)

@@ -134,16 +134,15 @@ def _batched_detour_extend(city, x_near, goal, step):
     dz = step if goal[2] > x_near[2] else -step
     cands = x_near + np.array(((step, 0.0, 0.0), (-step, 0.0, 0.0), (0.0, step, 0.0),
                                (0.0, -step, 0.0), (0.0, 0.0, dz)))
-    inside = [city._inside(c) for c in cands.tolist()]
-    touched = city._touch_buildings(x_near[None].repeat(5, axis=0), cands).tolist()
+    collided = city.segments_collide(x_near[None].repeat(5, axis=0), cands).tolist()
     best = None
     best_d = math.inf
     for k in range(4):
-        if inside[k] and not touched[k]:
+        if not collided[k]:
             d = math.hypot(*(goal - cands[k]).tolist())
             if d < best_d:
                 best, best_d = cands[k], d
-    if best is None and inside[4] and not touched[4]:
+    if best is None and not collided[4]:
         return cands[4]
     return best
 

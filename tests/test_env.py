@@ -467,18 +467,18 @@ def test_cell_index_is_exact_on_random_segments_and_empty_maps():
 def test_cell_index_answers_every_short_segment_on_a_generated_map(monkeypatch):
     """No short single segment reaches the batched slab test, and all agree with it."""
     city = generate_city(11)
-    touch_buildings = CityMap._touch_buildings
+    segments_collide = CityMap.segments_collide
     narrow = []
 
-    def counting_touch_buildings(self, a, b):
+    def counting_segments_collide(self, a, b):
         narrow.append(len(a))
-        return touch_buildings(self, a, b)
+        return segments_collide(self, a, b)
 
     rng = np.random.default_rng(4)
     a = rng.uniform(0.0, 500.0, (400, 3)) * (1.0, 1.0, 0.5)
     b = np.clip(a + rng.uniform(-8.0, 8.0, (400, 3)), 0.0, 500.0)
     flags = city.segments_collide(a, b)
-    monkeypatch.setattr(CityMap, "_touch_buildings", counting_touch_buildings)
+    monkeypatch.setattr(CityMap, "segments_collide", counting_segments_collide)
     assert [city.segment_collides(p, q) for p, q in zip(a, b)] == flags.tolist()
     assert narrow == []
     assert 0 < flags.sum() < 400
@@ -731,18 +731,18 @@ def test_cell_index_is_exact_at_cell_edges_and_the_width_limit(monkeypatch):
                             end[axis] = math.nextafter(end[axis], math.inf)
                         over.append((tuple(start), tuple(end)))
     assert len(mid) > 20 and len(exact) > 20
-    touch_buildings = CityMap._touch_buildings
+    segments_collide = CityMap.segments_collide
     for segments in (mid, exact, over):
         a, b = (np.array(v) for v in zip(*segments))
         expected = city.segments_collide(a, b).tolist()
         assert 0 < sum(expected) < len(expected)
         calls = []
-        monkeypatch.setattr(CityMap, "_touch_buildings",
-                            lambda self, p, q: calls.append(len(p)) or touch_buildings(self, p, q))
+        monkeypatch.setattr(CityMap, "segments_collide",
+                            lambda self, p, q: calls.append(len(p)) or segments_collide(self, p, q))
         # both directions: the midpoint is computed from the first end
         assert [city.segment_collides(p, q) for p, q in zip(a, b)] == expected
         assert [city.segment_collides(q, p) for p, q in zip(a, b)] == expected
-        monkeypatch.setattr(CityMap, "_touch_buildings", touch_buildings)
+        monkeypatch.setattr(CityMap, "segments_collide", segments_collide)
         assert len(calls) == (2 * len(a) if segments is over else 0)
 
 
@@ -791,9 +791,9 @@ def test_cell_index_margin_covers_the_midpoint_and_width_rounding(monkeypatch):
     b = np.array([(end, -94.0 + 4 * k, 10.0) for k, (_, end, _) in enumerate(found)])
     assert city.segments_collide(a, b).all()
     calls = []
-    touch_buildings = CityMap._touch_buildings
-    monkeypatch.setattr(CityMap, "_touch_buildings",
-                        lambda self, p, q: calls.append(len(p)) or touch_buildings(self, p, q))
+    segments_collide = CityMap.segments_collide
+    monkeypatch.setattr(CityMap, "segments_collide",
+                        lambda self, p, q: calls.append(len(p)) or segments_collide(self, p, q))
     assert all(city.segment_collides(p, q) for p, q in zip(a, b))
     assert calls == [] and city._cell_index[:3] == (inv, 19, 19)
 

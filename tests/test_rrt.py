@@ -12,7 +12,7 @@ import skynav.drrt
 import skynav.env
 from skynav import (Building, CityMap, DrrtParams, PlanRequest, RrtParams, build_city,
                     default_scenario, plan_drrt, plan_rrt)
-from skynav.rrt import check_endpoints, try_finish
+from skynav.drrt import check_endpoints, try_finish
 from skynav.core import SearchTree
 
 

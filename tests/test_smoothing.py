@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
 
 from spline_reference import basis, de_boor, evaluate
 
@@ -271,12 +270,20 @@ def test_curve_is_affine_invariant():
 
 
 def test_curve_stays_inside_the_control_hull():
+    """Each sample lies in the tetrahedron of its span's control points k to k + 3.
+
+    That is the local form of the convex-hull property, and the stronger one:
+    the tetrahedron lies inside the hull of all control points.
+    """
     rng = np.random.default_rng(9)
     control = rng.uniform(0, 20, (10, 3))
-    hull = ConvexHull(control)
     curve = sample_curve(control, 3, 10)
-    homog = np.hstack([curve, np.ones((len(curve), 1))])
-    assert np.all(homog @ hull.equations.T <= 1e-9)
+    n = len(control)
+    for s, point in enumerate(curve):
+        k = min(s // 10, n - 4)
+        corners = np.vstack([control[k:k + 4].T, np.ones(4)])
+        weights = np.linalg.solve(corners, np.append(point, 1.0))
+        assert weights.min() >= -1e-9
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +349,11 @@ def test_smooth_path_validation():
         smooth_path(np.zeros((4, 2)), city)
     with pytest.raises(ValueError):
         smooth_path(np.zeros((4, 3)), city, samples_per_span=0)
-    for bad in (np.nan, np.inf):   # sample_curve refuses a non-finite waypoint
-        with pytest.raises(ValueError, match="must be finite"):
-            smooth_path(np.array([[1, 1, 1], [2, bad, 2], [3, 3, 3], [4, 4, 4.0]]), city)
+    for bad in (np.nan, np.inf, -np.inf):
+        # refused before the returns of a one-waypoint route and of a route too long to smooth
+        long_route = [[1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4], [5, 5, bad]]
+        for route, spans in (([[1, 1, 1], [2, bad, 2], [3, 3, 3], [4, 4, 4]], 8),
+                             ([[bad, 0, 0]], 8), ([[0, 0, 0], [1, 1, bad]], 8),
+                             (long_route, MAX_SAMPLES_PER_SPAN)):
+            with pytest.raises(ValueError, match="must be finite"):
+                smooth_path(np.array(route, dtype=float), city, spans)
